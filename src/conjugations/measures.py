@@ -10,7 +10,8 @@ a conjugation exactly when the field is reflection symmetric.
 
 Elements keep their weights explicit in the inner product; nothing is
 rescaled into flat coordinates, so the sqrt(h) factor stays visible in the
-operator data.
+operator data.  Only the defect report moves to the weighted orthonormal
+coordinates, where each defect is one matrix norm.
 """
 
 from dataclasses import dataclass
@@ -379,72 +380,61 @@ def is_reflection_symmetric(field, fiber_conjugation=None, tol=None):
         raise InputError("expected a pointwise linear multiplication field")
     r = field.fiber_dim
     J = fiber_conjugation if fiber_conjugation is not None else plain_conjugation(r)
-    eye = np.eye(r)
-    for k in range(field.measure.size):
-        U = field.matrices[k]
-        if np.linalg.norm(U.conj().T @ U - eye) > tol.threshold(np.sqrt(r)):
-            raise InputError(f"field is not unitary valued at atom {k}")
+    mats = field.matrices
+    gram = np.einsum("kji,kjl->kil", np.conj(mats), mats)
+    not_unitary = np.nonzero(
+        np.linalg.norm(gram - np.eye(r), axis=(1, 2)) > tol.threshold(np.sqrt(r))
+    )[0]
+    if not_unitary.size:
+        raise InputError(f"field is not unitary valued at atom {not_unitary[0]}")
     sigma, unpaired = conjugate_pairing(field.measure)
     if unpaired:
         raise AbsoluteContinuityError(
             "field measure has an unpaired non-real atom; no reflection conjugation exists"
         )
     A = J.matrix
-    worst = 0.0
-    for k in range(field.measure.size):
-        lhs = A @ np.conj(field.matrices[k]) @ np.conj(A)
-        rhs = field.matrices[sigma[k]].conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    lhs = A @ np.conj(mats) @ np.conj(A)
+    rhs = np.conj(mats[sigma]).transpose(0, 2, 1)
+    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
     return worst <= tol.threshold(np.sqrt(r)), worst
 
 
-def weighted_basis(mu, fiber_dim):
-    """Orthonormal basis of the weighted space: one element per (atom, fiber index)."""
-    out = []
-    for k in range(mu.size):
-        scale = 1.0 / np.sqrt(mu.weights[k])
-        for m in range(fiber_dim):
-            vals = np.zeros((mu.size, fiber_dim), dtype=complex)
-            vals[k, m] = scale
-            out.append(WeightedSpaceElement(mu, vals))
-    return out
+def _orthonormal_matrix(field):
+    """Matrix of a field in the weighted orthonormal basis (atom-major, fiber-minor).
+
+    In the coordinates c_k = sqrt(w_k) f_k the field acts as c -> A c, or
+    c -> A conj(c) when antilinear, where block (k, p(k)) of A is
+    sqrt(w_k / w_p(k)) M_k and every other block is zero.
+    """
+    w = field.measure.weights
+    n, r = field.measure.size, field.fiber_dim
+    p = field.point_map if field.point_map is not None else np.arange(n)
+    blocks = np.zeros((n, r, n, r), dtype=complex)
+    blocks[np.arange(n), :, p, :] = np.sqrt(w / w[p])[:, None, None] * field.matrices
+    return blocks.reshape(n * r, n * r)
 
 
 def field_conjugation_report(field):
     """Isometry, involution, and coordinate-commutation defects of a field.
 
-    All three are measured against the weighted inner product through the
-    orthonormal atom basis, so they vanish identically for genuine
-    conjugations regardless of the weights.
+    All three are Frobenius norms of matrices in the weighted orthonormal
+    atom basis, so they vanish identically for genuine conjugations
+    regardless of the weights.  With A the field's matrix there (see
+    _orthonormal_matrix) and D the atom coordinate repeated over the fiber:
+    isometry ||A^T conj(A) - I||; commutation ||A conj(D) - D A|| for
+    antilinear fields and ||A D - D A|| for linear ones; involution
+    ||B - I|| with B the matrix of the field composed with itself.  B is
+    built from the composed field rather than as A conj(A), so the exact
+    reciprocal sqrt(h) pairs of a reflection conjugation give exactly 0.
     """
-    basis = weighted_basis(field.measure, field.fiber_dim)
-    images = [field.apply(e) for e in basis]
-    m = len(basis)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = weighted_inner(images[i], images[j])
-    iso = float(np.linalg.norm(gram - np.eye(m)))
-
-    twice = compose_fields(field, field)
-    inv = np.sqrt(
-        sum(weighted_norm(_subtract(twice.apply(e), e)) ** 2 for e in basis)
-    )
-
-    mult = coordinate_multiplier(field.measure, field.fiber_dim)
-    comm = np.sqrt(
-        sum(
-            weighted_norm(_subtract(field.apply(mult.apply(e)), mult.apply(field.apply(e)))) ** 2
-            for e in basis
-        )
-    )
-    return ConjugationReport(
-        isometry_defect=iso, involution_defect=float(inv), commutation_defect=float(comm)
-    )
-
-
-def _subtract(f, g):
-    return WeightedSpaceElement(f.measure, f.values - g.values)
+    A = _orthonormal_matrix(field)
+    eye = np.eye(A.shape[0])
+    iso = float(np.linalg.norm(A.T @ np.conj(A) - eye))
+    inv = float(np.linalg.norm(_orthonormal_matrix(compose_fields(field, field)) - eye))
+    d = np.repeat(field.measure.points, field.fiber_dim)
+    right = np.conj(d) if field.antilinear else d
+    comm = float(np.linalg.norm(A * right[None, :] - d[:, None] * A))
+    return ConjugationReport(isometry_defect=iso, involution_defect=inv, commutation_defect=comm)
 
 
 @dataclass(frozen=True)

@@ -334,22 +334,18 @@ def squared_shift_conjugation(params, order):
 def extract_symbol(apply_fn, order):
     """Read the 2x2 symbol of a grid conjugation commuting with the squared shift.
 
-    Feeding delta functions through each model component recovers the symbol
-    columns: the image of the delta at z in component j is supported at
-    conj(z) with the j-th symbol column as coefficients.
+    apply_fn maps one grid function (a length-order array) to its image.
+    Precondition: the operator commutes with multiplication by xi^2.  Then
+    the image of the delta at z in component j is supported at conj(z) with
+    the j-th symbol column as coefficients, so the images of different
+    deltas never overlap.  Probing component j with the sum of the deltas at
+    every half-grid point, which is the grid function xi^j, reads the whole
+    j-th column in one call: apply_fn runs exactly twice.  For an operator
+    that does not commute with xi^2 the result is not its symbol.
     """
     if order % 2 != 0:
         raise InputError("grid order must be even")
-    half = order // 2
-    rev = conjugate_indices(half)
-    phi = np.empty((half, 2, 2), dtype=complex)
-    for j in range(2):
-        comps = np.zeros((2, half, half), dtype=complex)
-        comps[j] = np.eye(half)
-        batch = _synthesize_batch(comps, order)  # rows: delta at each z
-        images = np.vstack([np.asarray(apply_fn(batch[p])) for p in range(half)])
-        out = _analyze_batch(images, 2)
-        # row p (delta at z_p) lands at conj(z_p) = z_{rev[p]}
-        phi[rev, 0, j] = out[0][np.arange(half), rev]
-        phi[rev, 1, j] = out[1][np.arange(half), rev]
-    return phi
+    probes = (np.ones(order, dtype=complex), grid_points(order))
+    images = np.stack([apply_fn(probe) for probe in probes])
+    out = _analyze_batch(images, 2)  # out[i, j]: component i of the image of xi^j
+    return np.moveaxis(out, -1, 0)

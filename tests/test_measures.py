@@ -247,6 +247,83 @@ def test_reflection_symmetry_matches_conjugation_checks(rng):
         assert ok == passes
 
 
+def _loop_field_report(field):
+    """Reference defects, one weighted inner product per pair of basis images.
+
+    Applies the field to each element of the weighted orthonormal basis and
+    measures everything through weighted_inner: the Gram matrix of the
+    images, the residuals of the field composed with itself, and the
+    commutator with the coordinate multiplier.
+    """
+    mu, r = field.measure, field.fiber_dim
+    basis = []
+    for k in range(mu.size):
+        for m in range(r):
+            vals = np.zeros((mu.size, r), dtype=complex)
+            vals[k, m] = 1.0 / np.sqrt(mu.weights[k])
+            basis.append(WeightedSpaceElement(mu, vals))
+
+    def norm(f, g):
+        diff = WeightedSpaceElement(mu, f.values - g.values)
+        return np.sqrt(weighted_inner(diff, diff).real)
+
+    images = [field.apply(e) for e in basis]
+    gram = np.array([[weighted_inner(a, b) for b in images] for a in images])
+    iso = np.linalg.norm(gram - np.eye(len(basis)))
+    twice = compose_fields(field, field)
+    inv = np.sqrt(sum(norm(twice.apply(e), e) ** 2 for e in basis))
+    xi = coordinate_multiplier(mu, r)
+    comm = np.sqrt(sum(norm(field.apply(xi.apply(e)), xi.apply(field.apply(e))) ** 2 for e in basis))
+    return iso, inv, comm
+
+
+def test_field_report_matches_loop_oracle(rng):
+    # reflection conjugations (defects at roundoff), their compositions with
+    # non-symmetric unitary fields (defects of order 1), and plain linear fields
+    for _ in range(6):
+        mu = random_paired_measure(rng, max_pairs=5, weight_span=(0.1, 10.0))
+        r = int(rng.integers(1, 4))
+        jsh = reflection_conjugation(mu, r)
+        field = FieldOperator(mu, np.stack([haar_unitary(r, rng) for _ in range(mu.size)]))
+        for op in (jsh, compose_fields(field, jsh), compose_fields(jsh, field), field):
+            rep = field_conjugation_report(op)
+            got = (rep.isometry_defect, rep.involution_defect, rep.commutation_defect)
+            assert np.max(np.abs(np.subtract(got, _loop_field_report(op)))) <= 1e-14
+
+
+def test_reflection_conjugation_involution_exactly_zero(rng):
+    # the reciprocal sqrt(h) pairs make the involution exact for any weights
+    for _ in range(300):
+        mu = random_paired_measure(rng, max_pairs=6, weight_span=(1e-3, 1e3))
+        jsh = reflection_conjugation(mu, int(rng.integers(1, 4)))
+        assert field_conjugation_report(jsh).involution_defect == 0.0
+
+
+def test_reflection_symmetry_matches_per_atom_loop(rng):
+    for trial in range(6):
+        mu = random_paired_measure(rng, max_pairs=5)
+        r = int(rng.integers(1, 4))
+        if trial % 2 == 0:
+            field = _paired_unitary_field(mu, r, rng)
+        else:
+            field = FieldOperator(mu, np.stack([haar_unitary(r, rng) for _ in range(mu.size)]))
+        sigma, _ = conjugate_pairing(mu)
+        loop = max(
+            np.linalg.norm(np.conj(field.matrices[k]) - field.matrices[sigma[k]].conj().T)
+            for k in range(mu.size)
+        )
+        assert is_reflection_symmetric(field)[1] == pytest.approx(loop, abs=1e-14)
+
+
+def test_reflection_symmetry_names_first_non_unitary_atom(rng):
+    mu = random_paired_measure(rng, max_pairs=4)
+    mats = np.stack([haar_unitary(2, rng) for _ in range(mu.size)])
+    mats[2] *= 1.5
+    mats[3] *= 0.5
+    with pytest.raises(InputError, match="field is not unitary valued at atom 2$"):
+        is_reflection_symmetric(FieldOperator(mu, mats))
+
+
 def test_composed_field_factors_through_adjoint(rng):
     # when the composite is a conjugation it also equals the reflection
     # conjugation followed by the adjoint field

@@ -198,6 +198,45 @@ def test_extract_symbol_completeness(rng):
         assert np.max(np.abs(rebuilt.matrix() - member.matrix)) <= 1e-8
 
 
+def _loop_extract_symbol(apply_fn, order):
+    """Reference extraction: one apply_fn call per delta of each model component."""
+    half = order // 2
+    rev = conjugate_indices(half)
+    phi = np.empty((half, 2, 2), dtype=complex)
+    for j in range(2):
+        for p in range(half):
+            comps = [GridModel(half, np.zeros(half)), GridModel(half, np.zeros(half))]
+            comps[j] = GridModel(half, np.eye(half)[p])
+            image = GridModel(order, apply_fn(synthesize(comps, 2).values))
+            out = analyze(image, 2)
+            # the delta at z_p lands at conj(z_p) = z_{rev[p]}
+            phi[rev[p], :, j] = [out[0].values[rev[p]], out[1].values[rev[p]]]
+    return phi
+
+
+def test_extract_symbol_matches_loop_oracle(rng):
+    calls = []
+
+    def counted(fn):
+        def wrapped(v):
+            calls.append(np.shape(v))
+            return fn(v)
+        return wrapped
+
+    for M in (8, 64, 1024):
+        C = squared_shift_conjugation(random_params(rng, M // 2), M)
+        calls.clear()
+        phi = extract_symbol(counted(C.apply), M)
+        assert calls == [(M,), (M,)]
+        assert np.max(np.abs(phi - _loop_extract_symbol(C.apply, M))) <= 1e-13
+        assert np.max(np.abs(phi - C.phi)) <= 1e-13
+    M = 64
+    member = sample(np.diag(grid_points(M) ** 2), 11)
+    apply_member = lambda v: member.matrix @ np.conj(v)  # noqa: E731
+    phi = extract_symbol(apply_member, M)
+    assert np.max(np.abs(phi - _loop_extract_symbol(apply_member, M))) <= 1e-13
+
+
 def test_model_conjugation_matches_grid_member(rng):
     # the squared-shift model conjugations are members of the matrix family
     from conjugations.family import verify_membership
