@@ -8,47 +8,40 @@ CLI byte-deterministic for identical (argv, inputs, seed).
 
 import contextlib
 import io
-import json
 import pathlib
 
 import numpy as np
 
-from conjugations.cli import matrix_to_dict, run
+from conjugations.cli import matrix_to_dict, run, save_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 INPUTS = ROOT / "inputs"
 EXPECTED = ROOT / "expected"
 
 
-def _write(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_inputs():
     INPUTS.mkdir(parents=True, exist_ok=True)
-    _write(INPUTS / "u_pair.json", matrix_to_dict(np.diag([1j, -1j])))
-    _write(INPUTS / "u_bad.json", matrix_to_dict(np.diag([1j, 1j])))
-    _write(
+    save_json(INPUTS / "u_pair.json", matrix_to_dict(np.diag([1j, -1j])))
+    save_json(INPUTS / "u_bad.json", matrix_to_dict(np.diag([1j, 1j])))
+    save_json(
         INPUTS / "u_mixed.json",
         matrix_to_dict(np.diag([np.exp(0.5j), np.exp(-0.5j), 1.0, -1.0])),
     )
-    _write(INPUTS / "c_swap.json", matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    _write(INPUTS / "c_plain.json", matrix_to_dict(np.eye(2)))
-    _write(
+    save_json(INPUTS / "c_swap.json", matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    save_json(INPUTS / "c_plain.json", matrix_to_dict(np.eye(2)))
+    save_json(
         INPUTS / "a_small.json",
         matrix_to_dict(np.array([[1.0 + 0.5j, -0.25], [2.0, 0.125j]])),
     )
-    _write(
+    save_json(
         INPUTS / "mu.json",
         {"atoms": [{"theta": np.pi / 2, "weight": 1.0}, {"theta": -np.pi / 2, "weight": 3.0}]},
     )
-    _write(
+    save_json(
         INPUTS / "mu2.json",
         {"atoms": [{"theta": np.pi / 2, "weight": 2.0}, {"theta": 0.0, "weight": 1.0}]},
     )
-    _write(INPUTS / "mu_unpaired.json", {"atoms": [{"theta": 0.7, "weight": 1.0}]})
+    save_json(INPUTS / "mu_unpaired.json", {"atoms": [{"theta": 0.7, "weight": 1.0}]})
     with open(INPUTS / "malformed.json", "w") as fh:
         fh.write("{nope\n")
 
@@ -94,7 +87,7 @@ def main():
             fh.write(text)
         recorded.append({"name": name, "argv": argv, "exit_code": expected_code})
         print(f"{name}: ok (exit {code})")
-    _write(ROOT / "cases.json", recorded)
+    save_json(ROOT / "cases.json", recorded)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ the contract).
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -25,7 +26,13 @@ from .errors import (
     NotSelfDualError,
     ToleranceError,
 )
-from .linalg import four_unitary_split, haar_unitary, operator_norm, unitarity_defect
+from .linalg import (
+    complex_from_pairs,
+    four_unitary_split,
+    haar_unitary,
+    operator_norm,
+    unitarity_defect,
+)
 from .spectral import canonical_form, check_selfdual
 
 EXIT_OK = 0
@@ -35,7 +42,7 @@ EXIT_TOLERANCE = 4
 
 
 def emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    write_json(sys.stdout, obj)
 
 
 def note(msg):
@@ -54,8 +61,60 @@ def load_json(path):
 
 def save_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(fh, obj)
+
+
+_ARRAY_SLOT = re.compile(r'"\\u0000(\d+)"')  # json's text of the placeholder "\0<k>"
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def write_json(fh, obj):
+    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline to fh.
+
+    ndarrays in obj are written as the nested lists .tolist() gives.  json
+    lays out everything else, with each array replaced by a placeholder
+    string; the arrays are then streamed one row at a time, so the document
+    never sits in memory as one string.
+    """
+    arrays = []
+
+    def skeleton(o):
+        if isinstance(o, dict):
+            return {k: skeleton(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [skeleton(v) for v in o]
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+            return f"\0{len(arrays) - 1}"
+        return o
+
+    parts = _ARRAY_SLOT.split(json.dumps(skeleton(obj), indent=2, sort_keys=True))
+    for text, slot in zip(parts[0::2], parts[1::2]):
+        fh.write(text)
+        line = text[text.rfind("\n") + 1 :]
+        _write_array(fh, arrays[int(slot)], len(line) - len(line.lstrip(" ")))
+    fh.write(parts[-1] + "\n")
+
+
+def _write_array(fh, A, indent):
+    """Write A as json.dumps(A.tolist(), indent=2) lays it out from column
+    indent on.  Float matrices of [re, im] pairs go row by row through repr
+    and string joins; other arrays, and empty ones, go through json."""
+    if A.ndim != 3 or A.dtype.kind != "f" or not A.size:
+        fh.write(json.dumps(A.tolist(), indent=2).replace("\n", "\n" + " " * indent))
+        return
+    p0, p1, p2, p3 = (" " * (indent + 2 * d) for d in range(4))
+    head, tail = f"[\n{p2}[\n{p3}", f"\n{p2}]\n{p1}]"
+    inner_sep, cell_sep = f",\n{p3}", f"\n{p2}],\n{p2}[\n{p3}"
+    finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    fh.write("[\n")
+    for i, row in enumerate(A):
+        texts = list(map(repr, row.ravel().tolist()))
+        if not finite[i]:
+            texts = [_NONFINITE.get(t, t) for t in texts]
+        body = cell_sep.join(map(inner_sep.join, zip(*[iter(texts)] * A.shape[2])))
+        fh.write(f"{p1}{head}{body}{tail}{',' if i < len(A) - 1 else ''}\n")
+    fh.write(p0 + "]")
 
 
 def matrix_from_dict(obj, where):
@@ -68,31 +127,17 @@ def matrix_from_dict(obj, where):
         rows, cols = int(obj["rows"]), int(obj["cols"])
     except (TypeError, ValueError):
         raise InputError(f"{where}: rows/cols must be integers") from None
-    data = obj["data"]
-    if not isinstance(data, list) or len(data) != rows:
-        raise InputError(f"{where}: data must be a list of {rows} rows")
-    M = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputError(f"{where}: data[{i}] must be a list of {cols} entries")
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise InputError(f"{where}: data[{i}][{j}] must be a [re, im] pair")
-            try:
-                M[i, j] = float(cell[0]) + 1j * float(cell[1])
-            except (TypeError, ValueError):
-                raise InputError(f"{where}: data[{i}][{j}] has non-numeric parts") from None
-    if not np.all(np.isfinite(M)):
-        raise InputError(f"{where}: matrix entries must be finite")
-    return M
+    return complex_from_pairs(obj["data"], (rows, cols), where, "data")
 
 
 def matrix_to_dict(M):
+    """JSON form of a matrix; "data" is the (rows, cols, 2) float array of
+    [re, im] pairs, which emit and save_json write as nested lists."""
     M = np.asarray(M, dtype=complex)
     return {
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
-        "data": [[[float(v.real), float(v.imag)] for v in row] for row in M],
+        "data": np.stack((M.real, M.imag), axis=-1),
     }
 
 

@@ -186,6 +186,24 @@ def _block_slices(layout):
     return slices, labels
 
 
+def _off_structure(V, slices, npairs):
+    """Frobenius norm of V outside the block structure, and the block indices
+    (a, b) of its largest off-structure block, the first in row-major order
+    on ties.
+
+    Block (a, b) may be nonzero only for b the partner of a: the first
+    2 * npairs blocks swap in pairs, the remaining (+1 and -1) blocks sit on
+    the diagonal.
+    """
+    partner = np.arange(len(slices))
+    partner[: 2 * npairs] ^= 1
+    starts = [s.start for s in slices]
+    energy = np.add.reduceat(np.add.reduceat(np.abs(V) ** 2, starts, axis=0), starts, axis=1)
+    energy[np.arange(len(slices)), partner] = 0.0
+    worst = np.unravel_index(np.argmax(energy), energy.shape)
+    return float(np.sqrt(energy.sum())), worst
+
+
 def decompose(U, C, tol=None, threshold=None):
     """Recover the block parameters of a member of the family.
 
@@ -207,28 +225,11 @@ def decompose(U, C, tol=None, threshold=None):
 
     npairs = len(layout.pairs)
     slices, labels = _block_slices(layout)
-    nblocks = len(slices)
-    allowed = np.zeros((nblocks, nblocks), dtype=bool)
-    for j in range(npairs):
-        allowed[2 * j, 2 * j + 1] = True
-        allowed[2 * j + 1, 2 * j] = True
-    for d in range(2 * npairs, nblocks):
-        allowed[d, d] = True
-
-    worst, worst_pair, off_energy = 0.0, None, 0.0
-    for a in range(nblocks):
-        for b in range(nblocks):
-            if allowed[a, b]:
-                continue
-            e = float(np.linalg.norm(V[slices[a], slices[b]]))
-            off_energy += e * e
-            if e > worst:
-                worst, worst_pair = e, (labels[a], labels[b])
-    off_energy = float(np.sqrt(off_energy))
+    off_energy, (a, b) = _off_structure(V, slices, npairs)
     if off_energy > thr:
         raise MembershipError(
             f"C does not commute with U: off-structure energy {off_energy:.3e} "
-            f"(first violated structural zero: rows {worst_pair[0]}, cols {worst_pair[1]})"
+            f"(first violated structural zero: rows {labels[a]}, cols {labels[b]})"
         )
     if unitarity_defect(V) > thr or np.linalg.norm(V - V.T) > thr:
         raise MembershipError("transported matrix is not symmetric unitary")

@@ -4,7 +4,6 @@ sampling, Hermitian PSD square roots, and the four-unitary decomposition."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import InputError
 
@@ -31,6 +30,46 @@ def as_square_matrix(M, name="matrix"):
     if A.size and not np.all(np.isfinite(A)):
         raise InputError(f"{name} contains non-finite entries")
     return A
+
+
+def complex_from_pairs(data, shape, where, field):
+    """Complex array of the given shape from JSON nested lists of [re, im] pairs.
+
+    One np.asarray call parses the whole payload.  Only a payload that fails
+    to parse is walked, to name its first misfit entry in the error.  An
+    axis of length 0 ends the nesting: a 0-row matrix is just [].
+    """
+    full = (*shape, 2)
+    nested = full[: full.index(0) + 1] if 0 in full else full
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != nested:
+        raise InputError(f"{where}: {_misfit(data, full, field) or field + ' is malformed'}")
+    if not np.all(np.isfinite(pairs)):
+        raise InputError(f"{where}: {field} entries must be finite")
+    pairs = pairs.reshape(full)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def _misfit(data, shape, name):
+    """What the first entry of data breaking the nested-list shape must be."""
+    if not shape:
+        try:
+            float(data)
+        except (TypeError, ValueError, OverflowError):
+            return f"{name} must be a number"
+        return None
+    if not isinstance(data, list) or len(data) != shape[0]:
+        if len(shape) == 1:
+            return f"{name} must be a [re, im] pair"
+        return f"{name} must be a list of {shape[0]} entries"
+    for i, item in enumerate(data):
+        found = _misfit(item, shape[1:], f"{name}[{i}]")
+        if found:
+            return found
+    return None
 
 
 def unitarity_defect(M):
@@ -99,7 +138,7 @@ def hermitian_sqrt_psd(H, tol=None):
     scale = float(np.linalg.norm(A))
     if np.linalg.norm(A - A.conj().T) > tol.threshold(1.0 + scale):
         raise InputError("matrix is not Hermitian within tolerance")
-    w, V = eigh((A + A.conj().T) / 2)
+    w, V = np.linalg.eigh((A + A.conj().T) / 2)
     if w.size and w[0] < -tol.abs_tol:
         raise InputError(f"matrix has eigenvalue {w[0]:.3e} below -abs_tol")
     S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
@@ -113,7 +152,7 @@ def _unitary_pair(M, rotate):
     iM +- sqrt(I - M^2).  Both are computed on the eigenvalues so each
     factor is unitary up to the accuracy of one Hermitian diagonalization.
     """
-    w, V = eigh(M)
+    w, V = np.linalg.eigh(M)
     w = np.clip(w, -1.0, 1.0)
     s = np.sqrt(1.0 - w * w)
     if rotate:

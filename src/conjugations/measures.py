@@ -37,11 +37,12 @@ _PI_ROUNDED = float(np.round(np.pi, THETA_DECIMALS))
 def canonical_angle(theta):
     """Wrap into (-pi, pi] and round to the canonical 1e-12 grid.
 
-    Rounded pi exceeds pi, so the boundary value is pinned to the positive
-    side; otherwise wrapping a canonical angle again could flip its sign.
+    Angles that round to +-pi become exactly np.pi.  Rounded pi lies 2.07e-13
+    beyond pi, so keeping it would leave an atom at -1 off the real axis, and
+    keeping its negative would flip sign when wrapped again.
     """
     r = np.round(_wrap_angle(theta), THETA_DECIMALS) + 0.0
-    return np.where(r <= -_PI_ROUNDED, _PI_ROUNDED, r)
+    return np.where(np.abs(r) >= _PI_ROUNDED, np.pi, r)
 
 
 @dataclass(frozen=True)

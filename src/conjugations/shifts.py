@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import unitarity_defect
+from .linalg import complex_from_pairs, unitarity_defect
 
 SYMBOL_TOL = 1e-12
 
@@ -44,7 +44,7 @@ class GridModel:
     def to_dict(self):
         return {
             "order": self.order,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
+            "values": np.stack((self.values.real, self.values.imag), axis=-1).tolist(),
         }
 
     @classmethod
@@ -55,18 +55,7 @@ class GridModel:
             order = int(obj["order"])
         except (TypeError, ValueError):
             raise InputError(f"{where}: order must be an integer") from None
-        vals = obj["values"]
-        if not isinstance(vals, list) or len(vals) != order:
-            raise InputError(f"{where}: values must be a list of length {order}")
-        out = np.empty(order, dtype=complex)
-        for i, v in enumerate(vals):
-            if not isinstance(v, list) or len(v) != 2:
-                raise InputError(f"{where}: values[{i}] must be a [re, im] pair")
-            try:
-                out[i] = float(v[0]) + 1j * float(v[1])
-            except (TypeError, ValueError):
-                raise InputError(f"{where}: values[{i}] has non-numeric parts") from None
-        return cls(order, out)
+        return cls(order, complex_from_pairs(obj["values"], (order,), where, "values"))
 
 
 def grid_points(order):

@@ -4,13 +4,14 @@ the conjugate-pair canonical form, and the atomic multiplicity model.
 Diagonalization goes through the complex Schur form.  For a unitary matrix
 the Schur factor is diagonal up to roundoff, so the Schur basis is an exactly
 orthonormal eigenbasis and stays deterministic for identical input, which the
-downstream parameter round trips rely on.
+downstream parameter round trips rely on.  scipy provides the Schur form and
+is imported on the first call only, so importing the package, and commands
+such as membership verification that never diagonalize, do not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import NotSelfDualError, ToleranceError
 from .linalg import Tolerance, require_unitary
@@ -61,6 +62,13 @@ class MultiplicityModel:
     components: tuple  # ((AtomicMeasure, fiber_dim), ...)
 
 
+def schur(U):
+    """Complex Schur form (T, Q) of U, with U = Q T Q*."""
+    from scipy.linalg import schur as scipy_schur
+
+    return scipy_schur(U, output="complex")
+
+
 def _snap(rep, cluster_tol):
     if abs(rep - 1.0) <= cluster_tol:
         return 1.0 + 0.0j
@@ -102,7 +110,7 @@ def diagonalize_unitary(U, tol=None, cluster_tol=CLUSTER_TOL):
     tol = tol or Tolerance()
     U = require_unitary(U, tol, "U")
     n = U.shape[0]
-    T, Q = schur(U, output="complex")
+    T, Q = schur(U)
     vals = np.diagonal(T).copy()
 
     entries = []
@@ -147,12 +155,11 @@ def check_selfdual(U, tol=None, cluster_tol=CLUSTER_TOL):
     Returns (verdict, mismatches) where each mismatch is a triple
     (eigenvalue, multiplicity, conjugate_multiplicity).
     """
-    spectrum = diagonalize_unitary(U, tol, cluster_tol)
-    return _selfdual_from_clusters(spectrum.clusters, cluster_tol)
+    clusters = diagonalize_unitary(U, tol, cluster_tol).clusters
+    return _selfdual_from_clusters(clusters, _pair_clusters(clusters, cluster_tol))
 
 
-def _selfdual_from_clusters(clusters, cluster_tol=CLUSTER_TOL):
-    partner = _pair_clusters(clusters, cluster_tol)
+def _selfdual_from_clusters(clusters, partner):
     mismatches = []
     for i, (lam, mult) in enumerate(clusters):
         conj_mult = clusters[partner[i]][1] if partner[i] >= 0 else 0
@@ -171,7 +178,8 @@ def canonical_form(U, tol=None, cluster_tol=CLUSTER_TOL):
     tol = tol or Tolerance()
     spectrum = diagonalize_unitary(U, tol, cluster_tol)
     n = spectrum.dim
-    ok, mismatches = _selfdual_from_clusters(spectrum.clusters, cluster_tol)
+    partner = _pair_clusters(spectrum.clusters, cluster_tol)
+    ok, mismatches = _selfdual_from_clusters(spectrum.clusters, partner)
     if not ok:
         lam, mult, conj_mult = mismatches[0]
         raise NotSelfDualError(
@@ -179,7 +187,6 @@ def canonical_form(U, tol=None, cluster_tol=CLUSTER_TOL):
             mismatches,
         )
 
-    partner = _pair_clusters(spectrum.clusters, cluster_tol)
     offsets = np.cumsum([0] + [m for _, m in spectrum.clusters])
 
     def block(i):

@@ -109,3 +109,32 @@ def apply_cuc_on_basis(C, U):
         e[k] = 1.0
         cols.append(apply(C, U @ apply(C, e)))
     return np.stack(cols, axis=1)
+
+
+def off_structure_loop(V, pair_sizes, ell, kay):
+    """Norm of V outside the conjugate-pair block structure, entry by entry.
+
+    Blocks run: for each pair size m a block of m and its conjugate block of
+    m, then the +1 block (ell) and the -1 block (kay) when nonzero.  Only
+    (pair, its conjugate), (conjugate, its pair) and the real diagonal blocks
+    may be nonzero.  Returns (energy, (a, b)) with (a, b) the block indices of
+    the largest off-structure block, the first in row-major order on ties.
+    """
+    sizes = [m for m in pair_sizes for _ in range(2)] + [s for s in (ell, kay) if s]
+    bounds = np.cumsum([0] + sizes)
+    npair_blocks = 2 * len(pair_sizes)
+    total, worst, where = 0.0, -1.0, None
+    for a in range(len(sizes)):
+        for b in range(len(sizes)):
+            if a < npair_blocks and b == (a + 1 if a % 2 == 0 else a - 1):
+                continue
+            if a >= npair_blocks and a == b:
+                continue
+            block = 0.0
+            for i in range(bounds[a], bounds[a + 1]):
+                for j in range(bounds[b], bounds[b + 1]):
+                    block += abs(V[i, j]) ** 2
+            total += block
+            if block > worst:
+                worst, where = block, (a, b)
+    return float(np.sqrt(total)), where

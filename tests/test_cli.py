@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +14,17 @@ from conjugations.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_TOLERANCE,
+    emit,
     matrix_from_dict,
     matrix_to_dict,
     run,
+    save_json,
 )
+from conjugations.errors import InputError
 from conjugations.measures import AtomicMeasure
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 INPUTS = GOLDEN / "inputs"
 
 
@@ -132,3 +139,98 @@ def test_measure_schema_round_trip(rng):
 def test_load_matrix_missing_file(tmp_path):
     code, out, _ = run_captured(["check", str(tmp_path / "nope.json")])
     assert code == EXIT_INPUT
+
+
+def _as_lists(obj):
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def _special_matrix(n, rng):
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    specials = np.array([-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 0.0, 2.0**60, 1e-7])
+    M.real.flat[: min(M.size, len(specials))] = specials[: M.size]
+    M.imag.flat[::-7] = np.resize(specials, M.imag.flat[::-7].shape)
+    return M
+
+
+@pytest.mark.parametrize("n", [0, 1, 64])
+def test_writer_matches_json_dumps(tmp_path, rng, n):
+    # emit and save_json stream arrays row by row; the bytes must still be
+    # exactly those of json.dumps(indent=2, sort_keys=True) on plain lists
+    M = _special_matrix(n, rng)
+    empty = matrix_to_dict(np.zeros((0, 0)))
+    docs = [
+        matrix_to_dict(M),
+        {"passed": True, "n": n, "threshold": 1e-8, "conjugation": matrix_to_dict(M)},
+        {"pairs": [{"eigenvalue": [0.5, -0.0], "size": 2}], "ell": 0, "kay": 1,
+         "v_blocks": [matrix_to_dict(M), matrix_to_dict(M[:1, :1])],
+         "q_plus": empty, "q_minus": matrix_to_dict(np.eye(min(n, 2)))},
+        {"outer": [[{"deep": [matrix_to_dict(M)]}], empty], "note": "text\u0000"},
+    ]
+    for doc in docs:
+        want = json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            emit(doc)
+        assert buf.getvalue() == want
+        save_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == want
+        assert json.loads(want) == _as_lists(doc)
+
+
+def test_writer_nonfinite_and_other_arrays():
+    doc = {
+        "m": matrix_to_dict(np.array([[np.nan + 1j * np.inf, -np.inf]])),
+        "v": np.array([1.5, -0.0]),
+        "g": np.zeros((2, 3)),
+        "s": np.array(2.0),
+        "i": np.arange(3),
+        "e": np.zeros((3, 0, 2)),
+    }
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit(doc)
+    assert buf.getvalue() == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+
+
+def test_matrix_parser_rejects_misfits():
+    cases = [
+        ({"rows": 2, "cols": 1, "data": [[[1, 0]]]}, "data must be a list of 2 entries"),
+        ({"rows": 1, "cols": 2, "data": [[[1, 0], [1, 0, 0]]]}, "data[0][1] must be a [re, im] pair"),
+        ({"rows": 1, "cols": 1, "data": [[[1, "x"]]]}, "data[0][0][1] must be a number"),
+        ({"rows": 1, "cols": 1, "data": [[[1, None]]]}, "data entries must be finite"),
+        ({"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}, "data entries must be finite"),
+        ({"rows": "x", "cols": 1, "data": []}, "rows/cols must be integers"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(InputError) as err:
+            matrix_from_dict(obj, "m.json")
+        assert str(err.value) == f"m.json: {message}"
+    assert matrix_from_dict({"rows": 0, "cols": 0, "data": []}, "m").shape == (0, 0)
+    assert matrix_from_dict({"rows": 2, "cols": 0, "data": [[], []]}, "m").shape == (2, 0)
+
+
+def test_verify_never_imports_scipy():
+    # scipy is needed for the Schur form only; importing the CLI and running
+    # verify must not load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, conjugations.cli\n"
+        "loaded = 'scipy' in sys.modules\n"
+        "code = conjugations.cli.run(sys.argv[1:])\n"
+        "print(loaded, code, 'scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False 0 False"
+    assert json.loads(proc.stdout)["passed"] is True

@@ -11,6 +11,8 @@ from conjugations.antilinear import (
 from conjugations.errors import InputError, MembershipError, NotSelfDualError
 from conjugations.family import (
     ConjugationParams,
+    _block_slices,
+    _off_structure,
     canonical_conjugation,
     decompose,
     from_params,
@@ -22,7 +24,7 @@ from conjugations.linalg import haar_unitary, symmetric_unitary
 from conjugations.spectral import canonical_form
 
 from conftest import planted_selfdual
-from _oracles import brute_force_2x2_members, min_commutation_defect_3x3
+from _oracles import brute_force_2x2_members, min_commutation_defect_3x3, off_structure_loop
 
 
 def test_canonical_real_spectrum():
@@ -127,6 +129,57 @@ def test_decompose_rejects_anticommuting():
 def test_decompose_rejects_non_conjugation():
     with pytest.raises(InputError):
         decompose(np.diag([1j, -1j]), AntilinearOperator([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def _check_off_structure(U, C):
+    """decompose's structure check against the loop oracle; returns the labels
+    of the block the oracle names."""
+    W, layout = canonical_form(U)
+    V = W.conj().T @ C.matrix @ np.conj(W)
+    slices, labels = _block_slices(layout)
+    energy, worst = _off_structure(V, slices, len(layout.pairs))
+    want_energy, want_worst = off_structure_loop(
+        V, [m for _, m in layout.pairs], layout.ell, layout.kay
+    )
+    assert energy == pytest.approx(want_energy, rel=1e-12, abs=1e-300)
+    if want_worst is None:  # one block only: no structural zero exists
+        return None
+    assert tuple(int(i) for i in worst) == want_worst
+    return labels[want_worst[0]], labels[want_worst[1]]
+
+
+def test_decompose_structure_check_matches_loop_oracle(rng):
+    for k in range(12):
+        U, *_ = planted_selfdual(rng, max_dim=24)
+        W, _ = canonical_form(U)
+        n = U.shape[0]
+        # a random symmetric unitary in the canonical basis breaks the block
+        # structure everywhere; a member moved by a unitary near the identity
+        # that does not commute with U breaks it a little
+        if k % 2:
+            C = transport(AntilinearOperator(symmetric_unitary(n, rng)), W)
+        else:
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            w, Q = np.linalg.eigh(H + H.conj().T)
+            C = transport(sample(U, k), (Q * np.exp(1e-4j * w)) @ Q.conj().T)
+        named = _check_off_structure(U, C)
+        if named:
+            with pytest.raises(MembershipError) as err:
+                decompose(U, C)
+            assert "rows {}, cols {}".format(*named) in str(err.value)
+
+
+def test_decompose_structure_check_tie_names_first_block():
+    # the permutation 0<->2, 1<->3 puts energy 1 into four structural zeros;
+    # the tie goes to the first of them in row-major block order
+    U = np.diag([np.exp(0.7j), np.exp(-0.7j), 1.0, -1.0])
+    C = AntilinearOperator(np.eye(4)[[2, 3, 0, 1]])
+    rows, cols = _check_off_structure(U, C)
+    assert (rows, cols) == ("pair 0 (0.764842+0.644218j)", "+1 block")
+    with pytest.raises(MembershipError) as err:
+        decompose(U, C)
+    assert "off-structure energy 2.000e+00" in str(err.value)
+    assert f"rows {rows}, cols {cols}" in str(err.value)
 
 
 def test_round_trip_params(rng):

@@ -11,6 +11,7 @@ from conjugations.measures import (
     FieldOperator,
     WeightedSpaceElement,
     assemble_model,
+    canonical_angle,
     compose_fields,
     conjugate_pairing,
     coordinate_multiplier,
@@ -148,6 +149,31 @@ def test_reflection_conjugation_real_atoms():
     f = WeightedSpaceElement(mu, np.array([[1j], [2.0 - 1j]]))
     out = jsh.apply(f)
     assert np.allclose(out.values[:, 0], [-1j, 2.0 + 1j])
+
+
+def test_canonical_angle_pins_pi_exactly():
+    assert canonical_angle(np.pi) == np.pi
+    assert canonical_angle(-np.pi) == np.pi
+    assert canonical_angle(3 * np.pi) == np.pi
+    assert canonical_angle(np.pi - 4e-13) == np.round(np.pi - 4e-13, 12)
+    assert AtomicMeasure.from_points([-1.0], [1.0]).points[0].imag == np.sin(np.pi)
+    thetas = np.concatenate([[np.pi, -np.pi, 0.0, -0.0], np.random.default_rng(3).uniform(-7, 7, 200)])
+    once = canonical_angle(thetas)
+    assert np.array_equal(canonical_angle(once), once)
+    assert np.all((once > -np.pi) & (once <= np.pi))
+
+
+@pytest.mark.parametrize("fiber", [6, 8])
+def test_reflection_conjugation_contract_atom_at_minus_one(rng, fiber):
+    # the atom at -1 must sit on the real axis: a 2e-13 offset alone gives a
+    # commutation defect of 4e-13 * sqrt(fiber), past 1e-12 from fiber 6 on
+    for _ in range(5):
+        mu = random_paired_measure(rng, max_pairs=8, with_fixed=False)
+        mu = AtomicMeasure.from_angles(np.append(mu.thetas, np.pi), np.append(mu.weights, 2.5))
+        report = field_conjugation_report(reflection_conjugation(mu, fiber))
+        assert report.isometry_defect <= 1e-12
+        assert report.involution_defect <= 1e-12
+        assert report.commutation_defect <= 1e-12
 
 
 def test_reflection_conjugation_refuses_unpaired():

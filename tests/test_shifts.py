@@ -272,3 +272,7 @@ def test_grid_json_round_trip(rng):
     assert np.array_equal(back.values, f.values)
     with pytest.raises(InputError):
         GridModel.from_dict({"order": 2, "values": [[0, 0]]})
+    with pytest.raises(InputError, match=r"values\[1\] must be a \[re, im\] pair"):
+        GridModel.from_dict({"order": 2, "values": [[0, 0], [1]]})
+    with pytest.raises(InputError, match="values entries must be finite"):
+        GridModel.from_dict({"order": 1, "values": [[float("nan"), 0]]})
