@@ -18,9 +18,9 @@ from conjugations.measures import field_conjugation_report, reflection_conjugati
 from conjugations.shifts import (
     GridModel,
     SymbolParams,
+    UMultiplierConjugation,
     conjugate_indices,
     grid_points,
-    shift_conjugation,
     squared_shift_conjugation,
 )
 from conjugations.spectral import canonical_form, check_selfdual
@@ -81,7 +81,7 @@ def survey_grids(rng, order):
     rev = conjugate_indices(order)
     phase = rng.uniform(-np.pi, np.pi, order)
     u = np.exp(1j * (phase + phase[rev]) / 2)
-    uc = shift_conjugation(GridModel(order, u))
+    uc = UMultiplierConjugation(GridModel(order, u))
     half = order // 2
     params = SymbolParams(
         rng.uniform(0, 1, half),

@@ -30,6 +30,7 @@ from .family import (
     decompose,
     from_params,
     identity_params,
+    layout_conjugation,
     verify_membership,
 )
 from .linalg import (
@@ -79,6 +80,7 @@ __all__ = [
     "hermitian_sqrt_psd",
     "identity_params",
     "is_conjugation",
+    "layout_conjugation",
     "multiplicity_model",
     "plain_conjugation",
     "symmetric_unitary",

@@ -202,11 +202,10 @@ def _construct(args, builder):
         raise NotSelfDualError(_empty_family_message(e.mismatches), e.mismatches) from None
     n = U.shape[0]
     passed, report = family.verify_membership(U, C)
+    out = _report_dict(n, passed, report, family.membership_threshold(n))
     if args.output:
         save_json(args.output, matrix_to_dict(C.matrix))
-        out = _report_dict(n, passed, report, family.membership_threshold(n))
     else:
-        out = _report_dict(n, passed, report, family.membership_threshold(n))
         out["conjugation"] = matrix_to_dict(C.matrix)
     emit(out)
     note(f"commutation defect {report.commutation_defect:.3e}")
@@ -319,7 +318,7 @@ def cmd_shift_demo(args):
         if args.preset != "sincos":
             raise InputError("degree 1 supports the 'sincos' preset only")
         t = shifts.grid_arguments(M)
-        conj = shifts.shift_conjugation(shifts.GridModel(M, np.exp(1j * np.cos(t))))
+        conj = shifts.UMultiplierConjugation(shifts.GridModel(M, np.exp(1j * np.cos(t))))
     elif args.degree == 2:
         if M % 2 != 0:
             raise InputError("--order must be even for degree 2")
@@ -340,24 +339,19 @@ def cmd_shift_demo(args):
 
 def _transform_demo(args, kind):
     N = args.size
+    model = (transforms.FourBlockModel if kind == "fourier" else transforms.TwoBlockModel)(N)
     rng = np.random.default_rng(args.seed)
     if kind == "fourier":
         m = N // 4
-        if N % 4 != 0 or N == 0:
-            raise InputError("--size must be a positive multiple of 4")
         C = transforms.fourier_conjugation(
             N,
             transforms.real_symmetric_orthogonal(m, rng),
             transforms.real_symmetric_orthogonal(m, rng),
             haar_unitary(m, rng),
         )
-        model = transforms.FourBlockModel(N).matrix()
     else:
-        if N % 2 != 0 or N == 0:
-            raise InputError("--size must be a positive even number")
         C = transforms.hilbert_conjugation(N, haar_unitary(N // 2, rng))
-        model = transforms.TwoBlockModel(N).matrix()
-    passed, report = family.verify_membership(model, C, threshold=1e-12 * N)
+    passed, report = family.verify_membership(model.matrix(), C, threshold=1e-12 * N)
     out = _report_dict(N, passed, report, 1e-12 * N)
     out["kind"] = kind
     out["seed"] = int(args.seed)

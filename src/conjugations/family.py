@@ -79,7 +79,15 @@ def _validate_params(layout, params, tol):
             raise InputError(f"{name} is not symmetric")
 
 
-def _assemble_block_matrix(layout, params):
+def layout_conjugation(layout, params, tol=None):
+    """The member with the given block parameters, in the layout's own basis.
+
+    Validates the parameters against the layout, then places them: the pair
+    blocks enter as the off-diagonal pair (V_j, V_j^t), which makes the
+    matrix symmetric for any unitary V_j; the real blocks must be symmetric
+    unitaries themselves.
+    """
+    _validate_params(layout, params, tol or Tolerance())
     n = layout.dim
     V = np.zeros((n, n), dtype=complex)
     pos = 0
@@ -87,28 +95,17 @@ def _assemble_block_matrix(layout, params):
         V[pos : pos + m, pos + m : pos + 2 * m] = v
         V[pos + m : pos + 2 * m, pos : pos + m] = v.T
         pos += 2 * m
-    if layout.ell:
-        V[pos : pos + layout.ell, pos : pos + layout.ell] = params.q_plus
-        pos += layout.ell
-    if layout.kay:
-        V[pos : pos + layout.kay, pos : pos + layout.kay] = params.q_minus
-    return V
+    V[pos : pos + layout.ell, pos : pos + layout.ell] = params.q_plus
+    pos += layout.ell
+    V[pos : pos + layout.kay, pos : pos + layout.kay] = params.q_minus
+    return AntilinearOperator(V)
 
 
 def from_params(layout, W, params, tol=None):
-    """Assemble the conjugation with the given block parameters in basis W.
-
-    The pair blocks enter as the off-diagonal pair (V_j, V_j^t), which makes
-    the assembled matrix symmetric for any unitary V_j; the real blocks must
-    be symmetric unitaries themselves.
-    """
+    """Assemble the conjugation with the given block parameters in basis W:
+    layout_conjugation transported to the columns of W."""
     tol = tol or Tolerance()
-    _validate_params(layout, params, tol)
-    W = require_unitary(W, tol, "W")
-    if W.shape[0] != layout.dim:
-        raise InputError("basis size does not match the layout")
-    V = _assemble_block_matrix(layout, params)
-    return transport(AntilinearOperator(V), W, tol)
+    return transport(layout_conjugation(layout, params, tol), W, tol)
 
 
 def canonical_conjugation(U, tol=None):
@@ -200,7 +197,7 @@ def _off_structure(V, slices, npairs):
     starts = [s.start for s in slices]
     energy = np.add.reduceat(np.add.reduceat(np.abs(V) ** 2, starts, axis=0), starts, axis=1)
     energy[np.arange(len(slices)), partner] = 0.0
-    worst = np.unravel_index(np.argmax(energy), energy.shape)
+    worst = np.unravel_index(np.argmax(energy), energy.shape) if energy.size else (0, 0)
     return float(np.sqrt(energy.sum())), worst
 
 

@@ -68,10 +68,6 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def from_angles(cls, thetas, weights):
-        return cls(np.asarray(thetas, dtype=float), np.asarray(weights, dtype=float))
-
-    @classmethod
     def from_points(cls, points, weights):
         points = np.atleast_1d(np.asarray(points, dtype=complex))
         if points.size and np.any(np.abs(np.abs(points) - 1.0) > 1e-12):
@@ -179,6 +175,25 @@ def _reciprocal_pair(x):
     return float(x), float(1.0 / x)
 
 
+def _reciprocal_ratios(mu, ratio):
+    """Conjugate pairing sigma and per-atom factors r with r_k * r_sigma(k) == 1.
+
+    For each pair k < sigma(k) the factors are ratio(w_sigma(k) / w_k) and
+    its reciprocal, nudged by _reciprocal_pair; atoms at +-1 get 1.  Raises
+    AbsoluteContinuityError when a non-real atom lacks a partner.
+    """
+    sigma, unpaired = conjugate_pairing(mu)
+    if unpaired:
+        raise AbsoluteContinuityError(
+            f"reflected measure is not absolutely continuous: atom at angle "
+            f"{mu.thetas[unpaired[0]]:.12g} has no conjugate partner"
+        )
+    r = np.ones(mu.size)
+    for k in np.nonzero(sigma > np.arange(mu.size))[0]:
+        r[k], r[sigma[k]] = _reciprocal_pair(ratio(mu.weights[sigma[k]] / mu.weights[k]))
+    return sigma, r
+
+
 def radon_nikodym(mu):
     """Per-atom weights h of the reflected measure against the original.
 
@@ -186,20 +201,7 @@ def radon_nikodym(mu):
     at most a few ulps so their product is exactly 1.  Raises
     AbsoluteContinuityError when a non-real atom lacks a partner.
     """
-    sigma, unpaired = conjugate_pairing(mu)
-    if unpaired:
-        k = unpaired[0]
-        raise AbsoluteContinuityError(
-            f"reflected measure is not absolutely continuous: atom at angle "
-            f"{mu.thetas[k]:.12g} has no conjugate partner"
-        )
-    h = np.ones(mu.size)
-    for k in range(mu.size):
-        s = sigma[k]
-        if s <= k:
-            continue
-        h[k], h[s] = _reciprocal_pair(mu.weights[s] / mu.weights[k])
-    return h
+    return _reciprocal_ratios(mu, lambda q: q)[1]
 
 
 def lattice_join(mu, nu):
@@ -352,19 +354,7 @@ def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None, tol=None):
     okJ, _ = is_conjugation(J, tol)
     if not okJ:
         raise InputError("fiber map is not a conjugation")
-    sigma, unpaired = conjugate_pairing(mu)
-    if unpaired:
-        k = unpaired[0]
-        raise AbsoluteContinuityError(
-            f"reflected measure is not absolutely continuous: atom at angle "
-            f"{mu.thetas[k]:.12g} has no conjugate partner"
-        )
-    s = np.ones(mu.size)
-    for k in range(mu.size):
-        p = sigma[k]
-        if p <= k:
-            continue
-        s[k], s[p] = _reciprocal_pair(float(np.sqrt(mu.weights[p] / mu.weights[k])))
+    sigma, s = _reciprocal_ratios(mu, np.sqrt)
     mats = s[:, None, None] * J.matrix[None, :, :]
     return FieldOperator(mu, mats, antilinear=True, point_map=sigma)
 

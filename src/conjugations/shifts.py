@@ -147,11 +147,6 @@ class UMultiplierConjugation:
             raise InputError("grid size mismatch")
         return self.u * np.conj(values[..., self._rev])
 
-    def matrix(self):
-        A = np.zeros((self.order, self.order), dtype=complex)
-        A[np.arange(self.order), self._rev] = self.u
-        return A
-
     def isometry_defect(self):
         return float(np.sqrt(np.sum((np.abs(self.u) ** 2 - 1.0) ** 2)))
 
@@ -162,11 +157,6 @@ class UMultiplierConjugation:
         # C M_xi C is diagonal with entries u_j conj(u_{rev j}) xi_j
         xi = grid_points(self.order)
         return float(np.linalg.norm(self.u * np.conj(self.u[self._rev]) * xi - xi))
-
-
-def shift_conjugation(u):
-    """Conjugation commuting with the coordinate multiplier on the grid."""
-    return UMultiplierConjugation(u)
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ class UnitarySpectrum:
         return self.basis.shape[0]
 
     def eigenvalue_diagonal(self):
-        return np.concatenate(
-            [np.full(m, lam, dtype=complex) for lam, m in self.clusters]
-        )
+        lams = np.array([lam for lam, _ in self.clusters], dtype=complex)
+        return np.repeat(lams, [m for _, m in self.clusters])
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def diagonalize_unitary(U, tol=None, cluster_tol=CLUSTER_TOL):
         entries.append((rep, tuple(idxs)))
     entries.sort(key=lambda e: np.angle(e[0]))
 
-    cols = np.concatenate([list(idxs) for _, idxs in entries])
+    cols = [i for _, idxs in entries for i in idxs]
     basis = Q[:, cols]
     clusters = tuple((rep, len(idxs)) for rep, idxs in entries)
     spectrum = UnitarySpectrum(clusters=clusters, basis=basis)

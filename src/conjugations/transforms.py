@@ -2,11 +2,24 @@
 commuting conjugation families, plus a sampled-grid Hermite cross-check.
 
 The transform models live in eigencoordinates, where both operators are
-diagonal with four (respectively two) eigenvalue classes; the families are
-block antilinear matrices gated by the class pairing.  The analytic side is
-represented only through the quadrature cross-check, which verifies that
-sampled Hermite functions are approximate (-i)^n eigenvectors of a centered
-discrete Fourier operator with residuals that shrink under grid refinement.
+diagonal with four (respectively two) eigenvalue classes.  Their families are
+the general family of family.layout_conjugation on a fixed BlockLayout, one
+conjugate pair (i, -i) plus the real classes:
+
+- Fourier, spectrum (1, -i, -1, i): BlockLayout(((1j, m),), m, m) with
+  m = N/4; Ui fills the pair block (it maps the -i class to the i class),
+  O1 and O2 fill the +1 and -1 blocks, and the result is re-indexed from
+  the layout's slot order into class order.
+- Hilbert, spectrum (i, -i): BlockLayout(((1j, N/2),), 0, 0), already in
+  class order; the pair block is Ui^t, since Ui maps the i half to the -i
+  half.
+
+The real blocks O1, O2 are restricted to the real symmetric orthogonal
+sub-family (reflections), a documented subset of the symmetric unitaries the
+general family allows there.  The analytic side is represented only through
+the quadrature cross-check, which verifies that sampled Hermite functions are
+approximate (-i)^n eigenvectors of a centered discrete Fourier operator with
+residuals that shrink under grid refinement.
 """
 
 from dataclasses import dataclass
@@ -15,7 +28,9 @@ import numpy as np
 
 from .antilinear import AntilinearOperator
 from .errors import InputError
+from .family import ConjugationParams, layout_conjugation
 from .linalg import Tolerance, unitarity_defect
+from .spectral import BlockLayout
 
 
 @dataclass(frozen=True)
@@ -26,7 +41,7 @@ class FourBlockModel:
     size: int
 
     def __post_init__(self):
-        if self.size % 4 != 0 or self.size == 0:
+        if self.size <= 0 or self.size % 4:
             raise InputError("four-block model size must be a positive multiple of 4")
 
     def matrix(self):
@@ -44,7 +59,7 @@ class TwoBlockModel:
     size: int
 
     def __post_init__(self):
-        if self.size % 2 != 0 or self.size == 0:
+        if self.size <= 0 or self.size % 2:
             raise InputError("two-block model size must be a positive even number")
 
     def matrix(self):
@@ -71,15 +86,6 @@ def _require_real_symmetric_orthogonal(O, m, name, tol):
     return O
 
 
-def _require_unitary_block(Ui, m, name, tol):
-    Ui = np.asarray(Ui, dtype=complex)
-    if Ui.shape != (m, m):
-        raise InputError(f"{name} must be {m}x{m}, got {Ui.shape}")
-    if m and unitarity_defect(Ui) > tol.threshold(np.sqrt(m)):
-        raise InputError(f"{name} must be unitary")
-    return Ui
-
-
 def fourier_conjugation(N, O1, O2, Ui, tol=None):
     """Commuting conjugation of the diagonal Fourier model.
 
@@ -90,21 +96,22 @@ def fourier_conjugation(N, O1, O2, Ui, tol=None):
         [ 0   0   O2  0    ]
         [ 0   Ui  0   0    ]
 
-    with O1, O2 real symmetric orthogonal on the real eigenvalue classes and
-    Ui an arbitrary unitary pairing the -i class with the i class.
+    with O1, O2 real symmetric orthogonal on the real eigenvalue classes (the
+    explicit sub-family kept here) and Ui an arbitrary unitary mapping the -i
+    class to the i class.  Built by layout_conjugation on
+    BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui, whose slots hold
+    the classes (i, -i, 1, -1).
     """
     tol = tol or Tolerance()
     model = FourBlockModel(N)
     m = N // 4
     O1 = _require_real_symmetric_orthogonal(O1, m, "O1", tol)
     O2 = _require_real_symmetric_orthogonal(O2, m, "O2", tol)
-    Ui = _require_unitary_block(Ui, m, "Ui", tol)
-    A = np.zeros((N, N), dtype=complex)
-    c0, c1, c2, c3 = (model.class_indices(k) for k in range(4))
-    A[np.ix_(c0, c0)] = O1
-    A[np.ix_(c1, c3)] = derive_pairing_rule(Ui)
-    A[np.ix_(c2, c2)] = O2
-    A[np.ix_(c3, c1)] = Ui
+    layout = BlockLayout(pairs=((1j, m),), ell=m, kay=m)
+    V = layout_conjugation(layout, ConjugationParams((Ui,), O1, O2), tol).matrix
+    slots = np.concatenate([model.class_indices(k) for k in (3, 1, 0, 2)])
+    A = np.empty_like(V)
+    A[np.ix_(slots, slots)] = V
     return AntilinearOperator(A)
 
 
@@ -112,26 +119,14 @@ def hilbert_conjugation(N, Ui, tol=None):
     """Commuting conjugation of the diagonal Hilbert model.
 
     Block antidiagonal [[0, Ui^t], [Ui, 0]] in front of entrywise
-    conjugation; Ui is an arbitrary unitary on the half space.
+    conjugation; Ui is an arbitrary unitary mapping the i half to the -i
+    half.  Built by layout_conjugation on BlockLayout(((1j, N/2),), 0, 0)
+    with pair block Ui^t; the layout's slots are already in class order.
     """
-    tol = tol or Tolerance()
     TwoBlockModel(N)
-    m = N // 2
-    Ui = _require_unitary_block(Ui, m, "Ui", tol)
-    A = np.zeros((N, N), dtype=complex)
-    A[:m, m:] = derive_pairing_rule(Ui)
-    A[m:, :m] = Ui
-    return AntilinearOperator(A)
-
-
-def derive_pairing_rule(Ui):
-    """The block paired with Ui across conjugate eigenvalue classes.
-
-    Reading the defining inner products entrywise reduces the pairing to the
-    plain matrix transpose; the entrywise computation is kept as a test
-    oracle and the transpose is asserted here.
-    """
-    return np.asarray(Ui, dtype=complex).T
+    layout = BlockLayout(pairs=((1j, N // 2),), ell=0, kay=0)
+    params = ConjugationParams((np.transpose(Ui),), np.eye(0), np.eye(0))
+    return layout_conjugation(layout, params, tol)
 
 
 def real_symmetric_orthogonal(n, seed):

@@ -61,4 +61,4 @@ def random_paired_measure(rng, max_pairs=8, with_fixed=True, weight_span=(0.2, 5
     if with_fixed and rng.random() < 0.5:
         thetas = np.append(thetas, np.pi)
         weights = np.append(weights, rng.uniform(*weight_span))
-    return AtomicMeasure.from_angles(thetas, weights)
+    return AtomicMeasure(thetas, weights)

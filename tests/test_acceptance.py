@@ -40,11 +40,11 @@ from conjugations.shifts import (
     GridModel,
     ModelConjugation,
     SymbolParams,
+    UMultiplierConjugation,
     conjugate_indices,
     extract_symbol,
     grid_arguments,
     grid_points,
-    shift_conjugation,
     squared_shift_conjugation,
 )
 from conjugations.spectral import canonical_form, check_selfdual
@@ -162,7 +162,7 @@ def test_criterion_04_radon_nikodym_fuzz():
         if spiked:
             # inject one unpaired non-real atom at a fresh angle
             extra = 2.9 + rng.uniform(0, 0.2)
-            mu = AtomicMeasure.from_angles(
+            mu = AtomicMeasure(
                 np.append(mu.thetas, extra), np.append(mu.weights, rng.uniform(0.5, 2.0))
             )
         assert mu.size <= 64
@@ -227,7 +227,7 @@ def test_criterion_06_grid_families():
     for M in (64, 512, 2048):
         phase = rng.uniform(-np.pi, np.pi, M)
         u = np.exp(1j * (phase + phase[conjugate_indices(M)]) / 2)
-        C = shift_conjugation(GridModel(M, u))
+        C = UMultiplierConjugation(GridModel(M, u))
         worst = max(worst, C.isometry_defect(), C.involution_defect(), C.commutation_defect())
     # named preset families at full size, random parameters at medium sizes
     tau = grid_arguments(1024)

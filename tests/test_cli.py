@@ -130,10 +130,57 @@ def test_matrix_schema_round_trip(rng):
 
 
 def test_measure_schema_round_trip(rng):
-    mu = AtomicMeasure.from_angles([0.3, -0.3], [1.0, 2.0])
+    mu = AtomicMeasure([0.3, -0.3], [1.0, 2.0])
     back = AtomicMeasure.from_dict(mu.to_dict())
     assert np.array_equal(back.thetas, mu.thetas)
     assert np.array_equal(back.weights, mu.weights)
+
+
+EMPTY = {"rows": 0, "cols": 0, "data": []}
+
+
+@pytest.mark.parametrize("command", ["check", "canonical", "sample", "verify", "decompose"])
+def test_empty_matrix_is_the_trivial_case(tmp_path, command):
+    # the 0x0 unitary is self-dual and its family is the empty conjugation
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(EMPTY))
+    p = str(path)
+    argv = {
+        "check": ["check", p],
+        "canonical": ["canonical", p],
+        "sample": ["sample", p, "--seed", "1"],
+        "verify": ["verify", p, p],
+        "decompose": ["decompose", p, p],
+    }[command]
+    code, out, _ = run_captured(argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    if command == "check":
+        assert payload == {"mismatches": [], "selfdual": True}
+    elif command == "decompose":
+        assert payload == {"ell": 0, "kay": 0, "pairs": [], "q_minus": EMPTY,
+                           "q_plus": EMPTY, "v_blocks": []}
+    else:
+        assert payload["n"] == 0 and payload["passed"] is True
+        assert payload.get("conjugation", EMPTY) == EMPTY
+
+
+@pytest.mark.parametrize("command,size,code,message", [
+    ("fourier-demo", 0, EXIT_INPUT, "four-block model size must be a positive multiple of 4"),
+    ("fourier-demo", -4, EXIT_INPUT, "four-block model size must be a positive multiple of 4"),
+    ("fourier-demo", 6, EXIT_INPUT, "four-block model size must be a positive multiple of 4"),
+    ("hilbert-demo", 0, EXIT_INPUT, "two-block model size must be a positive even number"),
+    ("hilbert-demo", -4, EXIT_INPUT, "two-block model size must be a positive even number"),
+    ("hilbert-demo", 6, EXIT_OK, None),
+])
+def test_transform_demo_sizes(command, size, code, message):
+    got, out, _ = run_captured([command, "--size", str(size)])
+    assert got == code
+    payload = json.loads(out)
+    if message is None:
+        assert payload["passed"] is True and payload["n"] == size
+    else:
+        assert payload == {"error": {"code": EXIT_INPUT, "message": message}}
 
 
 def test_load_matrix_missing_file(tmp_path):

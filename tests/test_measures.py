@@ -33,15 +33,15 @@ from conftest import random_paired_measure
 
 
 def delta(theta, weight=1.0):
-    return AtomicMeasure.from_angles([theta], [weight])
+    return AtomicMeasure([theta], [weight])
 
 
 def test_reflect_examples():
     mu = reflect(delta(np.pi / 2))
     assert np.allclose(mu.thetas, [-np.pi / 2])
-    fixed = reflect(AtomicMeasure.from_angles([0.0], [2.0]))
+    fixed = reflect(AtomicMeasure([0.0], [2.0]))
     assert list(fixed.thetas) == [0.0] and list(fixed.weights) == [2.0]
-    swapped = reflect(AtomicMeasure.from_angles([np.pi / 2, -np.pi / 2], [1.0, 3.0]))
+    swapped = reflect(AtomicMeasure([np.pi / 2, -np.pi / 2], [1.0, 3.0]))
     assert np.allclose(sorted(zip(swapped.thetas, swapped.weights)), [(-np.pi / 2, 1.0), (np.pi / 2, 3.0)])
 
 
@@ -57,15 +57,15 @@ def test_reflect_involution(seed):
 
 def test_measure_validation():
     with pytest.raises(InputError):
-        AtomicMeasure.from_angles([0.0, 0.0], [1.0, 1.0])
+        AtomicMeasure([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(InputError):
-        AtomicMeasure.from_angles([0.0], [0.0])
+        AtomicMeasure([0.0], [0.0])
     with pytest.raises(InputError):
         AtomicMeasure.from_points([2.0], [1.0])
 
 
 def test_radon_nikodym_uniform():
-    mu = AtomicMeasure.from_angles([np.pi / 3, -np.pi / 3, 0.0], [2.0, 2.0, 5.0])
+    mu = AtomicMeasure([np.pi / 3, -np.pi / 3, 0.0], [2.0, 2.0, 5.0])
     assert np.array_equal(radon_nikodym(mu), np.ones(3))
 
 
@@ -101,7 +101,7 @@ def test_lattice_examples():
     j = lattice_join(delta(0.0, 1.0), delta(0.0, 2.0))
     assert j.size == 1 and j.weights[0] == 3.0
     m = lattice_meet(
-        AtomicMeasure.from_angles([np.pi / 2, 0.0], [2.0, 1.0]), delta(np.pi / 2, 1.0)
+        AtomicMeasure([np.pi / 2, 0.0], [2.0, 1.0]), delta(np.pi / 2, 1.0)
     )
     assert m.size == 1 and m.weights[0] == 1.0 and m.thetas[0] == pytest.approx(np.pi / 2)
 
@@ -125,7 +125,7 @@ def test_lattice_order_relations(seed):
 
 def test_reflection_conjugation_uniform_grid():
     # equal weights: plain reflected conjugation, no weight factor
-    mu = AtomicMeasure.from_angles([np.pi / 3, -np.pi / 3], [2.0, 2.0])
+    mu = AtomicMeasure([np.pi / 3, -np.pi / 3], [2.0, 2.0])
     jsh = reflection_conjugation(mu, 1)
     f = WeightedSpaceElement(mu, np.array([[1.0 + 2j], [3.0 - 1j]]))
     out = jsh.apply(f)
@@ -144,7 +144,7 @@ def test_reflection_conjugation_weighted_pair():
 
 
 def test_reflection_conjugation_real_atoms():
-    mu = AtomicMeasure.from_angles([0.0, np.pi], [1.0, 4.0])
+    mu = AtomicMeasure([0.0, np.pi], [1.0, 4.0])
     jsh = reflection_conjugation(mu, 1)
     f = WeightedSpaceElement(mu, np.array([[1j], [2.0 - 1j]]))
     out = jsh.apply(f)
@@ -169,7 +169,7 @@ def test_reflection_conjugation_contract_atom_at_minus_one(rng, fiber):
     # commutation defect of 4e-13 * sqrt(fiber), past 1e-12 from fiber 6 on
     for _ in range(5):
         mu = random_paired_measure(rng, max_pairs=8, with_fixed=False)
-        mu = AtomicMeasure.from_angles(np.append(mu.thetas, np.pi), np.append(mu.weights, 2.5))
+        mu = AtomicMeasure(np.append(mu.thetas, np.pi), np.append(mu.weights, 2.5))
         report = field_conjugation_report(reflection_conjugation(mu, fiber))
         assert report.isometry_defect <= 1e-12
         assert report.involution_defect <= 1e-12
@@ -412,7 +412,7 @@ def test_invariance_probe():
 def test_invariance_probe_many_members(rng):
     # a conjugation-closed coordinate set stays invariant for every sampled
     # member; a one-sided set already fails on the base conjugation
-    mu = AtomicMeasure.from_angles(
+    mu = AtomicMeasure(
         [0.4, -0.4, 1.1, -1.1, 0.0], [1.0, 2.0, 0.5, 0.7, 1.3]
     )
     model_points = mu.points

@@ -7,13 +7,13 @@ from conjugations.shifts import (
     GridModel,
     ModelConjugation,
     SymbolParams,
+    UMultiplierConjugation,
     analyze,
     conjugate_indices,
     extract_symbol,
     grid_arguments,
     grid_norm,
     grid_points,
-    shift_conjugation,
     squared_shift_conjugation,
     symbol_field,
     synthesize,
@@ -73,7 +73,7 @@ def test_analyze_rejects_bad_degree():
 
 def test_shift_conjugation_plain():
     M = 8
-    C = shift_conjugation(GridModel(M, np.ones(M)))
+    C = UMultiplierConjugation(GridModel(M, np.ones(M)))
     f = np.arange(M) + 1j
     rev = conjugate_indices(M)
     assert np.allclose(C.apply(f), np.conj(f[rev]))
@@ -84,7 +84,7 @@ def test_shift_conjugation_plain():
 def test_shift_conjugation_even_phase(rng):
     for M in (16, 128, 4096):
         t = grid_arguments(M)
-        C = shift_conjugation(GridModel(M, np.exp(1j * np.cos(t))))
+        C = UMultiplierConjugation(GridModel(M, np.exp(1j * np.cos(t))))
         assert C.isometry_defect() <= 1e-12
         assert C.involution_defect() <= 1e-12
         assert C.commutation_defect() <= 1e-12
@@ -93,9 +93,9 @@ def test_shift_conjugation_even_phase(rng):
 def test_shift_conjugation_rejects_odd_symbol():
     M = 16
     with pytest.raises(InputError):
-        shift_conjugation(GridModel(M, grid_points(M)))  # u(xi) = xi is odd
+        UMultiplierConjugation(GridModel(M, grid_points(M)))  # u(xi) = xi is odd
     with pytest.raises(InputError):
-        shift_conjugation(GridModel(M, 2 * np.ones(M)))  # not unimodular
+        UMultiplierConjugation(GridModel(M, 2 * np.ones(M)))  # not unimodular
 
 
 def test_symbol_field_top_row():
@@ -260,7 +260,7 @@ def test_semicircle_subspace_invariance(rng):
         g = (g + g[rev]) / 2  # even part, still supported on the arc
         phase = rng.uniform(-np.pi, np.pi, M)
         u = np.exp(1j * (phase + phase[rev]) / 2)  # even unimodular
-        C = shift_conjugation(GridModel(M, u))
+        C = UMultiplierConjugation(GridModel(M, u))
         out = C.apply(g)
         assert np.max(np.abs(out[np.abs(t) >= np.pi / 2])) <= 1e-14
         assert np.max(np.abs(out - out[rev])) <= 1e-12

@@ -3,13 +3,13 @@ import pytest
 
 from conjugations.antilinear import is_conjugation
 from conjugations.errors import InputError
-from conjugations.family import decompose, sample, verify_membership
+from conjugations.family import ConjugationParams, decompose, from_params, sample, verify_membership
 from conjugations.linalg import haar_unitary, unitarity_defect
+from conjugations.spectral import BlockLayout
 from conjugations.transforms import (
     FourBlockModel,
     TwoBlockModel,
     calibration_grid,
-    derive_pairing_rule,
     dft_eigen_check,
     fourier_conjugation,
     fourier_quadrature,
@@ -156,14 +156,42 @@ def test_hilbert_family_cross_check(rng):
 
 
 def test_pairing_rule_is_transpose(rng):
-    assert np.array_equal(derive_pairing_rule(np.diag([1j, 2.0])), np.diag([1j, 2.0]))
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(derive_pairing_rule(rot), rot.T)
-    for _ in range(5):
-        U = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        oracle = pairing_rule_entrywise(U)
-        assert np.max(np.abs(oracle - U.T)) <= 1e-15
-        assert np.array_equal(derive_pairing_rule(U), U.T)
+    # the entrywise pairing oracle gives the block each built transform
+    # conjugation pairs with Ui
+    blocks = [np.diag([1j, 1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    blocks += [haar_unitary(3, rng) for _ in range(5)]
+    for Ui in blocks:
+        m = Ui.shape[0]
+        oracle = pairing_rule_entrywise(Ui)
+        F = fourier_conjugation(4 * m, np.eye(m), np.eye(m), Ui).matrix
+        c1, c3 = (FourBlockModel(4 * m).class_indices(k) for k in (1, 3))
+        assert np.array_equal(F[np.ix_(c3, c1)], Ui)
+        assert np.max(np.abs(F[np.ix_(c1, c3)] - oracle)) <= 1e-15
+        H = hilbert_conjugation(2 * m, Ui).matrix
+        assert np.array_equal(H[m:, :m], Ui)
+        assert np.max(np.abs(H[:m, m:] - oracle)) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [4, 8, 64])
+def test_fourier_conjugation_is_the_family_member(rng, N):
+    # the same operator as from_params on the fixed layout, with the basis
+    # that sends the slots (i, -i, 1, -1) to the classes 3, 1, 0, 2
+    m = N // 4
+    O1, O2 = real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng)
+    Ui = haar_unitary(m, rng)
+    model = FourBlockModel(N)
+    W = np.eye(N)[:, np.concatenate([model.class_indices(k) for k in (3, 1, 0, 2)])]
+    member = from_params(BlockLayout(((1j, m),), m, m), W, ConjugationParams((Ui,), O1, O2))
+    assert np.array_equal(fourier_conjugation(N, O1, O2, Ui).matrix, member.matrix)
+
+
+@pytest.mark.parametrize("N", [2, 6, 64])
+def test_hilbert_conjugation_is_the_family_member(rng, N):
+    m = N // 2
+    Ui = haar_unitary(m, rng)
+    params = ConjugationParams((Ui.T,), np.eye(0), np.eye(0))
+    member = from_params(BlockLayout(((1j, m),), 0, 0), np.eye(N), params)
+    assert np.array_equal(hilbert_conjugation(N, Ui).matrix, member.matrix)
 
 
 def test_hermite_orthonormality_refines():
