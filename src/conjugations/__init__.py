@@ -34,7 +34,6 @@ from .family import (
     verify_membership,
 )
 from .linalg import (
-    Tolerance,
     four_unitary_split,
     haar_unitary,
     hermitian_sqrt_psd,
@@ -63,7 +62,6 @@ __all__ = [
     "MembershipError",
     "MultiplicityModel",
     "NotSelfDualError",
-    "Tolerance",
     "ToleranceError",
     "UnitarySpectrum",
     "apply",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Tolerance, as_square_matrix, require_unitary, unitarity_defect
+from .linalg import as_square_matrix, require_unitary, threshold, unitarity_defect
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,20 @@ def apply(C, x):
     return C.matrix @ np.conj(x)
 
 
-def is_conjugation(C, tol=None):
+def is_conjugation(C):
     """Whether C is antilinear-isometric-involutive: A unitary with A^t = A.
 
     Returns (verdict, report).  The report carries the isometry defect
-    ||A*A - I|| and the involution defect ||A conj(A) - I||; the verdict also
-    requires the matrix symmetry ||A - A^t|| to sit inside the tolerance.
+    ||A*A - I|| and the involution defect ||A conj(A) - I||; the verdict
+    requires the isometry defect and the matrix symmetry ||A - A^t|| to sit
+    below threshold(sqrt(n)).
     """
-    tol = tol or Tolerance()
     A = C.matrix
     n = A.shape[0]
     iso = unitarity_defect(A)
     inv = float(np.linalg.norm(A @ np.conj(A) - np.eye(n)))
     sym = float(np.linalg.norm(A - A.T))
-    thr = tol.threshold(np.sqrt(max(n, 1)))
+    thr = threshold(np.sqrt(max(n, 1)))
     report = ConjugationReport(isometry_defect=iso, involution_defect=inv)
     return bool(iso <= thr and sym <= thr), report
 
@@ -102,25 +102,25 @@ def compose(left, right):
     return L @ R
 
 
-def transport(C, W, tol=None):
+def transport(C, W):
     """Move C to the W-coordinates: W C W* has matrix W A W^t."""
-    W = require_unitary(W, tol, "W")
+    W = require_unitary(W, "W")
     if W.shape[0] != C.dim:
         raise InputError("transport dimension mismatch")
     return AntilinearOperator(W @ C.matrix @ W.T)
 
 
-def commutation_defect(C, U, tol=None):
+def commutation_defect(C, U):
     """||C U C - U|| as ||A conj(U) conj(A) - U|| in Frobenius norm."""
-    U = require_unitary(U, tol, "U")
+    U = require_unitary(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("commutation_defect dimension mismatch")
     return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U))
 
 
-def symmetry_defect(C, U, tol=None):
+def symmetry_defect(C, U):
     """||C U C - U*|| as ||A conj(U) conj(A) - U*|| in Frobenius norm."""
-    U = require_unitary(U, tol, "U")
+    U = require_unitary(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("symmetry_defect dimension mismatch")
     return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U.conj().T))

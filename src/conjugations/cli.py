@@ -30,6 +30,7 @@ from .linalg import (
     complex_from_pairs,
     four_unitary_split,
     haar_unitary,
+    membership_threshold,
     operator_norm,
     unitarity_defect,
 )
@@ -202,7 +203,7 @@ def _construct(args, builder):
         raise NotSelfDualError(_empty_family_message(e.mismatches), e.mismatches) from None
     n = U.shape[0]
     passed, report = family.verify_membership(U, C)
-    out = _report_dict(n, passed, report, family.membership_threshold(n))
+    out = _report_dict(n, passed, report, membership_threshold(n))
     if args.output:
         save_json(args.output, matrix_to_dict(C.matrix))
     else:
@@ -218,14 +219,22 @@ def cmd_canonical(args):
     return _construct(args, lambda U: family.canonical_conjugation(U))
 
 
+def _seed(args):
+    if args.seed < 0:
+        raise InputError("--seed must be a nonnegative integer")
+    return args.seed
+
+
 def cmd_sample(args):
-    return _construct(args, lambda U: family.sample(U, args.seed))
+    return _construct(args, lambda U: family.sample(U, _seed(args)))
 
 
 def cmd_verify(args):
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:
+        raise InputError("--tol must be a finite nonnegative number")
     U = load_matrix(args.unitary)
     C = AntilinearOperator(load_matrix(args.conjugation))
-    thr = args.tol if args.tol is not None else family.membership_threshold(U.shape[0])
+    thr = membership_threshold(U.shape[0]) if args.tol is None else args.tol
     passed, report = family.verify_membership(U, C, threshold=thr)
     out = _report_dict(U.shape[0], passed, report, thr)
     out["symmetry_defect"] = float(report.symmetry_defect)
@@ -314,6 +323,8 @@ def _grid_demo_report(kind, order, degree, preset, conj):
 
 def cmd_shift_demo(args):
     M = args.order
+    if M < 1:
+        raise InputError("grid order must be at least 1")
     if args.degree == 1:
         if args.preset != "sincos":
             raise InputError("degree 1 supports the 'sincos' preset only")
@@ -340,7 +351,7 @@ def cmd_shift_demo(args):
 def _transform_demo(args, kind):
     N = args.size
     model = (transforms.FourBlockModel if kind == "fourier" else transforms.TwoBlockModel)(N)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     if kind == "fourier":
         m = N // 4
         C = transforms.fourier_conjugation(

@@ -25,7 +25,8 @@ from .antilinear import (
     transport,
 )
 from .errors import InputError, MembershipError
-from .linalg import Tolerance, haar_unitary, require_unitary, symmetric_unitary, unitarity_defect
+from .linalg import REL_TOL, haar_unitary, membership_threshold, require_unitary, threshold
+from .linalg import symmetric_unitary, unitarity_defect
 from .spectral import canonical_form
 
 
@@ -58,7 +59,7 @@ def identity_params(layout):
     )
 
 
-def _validate_params(layout, params, tol):
+def _validate_params(layout, params):
     if len(params.v_blocks) != len(layout.pairs):
         raise InputError(
             f"expected {len(layout.pairs)} pair blocks, got {len(params.v_blocks)}"
@@ -66,20 +67,20 @@ def _validate_params(layout, params, tol):
     for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks)):
         if v.shape != (m, m):
             raise InputError(f"pair block {j} must be {m}x{m}, got {v.shape}")
-        if unitarity_defect(v) > tol.threshold(np.sqrt(m)):
+        if unitarity_defect(v) > threshold(np.sqrt(m)):
             raise InputError(f"pair block {j} is not unitary")
     for name, q, size in (("q_plus", params.q_plus, layout.ell), ("q_minus", params.q_minus, layout.kay)):
         if q.shape != (size, size):
             raise InputError(f"{name} must be {size}x{size}, got {q.shape}")
         if size == 0:
             continue
-        if unitarity_defect(q) > tol.threshold(np.sqrt(size)):
+        if unitarity_defect(q) > threshold(np.sqrt(size)):
             raise InputError(f"{name} is not unitary")
-        if np.linalg.norm(q - q.T) > tol.threshold(np.sqrt(size)):
+        if np.linalg.norm(q - q.T) > threshold(np.sqrt(size)):
             raise InputError(f"{name} is not symmetric")
 
 
-def layout_conjugation(layout, params, tol=None):
+def layout_conjugation(layout, params):
     """The member with the given block parameters, in the layout's own basis.
 
     Validates the parameters against the layout, then places them: the pair
@@ -87,7 +88,12 @@ def layout_conjugation(layout, params, tol=None):
     matrix symmetric for any unitary V_j; the real blocks must be symmetric
     unitaries themselves.
     """
-    _validate_params(layout, params, tol or Tolerance())
+    return AntilinearOperator(_block_matrix(layout, params))
+
+
+def _block_matrix(layout, params):
+    """The matrix of layout_conjugation(layout, params), as a plain array."""
+    _validate_params(layout, params)
     n = layout.dim
     V = np.zeros((n, n), dtype=complex)
     pos = 0
@@ -98,54 +104,46 @@ def layout_conjugation(layout, params, tol=None):
     V[pos : pos + layout.ell, pos : pos + layout.ell] = params.q_plus
     pos += layout.ell
     V[pos : pos + layout.kay, pos : pos + layout.kay] = params.q_minus
-    return AntilinearOperator(V)
+    return V
 
 
-def from_params(layout, W, params, tol=None):
+def from_params(layout, W, params):
     """Assemble the conjugation with the given block parameters in basis W:
     layout_conjugation transported to the columns of W."""
-    tol = tol or Tolerance()
-    return transport(layout_conjugation(layout, params, tol), W, tol)
+    return transport(layout_conjugation(layout, params), W)
 
 
-def canonical_conjugation(U, tol=None):
+def canonical_conjugation(U):
     """The all-identity member of the family.
 
     Raises NotSelfDualError when the family is empty.
     """
-    tol = tol or Tolerance()
-    W, layout = canonical_form(U, tol)
-    return from_params(layout, W, identity_params(layout), tol)
+    W, layout = canonical_form(U)
+    return from_params(layout, W, identity_params(layout))
 
 
-def sample(U, seed, tol=None):
+def sample(U, seed):
     """Draw a random member of the family, deterministically per seed.
 
     Pair blocks are Haar unitary; real blocks are symmetric unitaries.  The
     draw order is fixed (pairs in layout order, then the +1 block, then the
     -1 block) so identical seeds give identical operators.
     """
-    tol = tol or Tolerance()
-    W, layout = canonical_form(U, tol)
+    W, layout = canonical_form(U)
     rng = np.random.default_rng(seed)
     v_blocks = tuple(haar_unitary(m, rng) for _, m in layout.pairs)
     q_plus = symmetric_unitary(layout.ell, rng) if layout.ell else _empty_block()
     q_minus = symmetric_unitary(layout.kay, rng) if layout.kay else _empty_block()
-    return from_params(layout, W, ConjugationParams(v_blocks, q_plus, q_minus), tol)
+    return from_params(layout, W, ConjugationParams(v_blocks, q_plus, q_minus))
 
 
-def membership_threshold(n):
-    return 1e-8 * max(n, 1)
-
-
-def verify_membership(U, C, tol=None, threshold=None):
+def verify_membership(U, C, threshold=None):
     """Defect report for C against U with a boolean verdict.
 
     The verdict requires the isometry, involution, and commutation defects to
-    sit below the threshold (1e-8 * n by default).
+    sit below the threshold (membership_threshold(n) = 1e-8 * n by default).
     """
-    tol = tol or Tolerance()
-    U = require_unitary(U, tol, "U")
+    U = require_unitary(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("operator dimensions do not match")
     n = U.shape[0]
@@ -154,8 +152,8 @@ def verify_membership(U, C, tol=None, threshold=None):
     report = ConjugationReport(
         isometry_defect=unitarity_defect(A),
         involution_defect=float(np.linalg.norm(A @ np.conj(A) - np.eye(n))),
-        commutation_defect=commutation_defect(C, U, tol),
-        symmetry_defect=symmetry_defect(C, U, tol),
+        commutation_defect=commutation_defect(C, U),
+        symmetry_defect=symmetry_defect(C, U),
     )
     passed = (
         report.isometry_defect <= thr
@@ -201,7 +199,7 @@ def _off_structure(V, slices, npairs):
     return float(np.sqrt(energy.sum())), worst
 
 
-def decompose(U, C, tol=None, threshold=None):
+def decompose(U, C):
     """Recover the block parameters of a member of the family.
 
     Transports C to the canonical basis, checks that the matrix of the
@@ -210,14 +208,12 @@ def decompose(U, C, tol=None, threshold=None):
     The parameters are relative to the same basis canonical_form returns, so
     from_params with that basis reproduces C.
     """
-    tol = tol or Tolerance()
-    U = require_unitary(U, tol, "U")
-    n = U.shape[0]
-    thr = membership_threshold(n) if threshold is None else threshold
-    ok, _ = is_conjugation(C, tol)
+    U = require_unitary(U, "U")
+    thr = membership_threshold(U.shape[0])
+    ok, _ = is_conjugation(C)
     if not ok:
         raise InputError("C is not a conjugation")
-    W, layout = canonical_form(U, tol)
+    W, layout = canonical_form(U)
     V = W.conj().T @ C.matrix @ np.conj(W)
 
     npairs = len(layout.pairs)
@@ -240,11 +236,12 @@ def decompose(U, C, tol=None, threshold=None):
         if unitarity_defect(block) > thr:
             raise MembershipError(f"pair {j}: block is not unitary")
         v_blocks.append(block.copy())
-    idx = 2 * npairs
-    q_plus = V[slices[idx], slices[idx]].copy() if layout.ell else _empty_block()
-    if layout.ell:
-        idx += 1
-    q_minus = V[slices[idx], slices[idx]].copy() if layout.kay else _empty_block()
-    params = ConjugationParams(tuple(v_blocks), q_plus, q_minus)
-    _validate_params(layout, params, Tolerance(abs_tol=thr, rel_tol=tol.rel_tol))
-    return params
+    pos, ell = len(V) - layout.ell - layout.kay, layout.ell
+    q_plus = V[pos : pos + ell, pos : pos + ell].copy()
+    q_minus = V[pos + ell :, pos + ell :].copy()
+    # the pair blocks and the symmetry of V are checked above; what is left
+    # is the unitarity of each real block
+    for name, q in (("q_plus", q_plus), ("q_minus", q_minus)):
+        if unitarity_defect(q) > thr + REL_TOL * np.sqrt(len(q)):
+            raise InputError(f"{name} is not unitary")
+    return ConjugationParams(tuple(v_blocks), q_plus, q_minus)

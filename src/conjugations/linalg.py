@@ -1,26 +1,26 @@
-"""Dense complex matrix utilities: unitarity defects, structured random
-sampling, Hermitian PSD square roots, and the four-unitary decomposition."""
-
-from dataclasses import dataclass
+"""Dense complex matrix utilities: the tolerance policy, unitarity defects,
+structured random sampling, Hermitian PSD square roots, and the
+four-unitary decomposition."""
 
 import numpy as np
 
 from .errors import InputError
 
+ABS_TOL = 1e-10  # absolute slack of every input check
+REL_TOL = 1e-8   # slack per unit of the checked quantity's scale
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair used by the verification predicates."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+def threshold(scale=1.0):
+    """Largest defect an input check accepts for a quantity of the given
+    scale, e.g. sqrt(n) for the Frobenius defect of an n x n unitary."""
+    return ABS_TOL + REL_TOL * scale
 
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise InputError("tolerances must be nonnegative")
 
-    def threshold(self, scale=1.0):
-        return self.abs_tol + self.rel_tol * scale
+def membership_threshold(n):
+    """Largest defect a verdict on an n x n result accepts: the isometry,
+    involution and commutation defects of a family member, and the
+    reconstruction residuals of the spectral decomposition."""
+    return 1e-8 * max(n, 1)
 
 
 def as_square_matrix(M, name="matrix"):
@@ -78,13 +78,13 @@ def unitarity_defect(M):
     return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0])))
 
 
-def require_unitary(M, tol=None, name="matrix"):
-    """Return M as a complex array after checking it is unitary within tol."""
-    tol = tol or Tolerance()
+def require_unitary(M, name="matrix"):
+    """Return M as a complex array after checking it is unitary within
+    threshold(sqrt(n))."""
     A = as_square_matrix(M, name)
     n = A.shape[0]
     defect = unitarity_defect(A) if n else 0.0
-    if defect > tol.threshold(np.sqrt(max(n, 1))):
+    if defect > threshold(np.sqrt(max(n, 1))):
         raise InputError(f"{name} is not unitary: defect {defect:.3e}")
     return A
 
@@ -124,23 +124,22 @@ def symmetric_unitary(n, seed):
     return (q + q.T) / 2
 
 
-def hermitian_sqrt_psd(H, tol=None):
+def hermitian_sqrt_psd(H):
     """Hermitian PSD square root through the spectral decomposition.
 
-    Eigenvalues in [-abs_tol, 0) are clamped to zero; anything below
-    -abs_tol is rejected.  The clamping absorbs roundoff when the input sits
+    Eigenvalues in [-ABS_TOL, 0) are clamped to zero; anything below
+    -ABS_TOL is rejected.  The clamping absorbs roundoff when the input sits
     on the PSD boundary, e.g. I - H^2 for a Hermitian contraction H.
     Recovering S from S * S is accurate to roughly the eigenvalue gaps of S;
     clustered spectra lose digits to the eigenvector mixing.
     """
-    tol = tol or Tolerance()
     A = as_square_matrix(H, "H")
     scale = float(np.linalg.norm(A))
-    if np.linalg.norm(A - A.conj().T) > tol.threshold(1.0 + scale):
+    if np.linalg.norm(A - A.conj().T) > threshold(1.0 + scale):
         raise InputError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh((A + A.conj().T) / 2)
-    if w.size and w[0] < -tol.abs_tol:
-        raise InputError(f"matrix has eigenvalue {w[0]:.3e} below -abs_tol")
+    if w.size and w[0] < -ABS_TOL:
+        raise InputError(f"matrix has eigenvalue {w[0]:.3e} below -ABS_TOL")
     S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     return (S + S.conj().T) / 2
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .antilinear import ConjugationReport, is_conjugation, plain_conjugation
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import Tolerance
+from .linalg import threshold
 
 THETA_DECIMALS = 12           # canonical angle resolution
 PAIR_TOL = 1e-9               # conjugate-partner lookup tolerance
@@ -59,6 +59,8 @@ class AtomicMeasure:
             raise InputError("thetas and weights must be 1-d arrays of equal length")
         if thetas.size and not np.all(np.isfinite(thetas)):
             raise InputError("atom angles must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise InputError("atom weights must be finite")
         if thetas.size and np.any(weights <= 0):
             raise InputError("atom weights must be strictly positive")
         thetas = canonical_angle(thetas) if thetas.size else thetas
@@ -339,7 +341,7 @@ def compose_fields(F, G):
     )
 
 
-def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None, tol=None):
+def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None):
     """The weighted conjugation f -> (k -> sqrt(h_k) * J(f_{sigma(k)})).
 
     J is a conjugation on the fiber (entrywise conjugation by default).  The
@@ -347,11 +349,10 @@ def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None, tol=None):
     field with itself gives the identity to the last ulp.  Commutes with the
     coordinate multiplier and is isometric for the weighted inner product.
     """
-    tol = tol or Tolerance()
     J = fiber_conjugation if fiber_conjugation is not None else plain_conjugation(fiber_dim)
     if J.dim != fiber_dim:
         raise InputError("fiber conjugation has the wrong dimension")
-    okJ, _ = is_conjugation(J, tol)
+    okJ, _ = is_conjugation(J)
     if not okJ:
         raise InputError("fiber map is not a conjugation")
     sigma, s = _reciprocal_ratios(mu, np.sqrt)
@@ -359,14 +360,14 @@ def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None, tol=None):
     return FieldOperator(mu, mats, antilinear=True, point_map=sigma)
 
 
-def is_reflection_symmetric(field, fiber_conjugation=None, tol=None):
+def is_reflection_symmetric(field, fiber_conjugation=None):
     """Whether J U_k J = U_{sigma(k)}* at every atom, for a unitary field U.
 
     This is the exact criterion for the composite of the multiplication field
     with the weighted reflection conjugation to be a conjugation again.
-    Returns (verdict, worst_defect).
+    Returns (verdict, worst_defect); the verdict and the unitarity check on
+    the field both use threshold(sqrt(r)) for fiber dimension r.
     """
-    tol = tol or Tolerance()
     if field.antilinear or field.point_map is not None:
         raise InputError("expected a pointwise linear multiplication field")
     r = field.fiber_dim
@@ -374,7 +375,7 @@ def is_reflection_symmetric(field, fiber_conjugation=None, tol=None):
     mats = field.matrices
     gram = np.einsum("kji,kjl->kil", np.conj(mats), mats)
     not_unitary = np.nonzero(
-        np.linalg.norm(gram - np.eye(r), axis=(1, 2)) > tol.threshold(np.sqrt(r))
+        np.linalg.norm(gram - np.eye(r), axis=(1, 2)) > threshold(np.sqrt(r))
     )[0]
     if not_unitary.size:
         raise InputError(f"field is not unitary valued at atom {not_unitary[0]}")
@@ -387,7 +388,7 @@ def is_reflection_symmetric(field, fiber_conjugation=None, tol=None):
     lhs = A @ np.conj(mats) @ np.conj(A)
     rhs = np.conj(mats[sigma]).transpose(0, 2, 1)
     worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
-    return worst <= tol.threshold(np.sqrt(r)), worst
+    return worst <= threshold(np.sqrt(r)), worst
 
 
 def _orthonormal_matrix(field):
@@ -449,7 +450,7 @@ class DirectSumConjugation:
         )
 
 
-def assemble_model(model, fiber_conjugations=None, unitary_fields=None, tol=None):
+def assemble_model(model, fiber_conjugations=None, unitary_fields=None):
     """Direct sum of weighted reflection conjugations, one per component.
 
     Each component of the multiplicity model must pass the absolute
@@ -461,10 +462,10 @@ def assemble_model(model, fiber_conjugations=None, unitary_fields=None, tol=None
     blocks = []
     for i, (mu, r) in enumerate(comps):
         J = fiber_conjugations[i] if fiber_conjugations is not None else None
-        base = reflection_conjugation(mu, r, J, tol)
+        base = reflection_conjugation(mu, r, J)
         if unitary_fields is not None and unitary_fields[i] is not None:
             uf = unitary_fields[i]
-            ok, defect = is_reflection_symmetric(uf, J, tol)
+            ok, defect = is_reflection_symmetric(uf, J)
             if not ok:
                 raise InputError(
                     f"component {i}: field is not reflection symmetric (defect {defect:.3e})"
@@ -475,14 +476,14 @@ def assemble_model(model, fiber_conjugations=None, unitary_fields=None, tol=None
     return DirectSumConjugation(tuple(blocks))
 
 
-def invariance_probe(ds, atom_points, tol=None):
+def invariance_probe(ds, atom_points):
     """Whether the coordinate subspace over the given atoms is mapped into itself.
 
     atom_points are unit-circle points; membership is matched per component
     at the conjugate-partner lookup tolerance.  True is guaranteed when the
-    atom set is closed under conjugation.
+    atom set is closed under conjugation.  Mass leaking outside the
+    subspace counts once it exceeds threshold(1.0) of the image's norm.
     """
-    tol = tol or Tolerance()
     sel_thetas = canonical_angle(np.angle(np.asarray(atom_points, dtype=complex)))
     for blk in ds.blocks:
         mu = blk.measure
@@ -500,7 +501,7 @@ def invariance_probe(ds, atom_points, tol=None):
                 outside_mass = np.sqrt(
                     np.sum(mu.weights[~inside] * np.sum(np.abs(out.values[~inside]) ** 2, axis=1))
                 )
-                if outside_mass > tol.threshold(1.0) * weighted_norm(out):
+                if outside_mass > threshold(1.0) * weighted_norm(out):
                     return False
     return True
 

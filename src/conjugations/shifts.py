@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import complex_from_pairs, unitarity_defect
+from .linalg import ABS_TOL, complex_from_pairs, unitarity_defect
 
 SYMBOL_TOL = 1e-12
 
@@ -238,7 +238,7 @@ def _check_symbol(phi, order):
     unit = float(
         np.max(np.abs(np.einsum("kji,kjl->kil", np.conj(phi), phi) - eye[None, :, :]))
     )
-    if sym > 1e-10 or unit > 1e-10:
+    if sym > ABS_TOL or unit > ABS_TOL:
         raise InputError(
             f"symbol is not a reflection-compatible unitary field "
             f"(transpose symmetry {sym:.3e}, unitarity {unit:.3e})"
@@ -256,6 +256,8 @@ class ModelConjugation:
     """
 
     def __init__(self, phi, order):
+        if order < 1:
+            raise InputError("grid order must be at least 1")
         if order % 2 != 0:
             raise InputError("grid order must be even for the squared-shift model")
         self.order = order

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfDualError, ToleranceError
-from .linalg import Tolerance, require_unitary
+from .linalg import membership_threshold, require_unitary
 from .measures import AtomicMeasure
 
-CLUSTER_TOL = 1e-7
+CLUSTER_TOL = 1e-7  # clustering, +-1 snapping and conjugate-pairing radius
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,16 @@ def schur(U):
     return scipy_schur(U, output="complex")
 
 
-def _snap(rep, cluster_tol):
-    if abs(rep - 1.0) <= cluster_tol:
+def _snap(rep):
+    if abs(rep - 1.0) <= CLUSTER_TOL:
         return 1.0 + 0.0j
-    if abs(rep + 1.0) <= cluster_tol:
+    if abs(rep + 1.0) <= CLUSTER_TOL:
         return -1.0 + 0.0j
     return rep
 
 
-def _cluster_indices(vals, cluster_tol):
-    """Connected components of eigenvalues under distance <= cluster_tol.
+def _cluster_indices(vals):
+    """Connected components of eigenvalues under distance <= CLUSTER_TOL.
 
     Chaining is done along the circle: sort by argument and link angular
     neighbors, including the wrap-around pair.
@@ -87,11 +87,11 @@ def _cluster_indices(vals, cluster_tol):
     labels = -np.ones(n, dtype=int)
     current = -1
     for pos, idx in enumerate(order):
-        if pos == 0 or abs(vals[idx] - vals[order[pos - 1]]) > cluster_tol:
+        if pos == 0 or abs(vals[idx] - vals[order[pos - 1]]) > CLUSTER_TOL:
             current += 1
         labels[idx] = current
     # wrap-around: merge the last angular group into the first if they touch
-    if current > 0 and abs(vals[order[0]] - vals[order[-1]]) <= cluster_tol:
+    if current > 0 and abs(vals[order[0]] - vals[order[-1]]) <= CLUSTER_TOL:
         labels[labels == labels[order[-1]]] = labels[order[0]]
     groups = {}
     for idx in range(n):
@@ -99,23 +99,24 @@ def _cluster_indices(vals, cluster_tol):
     return list(groups.values())
 
 
-def diagonalize_unitary(U, tol=None, cluster_tol=CLUSTER_TOL):
+def diagonalize_unitary(U):
     """Cluster the spectrum of a unitary matrix and return basis + clusters.
 
-    Eigenvalues closer than cluster_tol are merged; the cluster value is the
-    normalized mean direction, snapped to +-1 when within cluster_tol so the
-    real blocks of the canonical form are exactly real.
+    Eigenvalues closer than CLUSTER_TOL are merged; the cluster value is the
+    normalized mean direction, snapped to +-1 when within CLUSTER_TOL so the
+    real blocks of the canonical form are exactly real.  Raises
+    ToleranceError when the clustered spectrum misses U by more than
+    membership_threshold(n).
     """
-    tol = tol or Tolerance()
-    U = require_unitary(U, tol, "U")
+    U = require_unitary(U, "U")
     n = U.shape[0]
     T, Q = schur(U)
     vals = np.diagonal(T).copy()
 
     entries = []
-    for idxs in _cluster_indices(vals, cluster_tol):
+    for idxs in _cluster_indices(vals):
         rep = np.mean(vals[idxs])
-        rep = _snap(rep / abs(rep), cluster_tol)
+        rep = _snap(rep / abs(rep))
         entries.append((rep, tuple(idxs)))
     entries.sort(key=lambda e: np.angle(e[0]))
 
@@ -126,20 +127,21 @@ def diagonalize_unitary(U, tol=None, cluster_tol=CLUSTER_TOL):
 
     D = spectrum.eigenvalue_diagonal()
     resid = float(np.linalg.norm(U - (basis * D) @ basis.conj().T))
-    if resid > 1e-8 * n:
+    thr = membership_threshold(n)
+    if resid > thr:
         raise ToleranceError(
-            f"spectral reconstruction residual {resid:.3e} exceeds {1e-8 * n:.1e}; "
+            f"spectral reconstruction residual {resid:.3e} exceeds {thr:.1e}; "
             "eigenvalue clusters are too spread for the requested tolerance"
         )
     return spectrum
 
 
-def _pair_clusters(clusters, cluster_tol=CLUSTER_TOL):
+def _pair_clusters(clusters):
     """Index of the conjugate cluster for each cluster, or -1 when missing."""
     partner = []
     for lam, _ in clusters:
         target = np.conj(lam)
-        best, best_d = -1, cluster_tol
+        best, best_d = -1, CLUSTER_TOL
         for j, (mu, _) in enumerate(clusters):
             d = abs(mu - target)
             if d <= best_d:
@@ -148,14 +150,14 @@ def _pair_clusters(clusters, cluster_tol=CLUSTER_TOL):
     return partner
 
 
-def check_selfdual(U, tol=None, cluster_tol=CLUSTER_TOL):
+def check_selfdual(U):
     """Whether every eigenvalue and its conjugate carry equal multiplicity.
 
     Returns (verdict, mismatches) where each mismatch is a triple
     (eigenvalue, multiplicity, conjugate_multiplicity).
     """
-    clusters = diagonalize_unitary(U, tol, cluster_tol).clusters
-    return _selfdual_from_clusters(clusters, _pair_clusters(clusters, cluster_tol))
+    clusters = diagonalize_unitary(U).clusters
+    return _selfdual_from_clusters(clusters, _pair_clusters(clusters))
 
 
 def _selfdual_from_clusters(clusters, partner):
@@ -167,17 +169,16 @@ def _selfdual_from_clusters(clusters, partner):
     return not mismatches, mismatches
 
 
-def canonical_form(U, tol=None, cluster_tol=CLUSTER_TOL):
+def canonical_form(U):
     """Basis W and block layout with W* U W block diagonal.
 
     The target form is diag(xi_j I, conj(xi_j) I) over the conjugate pairs
     sorted by increasing Arg xi_j in (0, pi), followed by I_ell and -I_kay.
     Raises NotSelfDualError when the pairing fails.
     """
-    tol = tol or Tolerance()
-    spectrum = diagonalize_unitary(U, tol, cluster_tol)
+    spectrum = diagonalize_unitary(U)
     n = spectrum.dim
-    partner = _pair_clusters(spectrum.clusters, cluster_tol)
+    partner = _pair_clusters(spectrum.clusters)
     ok, mismatches = _selfdual_from_clusters(spectrum.clusters, partner)
     if not ok:
         lam, mult, conj_mult = mismatches[0]
@@ -217,10 +218,9 @@ def canonical_form(U, tol=None, cluster_tol=CLUSTER_TOL):
     )
 
     resid = float(np.linalg.norm(W.conj().T @ U @ W - layout_matrix(layout)))
-    if resid > 1e-8 * n:
-        raise ToleranceError(
-            f"canonical form residual {resid:.3e} exceeds {1e-8 * n:.1e}"
-        )
+    thr = membership_threshold(n)
+    if resid > thr:
+        raise ToleranceError(f"canonical form residual {resid:.3e} exceeds {thr:.1e}")
     return W, layout
 
 
@@ -235,7 +235,7 @@ def layout_matrix(layout):
     return np.diag(np.array(diag, dtype=complex))
 
 
-def multiplicity_model(U, tol=None, cluster_tol=CLUSTER_TOL):
+def multiplicity_model(U):
     """Group eigenvalue clusters by multiplicity into unit-weight atomic measures.
 
     Each multiplicity value k occurring in the spectrum contributes one
@@ -243,7 +243,7 @@ def multiplicity_model(U, tol=None, cluster_tol=CLUSTER_TOL):
     clusters of multiplicity exactly k.  Components are mutually singular by
     construction.
     """
-    spectrum = diagonalize_unitary(U, tol, cluster_tol)
+    spectrum = diagonalize_unitary(U)
     by_mult = {}
     for lam, mult in spectrum.clusters:
         by_mult.setdefault(mult, []).append(lam)

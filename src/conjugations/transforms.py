@@ -28,8 +28,8 @@ import numpy as np
 
 from .antilinear import AntilinearOperator
 from .errors import InputError
-from .family import ConjugationParams, layout_conjugation
-from .linalg import Tolerance, unitarity_defect
+from .family import ConjugationParams, _block_matrix, layout_conjugation
+from .linalg import threshold
 from .spectral import BlockLayout
 
 
@@ -67,26 +67,18 @@ class TwoBlockModel:
         return np.diag(np.concatenate([np.full(half, 1j), np.full(half, -1j)]))
 
 
-def _require_real_symmetric_orthogonal(O, m, name, tol):
+def _require_real(O, m, name):
+    """O as a real m x m array.  Orthogonality and symmetry are the family
+    engine's checks on the real blocks (q_plus / q_minus)."""
     O = np.asarray(O, dtype=complex)
     if O.shape != (m, m):
         raise InputError(f"{name} must be {m}x{m}, got {O.shape}")
-    if m == 0:
-        return O.real
-    thr = tol.threshold(np.sqrt(m))
-    if np.max(np.abs(O.imag)) > thr:
+    if m and np.max(np.abs(O.imag)) > threshold(np.sqrt(m)):
         raise InputError(f"{name} must have real entries")
-    O = O.real
-    if unitarity_defect(O) > thr:
-        raise InputError(f"{name} must be orthogonal")
-    # the involution C^2 = I forces symmetry on the real blocks; a plain
-    # rotation is orthogonal with real entries yet squares to a rotation
-    if np.linalg.norm(O - O.T) > thr:
-        raise InputError(f"{name} must be symmetric (an orthogonal reflection)")
-    return O
+    return O.real
 
 
-def fourier_conjugation(N, O1, O2, Ui, tol=None):
+def fourier_conjugation(N, O1, O2, Ui):
     """Commuting conjugation of the diagonal Fourier model.
 
     In class order (1, -i, -1, i) the matrix of the antilinear part is
@@ -102,20 +94,19 @@ def fourier_conjugation(N, O1, O2, Ui, tol=None):
     BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui, whose slots hold
     the classes (i, -i, 1, -1).
     """
-    tol = tol or Tolerance()
     model = FourBlockModel(N)
     m = N // 4
-    O1 = _require_real_symmetric_orthogonal(O1, m, "O1", tol)
-    O2 = _require_real_symmetric_orthogonal(O2, m, "O2", tol)
+    O1 = _require_real(O1, m, "O1")
+    O2 = _require_real(O2, m, "O2")
     layout = BlockLayout(pairs=((1j, m),), ell=m, kay=m)
-    V = layout_conjugation(layout, ConjugationParams((Ui,), O1, O2), tol).matrix
+    V = _block_matrix(layout, ConjugationParams((Ui,), O1, O2))
     slots = np.concatenate([model.class_indices(k) for k in (3, 1, 0, 2)])
     A = np.empty_like(V)
     A[np.ix_(slots, slots)] = V
     return AntilinearOperator(A)
 
 
-def hilbert_conjugation(N, Ui, tol=None):
+def hilbert_conjugation(N, Ui):
     """Commuting conjugation of the diagonal Hilbert model.
 
     Block antidiagonal [[0, Ui^t], [Ui, 0]] in front of entrywise
@@ -126,7 +117,7 @@ def hilbert_conjugation(N, Ui, tol=None):
     TwoBlockModel(N)
     layout = BlockLayout(pairs=((1j, N // 2),), ell=0, kay=0)
     params = ConjugationParams((np.transpose(Ui),), np.eye(0), np.eye(0))
-    return layout_conjugation(layout, params, tol)
+    return layout_conjugation(layout, params)
 
 
 def real_symmetric_orthogonal(n, seed):

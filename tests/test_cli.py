@@ -88,6 +88,44 @@ def test_verify_thresholds():
     assert run_captured(["verify", u, str(INPUTS / "c_plain.json")])[0] == EXIT_TOLERANCE
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "inf", "nan"])
+def test_verify_rejects_bad_tol(tol):
+    u, c = str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json")
+    code, out, _ = run_captured(["verify", u, c, "--tol", tol])
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {
+        "error": {"code": EXIT_INPUT, "message": "--tol must be a finite nonnegative number"}
+    }
+
+
+def test_verify_accepts_zero_tol():
+    u, c = str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json")
+    code, out, _ = run_captured(["verify", u, c, "--tol", "0"])
+    assert code == EXIT_OK and json.loads(out)["threshold"] == 0.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", str(INPUTS / "u_pair.json"), "--seed", "-1"], "--seed must be a nonnegative integer"),
+    (["fourier-demo", "--size", "8", "--seed", "-1"], "--seed must be a nonnegative integer"),
+    (["hilbert-demo", "--size", "4", "--seed", "-7"], "--seed must be a nonnegative integer"),
+    (["shift-demo", "--order", "0"], "grid order must be at least 1"),
+    (["shift-demo", "--order", "-2"], "grid order must be at least 1"),
+    (["shift-demo", "--order", "-2", "--degree", "1"], "grid order must be at least 1"),
+])
+def test_bad_flag_values_are_input_errors(argv, message):
+    code, out, _ = run_captured(argv)
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+
+
+def test_measure_with_nonfinite_weight_is_input_error(tmp_path):
+    mu = tmp_path / "mu_nan.json"
+    mu.write_text('{"atoms": [{"theta": 0.5, "weight": NaN}, {"theta": -0.5, "weight": 1.0}]}')
+    code, out, _ = run_captured(["measure", "reflect", str(mu)])
+    assert code == EXIT_INPUT
+    assert "atom weights must be finite" in json.loads(out)["error"]["message"]
+
+
 def test_canonical_verify_round_trip(tmp_path):
     out_file = tmp_path / "c.json"
     code, _, _ = run_captured(["canonical", str(INPUTS / "u_mixed.json"), "-o", str(out_file)])

@@ -64,6 +64,12 @@ def test_measure_validation():
         AtomicMeasure.from_points([2.0], [1.0])
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_nonfinite_weights(weight):
+    with pytest.raises(InputError, match="atom weights must be finite"):
+        AtomicMeasure([0.5, -0.5], [1.0, weight])
+
+
 def test_radon_nikodym_uniform():
     mu = AtomicMeasure([np.pi / 3, -np.pi / 3, 0.0], [2.0, 2.0, 5.0])
     assert np.array_equal(radon_nikodym(mu), np.ones(3))

@@ -84,6 +84,21 @@ def test_fourier_conjugation_validation(rng):
         fourier_conjugation(8, np.eye(m), np.eye(m), 2 * np.eye(m))
 
 
+def test_fourier_real_blocks_are_checked_once():
+    # shape and real entries are the transform's own checks; orthogonality
+    # and symmetry are the family engine's, with its messages
+    eye, rot = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    for O1, O2, message in [
+        (np.eye(3), eye, "O1 must be 2x2"),
+        (eye * 1j, eye, "O1 must have real entries"),
+        (rot, eye, "q_plus is not symmetric"),
+        (2 * eye, eye, "q_plus is not unitary"),
+        (eye, rot, "q_minus is not symmetric"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            fourier_conjugation(8, O1, O2, eye)
+
+
 def test_fourier_decompose_real_blocks(rng):
     # the +-1 blocks recovered from our draws satisfy the real-entry
     # condition and come back as the very reflections that went in
