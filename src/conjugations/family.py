@@ -183,19 +183,22 @@ def _block_slices(layout):
 
 def _off_structure(V, slices, npairs):
     """Frobenius norm of V outside the block structure, and the block indices
-    (a, b) of its largest off-structure block, the first in row-major order
-    on ties.
+    (a, b), a <= b, of its largest off-structure block pair, the first in
+    row-major order on ties up to a relative 1e-12.
 
     Block (a, b) may be nonzero only for b the partner of a: the first
     2 * npairs blocks swap in pairs, the remaining (+1 and -1) blocks sit on
-    the diagonal.
+    the diagonal.  V is symmetric, so E(a, b) + E(b, a) is weighed on a < b;
+    the slack settles exact ties such as E(0, 0) = E(1, 1) for a lone pair.
     """
     partner = np.arange(len(slices))
     partner[: 2 * npairs] ^= 1
     starts = [s.start for s in slices]
     energy = np.add.reduceat(np.add.reduceat(np.abs(V) ** 2, starts, axis=0), starts, axis=1)
     energy[np.arange(len(slices)), partner] = 0.0
-    worst = np.unravel_index(np.argmax(energy), energy.shape) if energy.size else (0, 0)
+    folded = np.triu(energy + energy.T, 1) + np.diag(np.diag(energy))
+    tied = folded >= (1 - 1e-12) * folded.max(initial=0.0)
+    worst = np.unravel_index(np.argmax(tied), energy.shape) if energy.size else (0, 0)
     return float(np.sqrt(energy.sum())), worst
 
 

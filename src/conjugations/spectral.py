@@ -1,12 +1,15 @@
 """Spectral analysis of unitary matrices: eigenvalue clustering, self-duality,
 the conjugate-pair canonical form, and the atomic multiplicity model.
 
-Diagonalization goes through the complex Schur form.  For a unitary matrix
-the Schur factor is diagonal up to roundoff, so the Schur basis is an exactly
-orthonormal eigenbasis and stays deterministic for identical input, which the
-downstream parameter round trips rely on.  scipy provides the Schur form and
-is imported on the first call only, so importing the package, and commands
-such as membership verification that never diagonalize, do not load it.
+Diagonalization is numpy only.  For z = e^{i phi} off the spectrum, the
+Cayley transform A = i(z + U)(z - U)^-1 of the normal matrix U is Hermitian
+with U's eigenvectors and maps e^{i theta} to cot((phi - theta)/2): one
+monotone map of the circle, so distinct eigenvalues stay distinct.  z is the
+midpoint of the largest circular gap of the angles +-arccos of the
+eigenvalues of (U + U*)/2, a superset of the spectrum's angles, so it sits at
+least 2 sin(pi/4n) from every eigenvalue and the solve is well conditioned.
+Within a cluster the eigh basis columns are ordered by the row of their
+largest entry, so a diagonal input gives the standard basis in index order.
 """
 
 from dataclasses import dataclass
@@ -62,10 +65,19 @@ class MultiplicityModel:
 
 
 def schur(U):
-    """Complex Schur form (T, Q) of U, with U = Q T Q*."""
-    from scipy.linalg import schur as scipy_schur
-
-    return scipy_schur(U, output="complex")
+    """Diagonal Schur form (T, Q) of a unitary U, with U = Q T Q*: Q is the
+    eigenbasis of U's Cayley transform at the largest gap of its spectrum."""
+    n = U.shape[0]
+    if n == 0:
+        return U.copy(), np.eye(0, dtype=complex)
+    half = np.arccos(np.clip(np.linalg.eigvalsh((U + U.conj().T) / 2), -1.0, 1.0))
+    angles = np.sort(np.concatenate([half, -half]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    k = np.argmax(gaps)
+    z = np.exp(1j * (angles[k] + gaps[k] / 2))
+    A = 1j * np.linalg.solve(z * np.eye(n) - U, z * np.eye(n) + U)
+    _, Q = np.linalg.eigh((A + A.conj().T) / 2)
+    return Q.conj().T @ U @ Q, Q
 
 
 def _snap(rep):
@@ -77,34 +89,25 @@ def _snap(rep):
 
 
 def _cluster_indices(vals):
-    """Connected components of eigenvalues under distance <= CLUSTER_TOL.
-
-    Chaining is done along the circle: sort by argument and link angular
-    neighbors, including the wrap-around pair.
-    """
-    n = len(vals)
+    """Connected components of eigenvalues under distance <= CLUSTER_TOL,
+    chained along the circle: sorted by argument, angular neighbours link,
+    and so does the wrap-around pair."""
     order = np.argsort(np.angle(vals), kind="stable")
-    labels = -np.ones(n, dtype=int)
-    current = -1
-    for pos, idx in enumerate(order):
-        if pos == 0 or abs(vals[idx] - vals[order[pos - 1]]) > CLUSTER_TOL:
-            current += 1
-        labels[idx] = current
-    # wrap-around: merge the last angular group into the first if they touch
-    if current > 0 and abs(vals[order[0]] - vals[order[-1]]) <= CLUSTER_TOL:
-        labels[labels == labels[order[-1]]] = labels[order[0]]
-    groups = {}
-    for idx in range(n):
-        groups.setdefault(labels[idx], []).append(idx)
-    return list(groups.values())
+    split = np.abs(np.diff(vals[order])) > CLUSTER_TOL
+    labels = np.empty(len(vals), dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(split)])[: len(vals)]
+    if split.any() and abs(vals[order[0]] - vals[order[-1]]) <= CLUSTER_TOL:
+        labels[labels == labels.max()] = 0
+    return [np.flatnonzero(labels == k) for k in np.unique(labels)]
 
 
 def diagonalize_unitary(U):
     """Cluster the spectrum of a unitary matrix and return basis + clusters.
 
-    Eigenvalues closer than CLUSTER_TOL are merged; the cluster value is the
-    normalized mean direction, snapped to +-1 when within CLUSTER_TOL so the
-    real blocks of the canonical form are exactly real.  Raises
+    Eigenvalues closer than CLUSTER_TOL are merged, their basis columns
+    ordered by the row of each column's largest entry; the cluster value is
+    the normalized mean direction, snapped to +-1 when within CLUSTER_TOL so
+    the real blocks of the canonical form are exactly real.  Raises
     ToleranceError when the clustered spectrum misses U by more than
     membership_threshold(n).
     """
@@ -112,12 +115,13 @@ def diagonalize_unitary(U):
     n = U.shape[0]
     T, Q = schur(U)
     vals = np.diagonal(T).copy()
+    lead = np.argmax(np.abs(Q), axis=0) if n else []  # row of each column's largest entry
 
     entries = []
     for idxs in _cluster_indices(vals):
         rep = np.mean(vals[idxs])
         rep = _snap(rep / abs(rep))
-        entries.append((rep, tuple(idxs)))
+        entries.append((rep, tuple(sorted(idxs, key=lead.__getitem__))))
     entries.sort(key=lambda e: np.angle(e[0]))
 
     cols = [i for _, idxs in entries for i in idxs]
@@ -137,17 +141,26 @@ def diagonalize_unitary(U):
 
 
 def _pair_clusters(clusters):
-    """Index of the conjugate cluster for each cluster, or -1 when missing."""
-    partner = []
-    for lam, _ in clusters:
-        target = np.conj(lam)
-        best, best_d = -1, CLUSTER_TOL
-        for j, (mu, _) in enumerate(clusters):
-            d = abs(mu - target)
-            if d <= best_d:
-                best, best_d = j, d
-        partner.append(best)
-    return partner
+    """Index of the conjugate cluster for each cluster, or -1 when missing.
+
+    The partner is the cluster nearest to the conjugate within CLUSTER_TOL,
+    the later index on a tie.  Clusters lie on the unit circle, so the
+    candidates are the angle-sorted clusters (with copies shifted by +-2 pi)
+    within 2 * CLUSTER_TOL of the conjugate's angle.
+    """
+    lams = np.array([lam for lam, _ in clusters], dtype=complex)
+    targets = np.conj(lams)
+    order = np.argsort(np.angle(lams), kind="stable")
+    ring = np.concatenate([np.angle(lams)[order] + s for s in (-2 * np.pi, 0.0, 2 * np.pi)])
+    lo = np.searchsorted(ring, np.angle(targets) - 2 * CLUSTER_TOL)
+    hi = np.searchsorted(ring, np.angle(targets) + 2 * CLUSTER_TOL, side="right")
+    partner, best = np.full(len(lams), -1), np.full(len(lams), CLUSTER_TOL)
+    for step in range(int(np.max(hi - lo, initial=0))):
+        j = order[np.minimum(lo + step, len(ring) - 1) % len(lams)]
+        d = np.abs(lams[j] - targets)
+        take = (lo + step < hi) & ((d < best) | ((d == best) & (j > partner)))
+        partner[take], best[take] = j[take], d[take]
+    return partner.tolist()
 
 
 def check_selfdual(U):

@@ -2,11 +2,13 @@
 
 Nothing here shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
-unitaries, and the transform pairing rule is evaluated straight from its
-defining inner products.
+unitaries, the transform pairing rule is evaluated straight from its
+defining inner products, and the spectrum is clustered and paired, one
+eigenvalue at a time, from scipy's complex Schur form.
 """
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.optimize import minimize
 
 
@@ -117,13 +119,15 @@ def off_structure_loop(V, pair_sizes, ell, kay):
     Blocks run: for each pair size m a block of m and its conjugate block of
     m, then the +1 block (ell) and the -1 block (kay) when nonzero.  Only
     (pair, its conjugate), (conjugate, its pair) and the real diagonal blocks
-    may be nonzero.  Returns (energy, (a, b)) with (a, b) the block indices of
-    the largest off-structure block, the first in row-major order on ties.
+    may be nonzero.  Returns (energy, (a, b)) with (a, b), a <= b, the block
+    indices of the largest off-structure block pair, weighing blocks (a, b)
+    and (b, a) together, the first in row-major order on ties up to a
+    relative 1e-12.
     """
     sizes = [m for m in pair_sizes for _ in range(2)] + [s for s in (ell, kay) if s]
     bounds = np.cumsum([0] + sizes)
     npair_blocks = 2 * len(pair_sizes)
-    total, worst, where = 0.0, -1.0, None
+    total, blocks = 0.0, {}
     for a in range(len(sizes)):
         for b in range(len(sizes)):
             if a < npair_blocks and b == (a + 1 if a % 2 == 0 else a - 1):
@@ -135,6 +139,82 @@ def off_structure_loop(V, pair_sizes, ell, kay):
                 for j in range(bounds[b], bounds[b + 1]):
                     block += abs(V[i, j]) ** 2
             total += block
-            if block > worst:
-                worst, where = block, (a, b)
+            blocks[a, b] = block
+    folded = {}
+    for a in range(len(sizes)):
+        for b in range(a, len(sizes)):
+            if (a, b) in blocks:
+                folded[a, b] = blocks[a, b] + (blocks[b, a] if a != b else 0.0)
+    worst = max(folded.values(), default=0.0)
+    where = None
+    for (a, b), pair in folded.items():  # row-major order
+        if pair >= (1 - 1e-12) * worst:
+            where = (a, b)
+            break
     return float(np.sqrt(total)), where
+
+
+def pair_clusters_loop(values, tol):
+    """Index of the partner of each value, or -1: the nearest value to its
+    conjugate within distance tol, the later index on a tie."""
+    partner = []
+    for lam in values:
+        target = np.conj(lam)
+        best, best_d = -1, tol
+        for j, mu in enumerate(values):
+            d = abs(mu - target)
+            if d <= best_d:
+                best, best_d = j, d
+        partner.append(best)
+    return partner
+
+
+def cluster_loop(vals, tol):
+    """Index groups of vals: sorted by angle, angular neighbours closer than
+    tol chain into one group, the last group joining the first when they
+    touch across the cut at pi."""
+    order = sorted(range(len(vals)), key=lambda i: np.angle(vals[i]))
+    groups = []
+    for pos, i in enumerate(order):
+        if pos and abs(vals[i] - vals[order[pos - 1]]) <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and abs(vals[order[0]] - vals[order[-1]]) <= tol:
+        groups[0] = groups.pop() + groups[0]
+    return groups
+
+
+def schur_spectrum(U, tol, residual_tol):
+    """Clustered spectrum of a unitary U through scipy's complex Schur form.
+
+    The eigenvalues are the diagonal of the Schur factor, clustered by
+    cluster_loop.  A cluster's value is the normalized mean, snapped to +-1
+    within tol.  Returns ("ToleranceError", None, None) when the clustered
+    spectrum misses U by more than residual_tol in Frobenius norm, else
+    ("ok", clusters, selfdual) with clusters the (value, multiplicity) pairs
+    sorted by angle and selfdual whether every cluster's multiplicity equals
+    that of its partner under pair_clusters_loop.
+    """
+    T, Q = schur(U, output="complex")
+    vals = np.diagonal(T)
+    clusters, cols, diag = [], [], []
+    for group in cluster_loop(vals, tol):
+        rep = sum(vals[i] for i in group) / len(group)
+        rep = rep / abs(rep)
+        for real in (1.0, -1.0):
+            if abs(rep - real) <= tol:
+                rep = complex(real)
+        clusters.append((rep, len(group)))
+        cols.extend(group)
+        diag.extend([rep] * len(group))
+    basis = Q[:, cols]
+    resid = np.linalg.norm(U - basis @ np.diag(diag) @ basis.conj().T)
+    if resid > residual_tol:
+        return "ToleranceError", None, None
+    clusters.sort(key=lambda c: np.angle(c[0]))
+    partner = pair_clusters_loop([lam for lam, _ in clusters], tol)
+    selfdual = all(
+        (clusters[p][1] if p >= 0 else 0) == m for (_, m), p in zip(clusters, partner)
+    )
+    return "ok", clusters, selfdual

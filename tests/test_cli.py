@@ -301,9 +301,16 @@ def test_matrix_parser_rejects_misfits():
     assert matrix_from_dict({"rows": 2, "cols": 0, "data": [[], []]}, "m").shape == (2, 0)
 
 
-def test_verify_never_imports_scipy():
-    # scipy is needed for the Schur form only; importing the CLI and running
-    # verify must not load it
+@pytest.mark.parametrize("argv", [
+    ["check", "u_pair.json"],
+    ["canonical", "u_pair.json"],
+    ["sample", "u_pair.json", "--seed", "3"],
+    ["decompose", "u_pair.json", "c_swap.json"],
+    ["verify", "u_pair.json", "c_swap.json"],
+], ids=lambda argv: argv[0])
+def test_commands_never_import_scipy(argv):
+    # the library is numpy only: importing the CLI and running a command,
+    # diagonalizing or not, must not load scipy
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
@@ -312,10 +319,11 @@ def test_verify_never_imports_scipy():
         "code = conjugations.cli.run(sys.argv[1:])\n"
         "print(loaded, code, 'scipy' in sys.modules, file=sys.stderr)\n"
     )
+    args = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", code, "verify", str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False 0 False"
-    assert json.loads(proc.stdout)["passed"] is True
+    if argv[0] == "verify":
+        assert json.loads(proc.stdout)["passed"] is True

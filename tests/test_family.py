@@ -21,7 +21,7 @@ from conjugations.family import (
     verify_membership,
 )
 from conjugations.linalg import haar_unitary, symmetric_unitary
-from conjugations.spectral import canonical_form
+from conjugations.spectral import BlockLayout, canonical_form
 
 from conftest import planted_selfdual
 from _oracles import brute_force_2x2_members, min_commutation_defect_3x3, off_structure_loop
@@ -167,6 +167,29 @@ def test_decompose_structure_check_matches_loop_oracle(rng):
             with pytest.raises(MembershipError) as err:
                 decompose(U, C)
             assert "rows {}, cols {}".format(*named) in str(err.value)
+
+
+def test_off_structure_symmetric_sweep_matches_loop_oracle(rng):
+    # V is symmetric unitary whenever decompose gets this far, so blocks
+    # (a, b) and (b, a) tie in exact arithmetic, and so do the diagonal
+    # blocks of a lone pair; the named block must not depend on which one
+    # roundoff favours
+    cases = 0
+    while cases < 300:
+        pair_sizes = [int(m) for m in rng.integers(1, 4, size=int(rng.integers(0, 4)))]
+        ell, kay = (int(k) for k in rng.integers(0, 4, size=2))
+        n = 2 * sum(pair_sizes) + ell + kay
+        if not 1 <= n <= 24:
+            continue
+        cases += 1
+        layout = BlockLayout(tuple((1j, m) for m in pair_sizes), ell, kay)
+        V = symmetric_unitary(n, rng)
+        slices, _ = _block_slices(layout)
+        energy, worst = _off_structure(V, slices, len(pair_sizes))
+        want_energy, want_worst = off_structure_loop(V, pair_sizes, ell, kay)
+        assert energy == pytest.approx(want_energy, rel=1e-12, abs=1e-300)
+        if want_worst is not None:
+            assert tuple(int(i) for i in worst) == want_worst
 
 
 def test_decompose_structure_check_tie_names_first_block():

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from conjugations.errors import InputError, NotSelfDualError
-from conjugations.linalg import haar_unitary, unitarity_defect
+from conjugations.errors import InputError, NotSelfDualError, ToleranceError
+from conjugations.linalg import haar_unitary, membership_threshold, unitarity_defect
 from conjugations.measures import radon_nikodym
 from conjugations.spectral import (
+    CLUSTER_TOL,
+    _cluster_indices,
+    _pair_clusters,
     canonical_form,
     check_selfdual,
     diagonalize_unitary,
     layout_matrix,
     multiplicity_model,
+    schur,
 )
 from conjugations.errors import AbsoluteContinuityError
 
 from conftest import planted_selfdual
+from _oracles import cluster_loop, pair_clusters_loop, schur_spectrum
 
 
 def _cluster_multiset(spectrum):
@@ -177,3 +182,134 @@ def test_unpaired_multiplicity_component():
     assert len(model.components) == 1
     with pytest.raises(AbsoluteContinuityError):
         radon_nikodym(model.components[0][0])
+
+
+def _rotated(angles, seed):
+    """exp(i angles) on the diagonal, in a Haar basis."""
+    W = haar_unitary(len(angles), np.random.default_rng(seed))
+    return (W * np.exp(1j * np.asarray(angles, dtype=float))) @ W.conj().T
+
+
+def _noisy_multiplicity(m, eps, seed):
+    rng = np.random.default_rng(seed)
+    centres = np.repeat([0.7, -0.7, 2.1, -2.1], m)
+    return _rotated(np.concatenate([centres + rng.uniform(-eps, eps, centres.size), [0.0, np.pi]]), seed)
+
+
+def _planted_512(degenerate, seed):
+    rng = np.random.default_rng(seed)
+    if degenerate:
+        angles = np.repeat([0.3, -0.3, 2.0, -2.0, 0.0, np.pi], [100, 100, 50, 50, 100, 112])
+    else:
+        half = rng.uniform(0.01, np.pi - 0.01, 256)
+        angles = np.concatenate([half, -half])
+    return _rotated(angles, seed)
+
+
+def _pair_at(theta, seed):
+    return _rotated([theta, -theta, 1.0, -1.0, 0.0, np.pi], seed)
+
+
+# the three cluster-boundary probes: an exactly self-dual pair 1e-7 apart, two
+# exactly self-dual pairs 9e-8 apart, and a pair 5e-8 off self-dual
+BOUNDARY_PROBES = [
+    ("probe-split-one", np.diag(np.exp([5e-8j, -5e-8j])), "ToleranceError"),
+    ("probe-split-two", np.diag(np.exp(1j * np.array([0.5, -0.5, 0.5 + 9e-8, -0.5 - 9e-8]))),
+     "ToleranceError"),
+    ("probe-off-pair", np.diag(np.exp([0.5j, -(0.5 + 5e-8) * 1j])), "ok"),
+]
+
+AGREEMENT_CASES = (
+    [(f"haar-{n}", lambda n=n: haar_unitary(n, np.random.default_rng(n))) for n in (1, 2, 3, 8, 64, 256)]
+    + [("planted-generic-512", lambda: _planted_512(False, 5)),
+       ("planted-degenerate-512", lambda: _planted_512(True, 6))]
+    + [(f"mult{m}-noise{eps:g}", lambda m=m, eps=eps: _noisy_multiplicity(m, eps, 7))
+       for m in (2, 3) for eps in (1e-9, 1e-8, 3e-8)]
+    + [(f"pair-{t:.6g}", lambda t=t: _pair_at(t, 8)) for t in (1e-4, 1e-6, np.pi - 1e-5)]
+    + [("identity", lambda: np.eye(5, dtype=complex)), ("minus-identity", lambda: -np.eye(5, dtype=complex))]
+    + [(name, lambda U=U: U) for name, U, _ in BOUNDARY_PROBES]
+    + [(name + "-rotated", lambda U=U: _rotated(np.angle(np.diag(U)), 9)) for name, U, _ in BOUNDARY_PROBES]
+)
+
+
+def _library_spectrum(U):
+    try:
+        clusters = diagonalize_unitary(U).clusters
+    except ToleranceError:
+        return "ToleranceError", None, None
+    return "ok", clusters, check_selfdual(U)[0]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in AGREEMENT_CASES], ids=[c[0] for c in AGREEMENT_CASES])
+def test_diagonalization_agrees_with_schur_oracle(make):
+    U = make()
+    n = U.shape[0]
+    T, Q = schur(U)
+    assert np.linalg.norm(U - Q @ T @ Q.conj().T) <= 1e-12 * n
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12 * n
+    outcome, clusters, selfdual = _library_spectrum(U)
+    want_outcome, want_clusters, want_selfdual = schur_spectrum(U, CLUSTER_TOL, membership_threshold(n))
+    assert outcome == want_outcome
+    if outcome == "ok":
+        assert [m for _, m in clusters] == [m for _, m in want_clusters]
+        assert np.allclose([lam for lam, _ in clusters], [lam for lam, _ in want_clusters], atol=1e-9)
+        assert selfdual == want_selfdual
+
+
+@pytest.mark.parametrize("U,outcome", [p[1:] for p in BOUNDARY_PROBES], ids=[p[0] for p in BOUNDARY_PROBES])
+def test_boundary_probes_keep_their_outcome(U, outcome):
+    # probes that sit at CLUSTER_TOL: refused with exit 4, or called
+    # self-dual although the conjugate misses by 5e-8
+    got, _, selfdual = _library_spectrum(U)
+    assert got == outcome
+    if got == "ok":
+        assert selfdual
+
+
+def _pairing_sets(rng):
+    """Unit-circle cluster values: random sets, their conjugates moved by up
+    to 2 CLUSTER_TOL, exact duplicates, +-1 and points across the cut at pi."""
+    base = np.exp(1j * rng.uniform(-np.pi, np.pi, int(rng.integers(0, 30))))
+    moved = np.conj(base) * np.exp(1j * rng.uniform(-2, 2, base.size) * CLUSTER_TOL)
+    near_real = np.exp(1j * (rng.choice([0.0, np.pi], 4) + rng.uniform(-2, 2, 4) * CLUSTER_TOL))
+    values = np.concatenate([base, moved[rng.random(base.size) < 0.7], near_real[: rng.integers(0, 5)]])
+    values = np.concatenate([values, rng.choice(values, int(rng.integers(0, 3)))]) if values.size else values
+    return rng.permutation(values)
+
+
+def test_pair_clusters_matches_loop_oracle(rng):
+    for _ in range(300):
+        values = _pairing_sets(rng)
+        got = _pair_clusters(tuple((lam, 1) for lam in values))
+        assert got == pair_clusters_loop(values, CLUSTER_TOL)
+
+
+def test_pair_clusters_near_ties():
+    # equal distances go to the later index, a distance just over the
+    # radius finds no partner, and the cut at pi pairs across
+    t = np.exp(-0.4j)
+    step = np.exp(0.5j * CLUSTER_TOL)
+    sets = [
+        [np.conj(t), t * step, t / step],
+        [np.conj(t), t, t, t],
+        [np.conj(t), t * np.exp(1.0000001j * CLUSTER_TOL)],
+        [np.exp(1j * (np.pi - 4e-8)), np.exp(-1j * (np.pi - 4e-8)), -1.0 + 0j],
+        [np.exp(1j * (np.pi - 4e-8)), np.exp(1j * (np.pi - 6e-8))],
+        [1.0 + 0j, 1.0 + 0j, np.exp(3e-8j)],
+    ]
+    for values in sets:
+        values = np.array(values, dtype=complex)
+        assert _pair_clusters(tuple((lam, 1) for lam in values)) == pair_clusters_loop(values, CLUSTER_TOL)
+    assert _pair_clusters(((np.conj(t), 1), (t, 1), (t, 2))) == [2, 0, 0]
+    assert _pair_clusters(((np.conj(t), 1), (t * np.exp(1.0000001j * CLUSTER_TOL), 1))) == [-1, -1]
+
+
+def test_cluster_indices_matches_loop_oracle(rng):
+    # chains of gaps either side of CLUSTER_TOL, some of them across the cut at pi
+    for _ in range(300):
+        k = int(rng.integers(0, 12))
+        steps = rng.choice([0.3, 0.9, 1.1, 5.0], size=k) * CLUSTER_TOL
+        start = rng.choice([np.pi - 3 * CLUSTER_TOL, rng.uniform(-np.pi, np.pi)])
+        vals = rng.permutation(np.exp(1j * (start + np.cumsum(steps))))
+        got = {tuple(int(i) for i in g) for g in _cluster_indices(vals)}
+        assert got == {tuple(sorted(g)) for g in cluster_loop(vals, CLUSTER_TOL)}
