@@ -32,11 +32,7 @@ from conjugations.transforms import (
     real_symmetric_orthogonal,
 )
 
-import sys
-import pathlib
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from conftest import planted_selfdual, random_paired_measure  # noqa: E402
+from random_inputs import planted_selfdual, random_paired_measure
 
 
 def survey_matrices(rng, rounds, max_dim):

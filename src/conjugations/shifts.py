@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import ABS_TOL, complex_from_pairs, unitarity_defect
+from .linalg import ABS_TOL, complex_from_pairs
 
 SYMBOL_TOL = 1e-12
 
@@ -279,21 +279,42 @@ class ModelConjugation:
         return out[0] if squeeze else out
 
     def matrix(self):
+        """The dense action apply(eye).T, cached with its fiber blocks.
+
+        A maps the fiber {p, p + M/2} of xi -> xi^2 to the fiber of rev p, so
+        A = B + E with 2x2 blocks B_p = A[fiber(rev p), fiber(p)].  Each defect
+        is read from B in O(M) and raised by |E|(2 max|B_p| + |E|), a bound on
+        the dense defect of A; E = 0 when apply is exact.
+        """
         if self._matrix is None:
-            self._matrix = self.apply(np.eye(self.order, dtype=complex)).T
+            A = self.apply(np.eye(self.order, dtype=complex)).T
+            fiber = np.arange(self.order).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
+            at = (fiber[self._rev_half][:, :, None], fiber[:, None, :])
+            off = A.copy()
+            off[at] = 0.0
+            eps, self._blocks = float(np.linalg.norm(off)), A[at]
+            self._slack = eps * (2 * np.linalg.norm(self._blocks, 2, axis=(1, 2)).max() + eps)
+            self._matrix = A
         return self._matrix
 
+    def _defect(self, residual):
+        return float(np.linalg.norm(residual) + self._slack)
+
     def isometry_defect(self):
-        return unitarity_defect(self.matrix())
+        self.matrix()
+        B = self._blocks
+        return self._defect(np.conj(B.transpose(0, 2, 1)) @ B - np.eye(2))
 
     def involution_defect(self):
-        A = self.matrix()
-        return float(np.linalg.norm(A @ np.conj(A) - np.eye(self.order)))
+        self.matrix()
+        B = self._blocks
+        return self._defect(B[self._rev_half] @ np.conj(B) - np.eye(2))
 
     def commutation_defect(self):
-        A = self.matrix()
-        d = grid_points(self.order) ** 2
-        return float(np.linalg.norm((A * np.conj(d)[None, :]) @ np.conj(A) - np.diag(d)))
+        self.matrix()
+        B, rev = self._blocks, self._rev_half
+        w = grid_points(self.order // 2)[:, None, None]  # xi^2 on each fiber
+        return self._defect((B[rev] * np.conj(w[rev])) @ np.conj(B) - w * np.eye(2))
 
 
 def squared_shift_conjugation(params, order):

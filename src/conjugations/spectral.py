@@ -107,7 +107,8 @@ def diagonalize_unitary(U):
     Eigenvalues closer than CLUSTER_TOL are merged, their basis columns
     ordered by the row of each column's largest entry; the cluster value is
     the normalized mean direction, snapped to +-1 when within CLUSTER_TOL so
-    the real blocks of the canonical form are exactly real.  Raises
+    the real blocks of the canonical form are exactly real; clusters that
+    snap to the same +-1 merge into one.  Raises
     ToleranceError when the clustered spectrum misses U by more than
     membership_threshold(n).
     """
@@ -117,11 +118,11 @@ def diagonalize_unitary(U):
     vals = np.diagonal(T).copy()
     lead = np.argmax(np.abs(Q), axis=0) if n else []  # row of each column's largest entry
 
-    entries = []
+    groups = {}
     for idxs in _cluster_indices(vals):
         rep = np.mean(vals[idxs])
-        rep = _snap(rep / abs(rep))
-        entries.append((rep, tuple(sorted(idxs, key=lead.__getitem__))))
+        groups.setdefault(_snap(rep / abs(rep)), []).extend(idxs)
+    entries = [(rep, tuple(sorted(idxs, key=lead.__getitem__))) for rep, idxs in groups.items()]
     entries.sort(key=lambda e: np.angle(e[0]))
 
     cols = [i for _, idxs in entries for i in idxs]

@@ -3,8 +3,9 @@
 Nothing here shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
-defining inner products, and the spectrum is clustered and paired, one
-eigenvalue at a time, from scipy's complex Schur form.
+defining inner products, the spectrum is clustered and paired, one
+eigenvalue at a time, from scipy's complex Schur form, and the squared-shift
+defects are the dense matrix products they are defined by.
 """
 
 import numpy as np
@@ -190,9 +191,9 @@ def schur_spectrum(U, tol, residual_tol):
 
     The eigenvalues are the diagonal of the Schur factor, clustered by
     cluster_loop.  A cluster's value is the normalized mean, snapped to +-1
-    within tol.  Returns ("ToleranceError", None, None) when the clustered
-    spectrum misses U by more than residual_tol in Frobenius norm, else
-    ("ok", clusters, selfdual) with clusters the (value, multiplicity) pairs
+    within tol, and clusters snapped to the same +-1 merge.  Returns
+    ("ToleranceError", None, None) when the clustered spectrum misses U by
+    more than residual_tol in Frobenius norm, else ("ok", clusters, selfdual) with clusters the (value, multiplicity) pairs
     sorted by angle and selfdual whether every cluster's multiplicity equals
     that of its partner under pair_clusters_loop.
     """
@@ -208,6 +209,10 @@ def schur_spectrum(U, tol, residual_tol):
         clusters.append((rep, len(group)))
         cols.extend(group)
         diag.extend([rep] * len(group))
+    for real in (1.0, -1.0):  # clusters that snap to the same +-1 are one cluster
+        snapped = [m for lam, m in clusters if lam == real]
+        if len(snapped) > 1:
+            clusters = [c for c in clusters if c[0] != real] + [(complex(real), sum(snapped))]
     basis = Q[:, cols]
     resid = np.linalg.norm(U - basis @ np.diag(diag) @ basis.conj().T)
     if resid > residual_tol:
@@ -218,3 +223,18 @@ def schur_spectrum(U, tol, residual_tol):
         (clusters[p][1] if p >= 0 else 0) == m for (_, m), p in zip(clusters, partner)
     )
     return "ok", clusters, selfdual
+
+
+def shift_defects_dense(A, M):
+    """Isometry, involution and commutation defects of the order-M grid
+    conjugation with matrix A, straight from their M x M products:
+    ||A*A - I||, ||A conj(A) - I|| and ||A conj(D) conj(A) - D|| with D the
+    multiplication by xi^2, xi = e^{2 pi i j / M}."""
+    A = np.asarray(A, dtype=complex)
+    eye = np.eye(M)
+    d = np.exp(2j * np.pi * np.arange(M) / M) ** 2
+    return (
+        float(np.linalg.norm(A.conj().T @ A - eye)),
+        float(np.linalg.norm(A @ np.conj(A) - eye)),
+        float(np.linalg.norm((A * np.conj(d)[None, :]) @ np.conj(A) - np.diag(d))),
+    )

@@ -58,7 +58,7 @@ from conjugations.transforms import (
     real_symmetric_orthogonal,
 )
 
-from conftest import planted_selfdual, random_paired_measure
+from random_inputs import planted_selfdual, random_paired_measure
 from _oracles import brute_force_2x2_members, pairing_rule_entrywise
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"

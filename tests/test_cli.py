@@ -203,6 +203,16 @@ def test_empty_matrix_is_the_trivial_case(tmp_path, command):
         assert payload.get("conjugation", EMPTY) == EMPTY
 
 
+@pytest.mark.parametrize("command", ["check", "canonical", "sample"])
+def test_clusters_snapped_to_one_get_a_verdict(tmp_path, command):
+    # two clusters 1.8e-7 apart that both snap to 1 used to leave W 14 x 13
+    path = tmp_path / "u.json"
+    save_json(path, matrix_to_dict(np.diag(np.exp(1j * np.array([9e-8, -9e-8] + [0.5, -0.5] * 6)))))
+    argv = [command, str(path)] + (["--seed", "1"] if command == "sample" else [])
+    code, out, _ = run_captured(argv)
+    assert code in (EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE), out
+
+
 @pytest.mark.parametrize("command,size,code,message", [
     ("fourier-demo", 0, EXIT_INPUT, "four-block model size must be a positive multiple of 4"),
     ("fourier-demo", -4, EXIT_INPUT, "four-block model size must be a positive multiple of 4"),

@@ -23,7 +23,7 @@ from conjugations.family import (
 from conjugations.linalg import haar_unitary, symmetric_unitary
 from conjugations.spectral import BlockLayout, canonical_form
 
-from conftest import planted_selfdual
+from random_inputs import planted_selfdual
 from _oracles import brute_force_2x2_members, min_commutation_defect_3x3, off_structure_loop
 
 

@@ -29,7 +29,7 @@ from conjugations.measures import (
 )
 from conjugations.spectral import multiplicity_model
 
-from conftest import random_paired_measure
+from random_inputs import random_paired_measure
 
 
 def delta(theta, weight=1.0):

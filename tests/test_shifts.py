@@ -19,6 +19,8 @@ from conjugations.shifts import (
     synthesize,
 )
 
+from _oracles import shift_defects_dense
+
 
 def random_grid(rng, M):
     return GridModel(M, rng.normal(size=M) + 1j * rng.normal(size=M))
@@ -150,6 +152,48 @@ def test_squared_shift_presets(M):
         assert C.isometry_defect() <= 1e-11
         assert C.involution_defect() <= 1e-11
         assert C.commutation_defect() <= 1e-11
+
+
+def _defects(C):
+    return np.array([C.isometry_defect(), C.involution_defect(), C.commutation_defect()])
+
+
+@pytest.mark.parametrize("M", [8, 16, 64, 256])
+def test_squared_shift_defects_match_dense_oracle(rng, M):
+    tau = grid_arguments(M // 2)
+    zeros = np.zeros(M // 2)
+    for params in (
+        SymbolParams(np.sin(np.abs(tau)), zeros, zeros, zeros),
+        SymbolParams(np.full(M // 2, 0.5), np.abs(tau), zeros, zeros),
+        random_params(rng, M // 2),
+        random_params(rng, M // 2),
+    ):
+        C = squared_shift_conjugation(params, M)
+        dense = shift_defects_dense(C.matrix(), M)
+        assert np.max(np.abs(_defects(C) - dense)) <= 1e-13
+        # the dense action of a built model lives on the 2x2 fiber blocks alone
+        off = C.matrix().copy()
+        rows = conjugate_indices(M // 2)
+        for p in range(M // 2):
+            off[np.ix_([rows[p], rows[p] + M // 2], [p, p + M // 2])] = 0.0
+        assert not off.any() and C._slack == 0.0
+
+
+class LeakyConjugation(ModelConjugation):
+    """A model whose apply also sends 1e-6 of each grid value to the next grid
+    point, which is off its fiber's image whenever M/2 is even."""
+
+    def apply(self, values):
+        values = np.asarray(values, dtype=complex)
+        return super().apply(values) + 1e-6 * np.roll(np.conj(values), 1, axis=-1)
+
+
+@pytest.mark.parametrize("M", [8, 64])
+def test_off_fiber_leak_raises_every_defect(rng, M):
+    C = LeakyConjugation(symbol_field(random_params(rng, M // 2)), M)
+    exact = shift_defects_dense(C.matrix(), M)
+    got = _defects(C)
+    assert np.all(got >= np.array(exact) * (1 - 1e-12)) and np.all(got > 1e-7), (got, exact)
 
 
 def test_squared_shift_random_params(rng):

@@ -17,7 +17,7 @@ from conjugations.spectral import (
 )
 from conjugations.errors import AbsoluteContinuityError
 
-from conftest import planted_selfdual
+from random_inputs import planted_selfdual
 from _oracles import cluster_loop, pair_clusters_loop, schur_spectrum
 
 
@@ -219,6 +219,13 @@ BOUNDARY_PROBES = [
     ("probe-off-pair", np.diag(np.exp([0.5j, -(0.5 + 5e-8) * 1j])), "ok"),
 ]
 
+# two clusters near 1, 1.8e-7 apart, that both snap to exactly 1: at n = 14
+# they are a conjugate pair, at n = 17 their multiplicities are 1 and 2
+SNAPPED_TWICE = {
+    14: np.diag(np.exp(1j * np.array([9e-8, -9e-8] + [0.5, -0.5] * 6))),
+    17: np.diag(np.exp(1j * np.array([9e-8, -9e-8, -9e-8] + [0.5, -0.5] * 7))),
+}
+
 AGREEMENT_CASES = (
     [(f"haar-{n}", lambda n=n: haar_unitary(n, np.random.default_rng(n))) for n in (1, 2, 3, 8, 64, 256)]
     + [("planted-generic-512", lambda: _planted_512(False, 5)),
@@ -229,6 +236,7 @@ AGREEMENT_CASES = (
     + [("identity", lambda: np.eye(5, dtype=complex)), ("minus-identity", lambda: -np.eye(5, dtype=complex))]
     + [(name, lambda U=U: U) for name, U, _ in BOUNDARY_PROBES]
     + [(name + "-rotated", lambda U=U: _rotated(np.angle(np.diag(U)), 9)) for name, U, _ in BOUNDARY_PROBES]
+    + [(f"snapped-twice-{n}", lambda U=U: U) for n, U in SNAPPED_TWICE.items()]
 )
 
 
@@ -264,6 +272,15 @@ def test_boundary_probes_keep_their_outcome(U, outcome):
     assert got == outcome
     if got == "ok":
         assert selfdual
+
+
+def test_clusters_snapped_to_one_merge():
+    # both clusters near 1 become the one +1 block, so W stays square
+    W, layout = canonical_form(SNAPPED_TWICE[14])
+    assert W.shape == (14, 14) and layout.ell == 2 and layout.kay == 0
+    assert diagonalize_unitary(SNAPPED_TWICE[17]).clusters[1] == (1.0 + 0.0j, 3)
+    ok, mismatches = check_selfdual(SNAPPED_TWICE[17])
+    assert ok and not any(lam == 1.0 for lam, _, _ in mismatches)
 
 
 def _pairing_sets(rng):
