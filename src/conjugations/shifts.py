@@ -283,8 +283,9 @@ class ModelConjugation:
 
         A maps the fiber {p, p + M/2} of xi -> xi^2 to the fiber of rev p, so
         A = B + E with 2x2 blocks B_p = A[fiber(rev p), fiber(p)].  Each defect
-        is read from B in O(M) and raised by |E|(2 max|B_p| + |E|), a bound on
-        the dense defect of A; E = 0 when apply is exact.
+        is read from B in O(M) and raised by e(2b + e), with e = |E|_F taken on
+        a masked copy and b = max_p |B_p|_2, which bounds the dense defect of A
+        from above.  E is exactly zero for every model built from a symbol.
         """
         if self._matrix is None:
             A = self.apply(np.eye(self.order, dtype=complex)).T
