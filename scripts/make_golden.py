@@ -55,6 +55,7 @@ CASES = [
     ("verify_pass", ["verify", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
     ("verify_fail", ["verify", "{IN}/u_pair.json", "{IN}/c_plain.json"], 4),
     ("decompose_swap", ["decompose", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
+    ("decompose_mismatch", ["decompose", "{IN}/u_mixed.json", "{IN}/c_swap.json"], 2),
     ("fourunit_small", ["fourunit", "{IN}/a_small.json"], 0),
     ("measure_reflect", ["measure", "reflect", "{IN}/mu.json"], 0),
     ("measure_rn", ["measure", "rn", "{IN}/mu.json"], 0),

@@ -175,8 +175,9 @@ def four_unitary_split(A):
     eye = np.eye(n)
     if norm == 0.0:
         return 0.0, (eye.copy(), eye.copy(), eye.copy(), -eye)
-    H = ((A + A.conj().T) / (2 * norm) + ((A + A.conj().T) / (2 * norm)).conj().T) / 2
-    K = ((A - A.conj().T) / (2j * norm) + ((A - A.conj().T) / (2j * norm)).conj().T) / 2
+    # Hermitian in value: entry (j, i) is computed as the conjugate of (i, j)
+    H = (A + A.conj().T) / (2 * norm)
+    K = (A - A.conj().T) / (2j * norm)
     U1, U2 = _unitary_pair(H, rotate=True)
     U3, U4 = _unitary_pair(K, rotate=False)
     return norm / 2, (U1, U2, U3, U4)

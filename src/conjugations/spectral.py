@@ -10,6 +10,10 @@ eigenvalues of (U + U*)/2, a superset of the spectrum's angles, so it sits at
 least 2 sin(pi/4n) from every eigenvalue and the solve is well conditioned.
 Within a cluster the eigh basis columns are ordered by the row of their
 largest entry, so a diagonal input gives the standard basis in index order.
+
+T = Q*UQ is read in full.  Q is unitary, so the residual of a diagonal
+target in a permutation of Q's columns is the hypotenuse of T's off-diagonal
+norm and an O(n) distance on its diagonal: no residual forms an n x n product.
 """
 
 from dataclasses import dataclass
@@ -29,10 +33,13 @@ class UnitarySpectrum:
 
     clusters is a tuple of (eigenvalue, multiplicity) sorted by argument in
     (-pi, pi]; the columns of basis are grouped in the same order.
+    eigenvalues is T's diagonal in basis column order, off_diagonal ||T - diag T||_F.
     """
 
     clusters: tuple
     basis: np.ndarray
+    eigenvalues: np.ndarray
+    off_diagonal: float
 
     @property
     def dim(self):
@@ -41,6 +48,11 @@ class UnitarySpectrum:
     def eigenvalue_diagonal(self):
         lams = np.array([lam for lam, _ in self.clusters], dtype=complex)
         return np.repeat(lams, [m for _, m in self.clusters])
+
+    def residual(self, cols, target):
+        """||W*UW - diag(target)||_F for W = basis[:, cols], cols a
+        permutation of the columns, read from T instead of multiplied out."""
+        return float(np.hypot(self.off_diagonal, np.linalg.norm(self.eigenvalues[cols] - target)))
 
 
 @dataclass(frozen=True)
@@ -65,8 +77,9 @@ class MultiplicityModel:
 
 
 def schur(U):
-    """Diagonal Schur form (T, Q) of a unitary U, with U = Q T Q*: Q is the
-    eigenbasis of U's Cayley transform at the largest gap of its spectrum."""
+    """Schur form (T, Q) of a unitary U, with U = Q T Q*: Q is the
+    eigenbasis of U's Cayley transform at the largest gap of its spectrum,
+    and T = Q*UQ, diagonal up to its off-diagonal norm, is read in full."""
     n = U.shape[0]
     if n == 0:
         return U.copy(), np.eye(0, dtype=complex)
@@ -116,6 +129,7 @@ def diagonalize_unitary(U):
     n = U.shape[0]
     T, Q = schur(U)
     vals = np.diagonal(T).copy()
+    np.fill_diagonal(T, 0.0)  # T is ours: what is left is its off-diagonal part
     lead = np.argmax(np.abs(Q), axis=0) if n else []  # row of each column's largest entry
 
     groups = {}
@@ -126,12 +140,13 @@ def diagonalize_unitary(U):
     entries.sort(key=lambda e: np.angle(e[0]))
 
     cols = [i for _, idxs in entries for i in idxs]
-    basis = Q[:, cols]
-    clusters = tuple((rep, len(idxs)) for rep, idxs in entries)
-    spectrum = UnitarySpectrum(clusters=clusters, basis=basis)
-
-    D = spectrum.eigenvalue_diagonal()
-    resid = float(np.linalg.norm(U - (basis * D) @ basis.conj().T))
+    spectrum = UnitarySpectrum(
+        clusters=tuple((rep, len(idxs)) for rep, idxs in entries),
+        basis=Q[:, cols],
+        eigenvalues=vals[cols],
+        off_diagonal=float(np.linalg.norm(T)),
+    )
+    resid = spectrum.residual(slice(None), spectrum.eigenvalue_diagonal())
     thr = membership_threshold(n)
     if resid > thr:
         raise ToleranceError(
@@ -202,51 +217,40 @@ def canonical_form(U):
         )
 
     offsets = np.cumsum([0] + [m for _, m in spectrum.clusters])
-
-    def block(i):
-        return spectrum.basis[:, offsets[i] : offsets[i + 1]]
-
-    pairs, columns = [], []
-    plus_cols = minus_cols = None
+    block = [list(range(a, b)) for a, b in zip(offsets, offsets[1:])]  # basis columns
+    pairs, cols = [], []
+    plus_cols = minus_cols = []
     for i, (lam, mult) in enumerate(spectrum.clusters):
         if lam == 1.0:
-            plus_cols = block(i)
+            plus_cols = block[i]
         elif lam == -1.0:
-            minus_cols = block(i)
+            minus_cols = block[i]
         elif lam.imag > 0:
             pairs.append(((lam, mult), i))
     pairs.sort(key=lambda e: np.angle(e[0][0]))
-    for (lam, mult), i in pairs:
-        columns.append(block(i))
-        columns.append(block(partner[i]))
-    if plus_cols is not None:
-        columns.append(plus_cols)
-    if minus_cols is not None:
-        columns.append(minus_cols)
+    for _, i in pairs:
+        cols += block[i] + block[partner[i]]
+    cols += plus_cols + minus_cols
 
-    W = np.hstack(columns) if columns else np.zeros((n, 0), dtype=complex)
-    layout = BlockLayout(
-        pairs=tuple(e[0] for e in pairs),
-        ell=0 if plus_cols is None else plus_cols.shape[1],
-        kay=0 if minus_cols is None else minus_cols.shape[1],
-    )
+    W = spectrum.basis[:, cols]
+    layout = BlockLayout(tuple(e[0] for e in pairs), len(plus_cols), len(minus_cols))
 
-    resid = float(np.linalg.norm(W.conj().T @ U @ W - layout_matrix(layout)))
+    resid = spectrum.residual(cols, layout_diagonal(layout))
     thr = membership_threshold(n)
     if resid > thr:
         raise ToleranceError(f"canonical form residual {resid:.3e} exceeds {thr:.1e}")
     return W, layout
 
 
-def layout_matrix(layout):
-    """The block diagonal matrix described by a BlockLayout."""
+def layout_diagonal(layout):
+    """The diagonal of the block diagonal matrix a BlockLayout describes."""
     diag = []
     for xi, m in layout.pairs:
         diag.extend([xi] * m)
         diag.extend([np.conj(xi)] * m)
     diag.extend([1.0] * layout.ell)
     diag.extend([-1.0] * layout.kay)
-    return np.diag(np.array(diag, dtype=complex))
+    return np.array(diag, dtype=complex)
 
 
 def multiplicity_model(U):

@@ -5,7 +5,8 @@ searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
 eigenvalue at a time, from scipy's complex Schur form, and the squared-shift
-defects are the dense matrix products they are defined by.
+defects and spectral residuals are the dense matrix products they are
+defined by.
 """
 
 import numpy as np
@@ -238,3 +239,66 @@ def shift_defects_dense(A, M):
         float(np.linalg.norm(A @ np.conj(A) - eye)),
         float(np.linalg.norm((A * np.conj(d)[None, :]) @ np.conj(A) - np.diag(d))),
     )
+
+
+def reconstruction_residual_dense(U, basis, diag):
+    """||U - B diag(d) B*||_F for basis B and eigenvalue diagonal d."""
+    B = np.asarray(basis, dtype=complex)
+    return float(np.linalg.norm(U - B @ np.diag(diag) @ B.conj().T))
+
+
+def canonical_residual_dense(U, W, diag):
+    """||W* U W - diag(d)||_F for basis W and target diagonal d."""
+    W = np.asarray(W, dtype=complex)
+    return float(np.linalg.norm(W.conj().T @ U @ W - np.diag(diag)))
+
+
+def decompose_loop(U, C):
+    """decompose with every block checked on its own.
+
+    U is checked for unitarity before canonical_form checks it again; after
+    the whole-matrix off-structure and symmetric-unitary checks, each pair's
+    lower block is checked to be the transpose of its upper block, each
+    upper block and each real block to be unitary.  Returns (v_blocks,
+    q_plus, q_minus) or raises InputError or MembershipError where those
+    checks fail.  Only canonical_form, the basis the parameters are read
+    in, comes from the library.
+    """
+    from conjugations.errors import InputError, MembershipError
+    from conjugations.spectral import canonical_form
+
+    def defect(M):
+        return np.linalg.norm(M.conj().T @ M - np.eye(len(M)))
+
+    U = np.asarray(U, dtype=complex)
+    A = np.asarray(C.matrix, dtype=complex)
+    n = len(U)
+    if defect(U) > 1e-10 + 1e-8 * np.sqrt(n):
+        raise InputError("U is not unitary")
+    if len(A) != n:
+        raise InputError("operator dimensions do not match")
+    if defect(A) > 1e-10 + 1e-8 * np.sqrt(n) or np.linalg.norm(A - A.T) > 1e-10 + 1e-8 * np.sqrt(n):
+        raise InputError("C is not a conjugation")
+    thr = 1e-8 * max(n, 1)
+    W, layout = canonical_form(U)
+    V = W.conj().T @ A @ np.conj(W)
+    sizes = [m for _, m in layout.pairs]
+    if off_structure_loop(V, sizes, layout.ell, layout.kay)[0] > thr:
+        raise MembershipError("C does not commute with U")
+    if defect(V) > thr or np.linalg.norm(V - V.T) > thr:
+        raise MembershipError("transported matrix is not symmetric unitary")
+    v_blocks, pos = [], 0
+    for m in sizes:
+        block = V[pos : pos + m, pos + m : pos + 2 * m]
+        if np.linalg.norm(V[pos + m : pos + 2 * m, pos : pos + m] - block.T) > thr:
+            raise MembershipError("lower block is not the transpose of the upper")
+        if defect(block) > thr:
+            raise MembershipError("pair block is not unitary")
+        v_blocks.append(block.copy())
+        pos += 2 * m
+    q_plus = V[pos : pos + layout.ell, pos : pos + layout.ell].copy()
+    q_minus = V[pos + layout.ell :, pos + layout.ell :].copy()
+    for q in (q_plus, q_minus):
+        if len(q) and defect(q) > thr + 1e-8 * np.sqrt(len(q)):
+            raise InputError("real block is not unitary")
+    return v_blocks, q_plus, q_minus

@@ -155,6 +155,14 @@ def test_decompose_refuses_outsider():
     assert "does not commute" in json.loads(out)["error"]["message"]
 
 
+def test_decompose_dimension_mismatch_is_input_error():
+    code, out, _ = run_captured(
+        ["decompose", str(INPUTS / "u_mixed.json"), str(INPUTS / "c_swap.json")]
+    )
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": 2, "message": "operator dimensions do not match"}}
+
+
 def test_measure_refusal_exit_code():
     code, out, _ = run_captured(["measure", "rn", str(INPUTS / "mu_unpaired.json")])
     assert code == EXIT_REFUSED

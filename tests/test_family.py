@@ -24,7 +24,12 @@ from conjugations.linalg import haar_unitary, symmetric_unitary
 from conjugations.spectral import BlockLayout, canonical_form
 
 from random_inputs import planted_selfdual
-from _oracles import brute_force_2x2_members, min_commutation_defect_3x3, off_structure_loop
+from _oracles import (
+    brute_force_2x2_members,
+    decompose_loop,
+    min_commutation_defect_3x3,
+    off_structure_loop,
+)
 
 
 def test_canonical_real_spectrum():
@@ -129,6 +134,66 @@ def test_decompose_rejects_anticommuting():
 def test_decompose_rejects_non_conjugation():
     with pytest.raises(InputError):
         decompose(np.diag([1j, -1j]), AntilinearOperator([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_decompose_rejects_dimension_mismatch():
+    U = np.diag([np.exp(0.5j), np.exp(-0.5j), 1.0, -1.0])
+    with pytest.raises(InputError, match="^operator dimensions do not match$"):
+        decompose(U, AntilinearOperator([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _noisy_members(rng, eps):
+    """Members of planted families with n <= 24, moved by noise of norm eps:
+    transported by exp(i eps H), which leaves a conjugation off the block
+    structure; asymmetric noise anywhere; and, in the canonical basis, noise
+    on one pair's lower block alone, or on the real blocks alone when there
+    is no pair: where the per-block checks look."""
+    for k in range(24):
+        U, *_ = planted_selfdual(rng, max_dim=24)
+        n = U.shape[0]
+        W, layout = canonical_form(U)
+        C = sample(U, k)
+        N = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        N *= eps / np.linalg.norm(N)
+        w, Q = np.linalg.eigh(N + N.conj().T)
+        yield U, transport(C, (Q * np.exp(1j * w)) @ Q.conj().T)
+        yield U, AntilinearOperator(C.matrix + N)
+        V = W.conj().T @ C.matrix @ np.conj(W)
+        if layout.pairs:
+            m = layout.pairs[0][1]
+            V[m : 2 * m, :m] += N[:m, :m] * eps / np.linalg.norm(N[:m, :m])
+        else:
+            V *= 1 + eps
+        yield U, AntilinearOperator(W @ V @ W.T)
+
+
+def _outcome(call, U, C):
+    try:
+        return call(U, C)
+    except (InputError, MembershipError) as e:
+        return type(e)
+
+
+def test_decompose_without_block_checks_keeps_every_outcome(rng):
+    # the whole-matrix checks imply the per-block ones up to a window of
+    # width thr^2, so members under noise near thr get the same answer, and
+    # the same parameter bits, as with every block checked on its own
+    seen = set()
+    for eps in (1e-9, 1e-8, 3e-8, 1e-7):
+        for U, C in _noisy_members(rng, eps):
+            got, want = _outcome(decompose, U, C), _outcome(decompose_loop, U, C)
+            if isinstance(want, type):
+                assert got is want
+                seen.add(want)
+                continue
+            seen.add("ok")
+            v_blocks, q_plus, q_minus = want
+            assert len(got.v_blocks) == len(v_blocks)
+            for a, b in zip(got.v_blocks, v_blocks):
+                assert a.tobytes() == b.tobytes()
+            assert got.q_plus.tobytes() == q_plus.tobytes()
+            assert got.q_minus.tobytes() == q_minus.tobytes()
+    assert seen == {"ok", InputError, MembershipError}
 
 
 def _check_off_structure(U, C):

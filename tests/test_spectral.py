@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conjugations import spectral
 from conjugations.errors import InputError, NotSelfDualError, ToleranceError
 from conjugations.linalg import haar_unitary, membership_threshold, unitarity_defect
 from conjugations.measures import radon_nikodym
@@ -11,14 +12,20 @@ from conjugations.spectral import (
     canonical_form,
     check_selfdual,
     diagonalize_unitary,
-    layout_matrix,
+    layout_diagonal,
     multiplicity_model,
     schur,
 )
 from conjugations.errors import AbsoluteContinuityError
 
 from random_inputs import planted_selfdual
-from _oracles import cluster_loop, pair_clusters_loop, schur_spectrum
+from _oracles import (
+    canonical_residual_dense,
+    cluster_loop,
+    pair_clusters_loop,
+    reconstruction_residual_dense,
+    schur_spectrum,
+)
 
 
 def _cluster_multiset(spectrum):
@@ -78,7 +85,7 @@ def test_canonical_form_reorders_pair():
     assert layout.pairs == ((1j, 1),)
     assert layout.ell == 0 and layout.kay == 0
     assert np.allclose(np.abs(W), [[0.0, 1.0], [1.0, 0.0]])
-    assert np.linalg.norm(W.conj().T @ np.diag([-1j, 1j]) @ W - layout_matrix(layout)) <= 1e-14
+    assert np.linalg.norm(W.conj().T @ np.diag([-1j, 1j]) @ W - np.diag(layout_diagonal(layout))) <= 1e-14
 
 
 def test_canonical_form_real_blocks():
@@ -96,7 +103,7 @@ def test_canonical_form_planted_cluster(rng):
     assert len(layout.pairs) == 1
     (lam, mult) = layout.pairs[0]
     assert mult == 2 and abs(lam - xi) < 1e-8
-    assert np.linalg.norm(Wc.conj().T @ U @ Wc - layout_matrix(layout)) <= 1e-8 * 4
+    assert np.linalg.norm(Wc.conj().T @ U @ Wc - np.diag(layout_diagonal(layout))) <= 1e-8 * 4
     assert unitarity_defect(Wc) <= 1e-12
 
 
@@ -108,7 +115,7 @@ def test_canonical_form_recovers_planted_structure(rng):
         got = sorted((round(float(np.angle(xi)), 6), m) for xi, m in layout.pairs)
         want = sorted((round(a, 6), m) for a, m in pairs)
         assert got == want
-        assert np.linalg.norm(W.conj().T @ U @ W - layout_matrix(layout)) <= 1e-8 * U.shape[0]
+        assert np.linalg.norm(W.conj().T @ U @ W - np.diag(layout_diagonal(layout))) <= 1e-8 * U.shape[0]
 
 
 def test_canonical_form_rejects_non_selfdual():
@@ -131,7 +138,7 @@ def test_canonical_form_dimension_64(rng):
     assert layout.ell == 2 and layout.kay == 2
     assert [m for _, m in layout.pairs] == [2] * 15
     assert np.allclose(sorted(np.angle(xi) for xi, _ in layout.pairs), angles, atol=1e-8)
-    assert np.linalg.norm(W.conj().T @ U @ W - layout_matrix(layout)) <= 1e-8 * 64
+    assert np.linalg.norm(W.conj().T @ U @ W - np.diag(layout_diagonal(layout))) <= 1e-8 * 64
 
 
 def test_multiplicity_model_examples():
@@ -262,6 +269,40 @@ def test_diagonalization_agrees_with_schur_oracle(make):
         assert [m for _, m in clusters] == [m for _, m in want_clusters]
         assert np.allclose([lam for lam, _ in clusters], [lam for lam, _ in want_clusters], atol=1e-9)
         assert selfdual == want_selfdual
+
+
+def _off_normal(eps, seed):
+    """A planted self-dual unitary plus noise of norm eps, inside the input
+    check's slack: its T has off-diagonal norm about eps."""
+    rng = np.random.default_rng(seed)
+    U = _pair_at(0.4, seed)
+    N = rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape)
+    return U + eps * N / np.linalg.norm(N)
+
+
+RESIDUAL_CASES = AGREEMENT_CASES + [("off-normal-1e-9", lambda: _off_normal(1e-9, 10))]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in RESIDUAL_CASES], ids=[c[0] for c in RESIDUAL_CASES])
+def test_residuals_read_from_t_match_dense_products(make, monkeypatch):
+    # with the contract lifted every case yields both residuals; they differ
+    # from the multiplied-out ones by Q's own unitarity defect at most
+    monkeypatch.setattr(spectral, "membership_threshold", lambda n: np.inf)
+    U = make()
+    n = U.shape[0]
+    spectrum = diagonalize_unitary(U)
+    D = spectrum.eigenvalue_diagonal()
+    got = spectrum.residual(slice(None), D)
+    assert abs(got - reconstruction_residual_dense(U, spectrum.basis, D)) <= 1e-12 * n
+    try:
+        W, layout = canonical_form(U)
+    except NotSelfDualError:
+        return
+    cols = np.argmax(np.abs(spectrum.basis.conj().T @ W), axis=0)
+    assert np.array_equal(W, spectrum.basis[:, cols])
+    target = layout_diagonal(layout)
+    got = spectrum.residual(cols, target)
+    assert abs(got - canonical_residual_dense(U, W, target)) <= 1e-12 * n
 
 
 @pytest.mark.parametrize("U,outcome", [p[1:] for p in BOUNDARY_PROBES], ids=[p[0] for p in BOUNDARY_PROBES])
