@@ -111,16 +111,20 @@ def transport(C, W):
 
 
 def commutation_defect(C, U):
-    """||C U C - U|| as ||A conj(U) conj(A) - U|| in Frobenius norm."""
-    U = require_unitary(U, "U")
+    """||C U C - U|| as ||A conj(U) conj(A) - U|| in Frobenius norm.
+
+    Measures any square U; verify_membership checks U's unitarity first."""
+    U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("commutation_defect dimension mismatch")
     return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U))
 
 
 def symmetry_defect(C, U):
-    """||C U C - U*|| as ||A conj(U) conj(A) - U*|| in Frobenius norm."""
-    U = require_unitary(U, "U")
+    """||C U C - U*|| as ||A conj(U) conj(A) - U*|| in Frobenius norm.
+
+    Measures any square U; verify_membership checks U's unitarity first."""
+    U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("symmetry_defect dimension mismatch")
     return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U.conj().T))

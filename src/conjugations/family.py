@@ -25,8 +25,8 @@ from .antilinear import (
     transport,
 )
 from .errors import InputError, MembershipError
-from .linalg import as_square_matrix, haar_unitary, membership_threshold, symmetric_unitary
-from .linalg import threshold, unitarity_defect
+from .linalg import as_square_matrix, haar_unitary, membership_threshold, require_unitary
+from .linalg import symmetric_unitary, threshold, unitarity_defect
 from .spectral import canonical_form
 
 
@@ -143,9 +143,10 @@ def verify_membership(U, C, threshold=None):
     The verdict requires the isometry, involution, and commutation defects to
     sit below the threshold (membership_threshold(n) = 1e-8 * n by default).
     """
-    U = as_square_matrix(U, "U")  # unitarity is checked by both defect calls
+    U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("operator dimensions do not match")
+    require_unitary(U, "U")
     n = U.shape[0]
     thr = membership_threshold(n) if threshold is None else threshold
     A = C.matrix

@@ -262,21 +262,56 @@ class ModelConjugation:
             raise InputError("grid order must be even for the squared-shift model")
         self.order = order
         self.phi = _check_symbol(phi, order // 2)
-        self._rev_half = conjugate_indices(order // 2)
+        half = order // 2
+        self._rev_half = conjugate_indices(half)
+        self._gather = np.concatenate((self._rev_half, half + self._rev_half))
+        p = np.arange(half)
+        # component 1's twiddles in _analyze_batch (conjugated, reflected) and _synthesize_batch
+        self._twiddle_in = np.conj(np.exp(-2j * np.pi * p / order))[self._rev_half]
+        self._twiddle_out = np.exp(2j * np.pi * p / order)
         self._matrix = None
 
     def apply(self, values):
+        """C f on a batch of grid functions, grid axis last; values is not modified.
+
+        One radix-2 butterfly per fiber {p, p + M/2} of xi -> xi^2, with no
+        FFT: the conjugated values a, b on the reflected fiber give the
+        reflected model components (a + b)/2 and (a - b)/2 times a twiddle,
+        the 2x2 symbol mixes them into g_0, g_1, and the inverse butterfly
+        g_0 +- xi g_1 writes the two halves of the output.  The steps are
+        those of _analyze_batch and _synthesize_batch, so the values agree
+        with them bit for bit up to the sign of zeros.  Besides the output
+        the only scratch is the gathered copy of the input: a batch of k grid
+        functions takes 2 k M complex numbers, 2 M^2 for apply(eye).
+        """
         values = np.asarray(values, dtype=complex)
-        squeeze = values.ndim == 1
-        batch = values[None, :] if squeeze else values
-        if batch.shape[-1] != self.order:
+        if values.shape[-1] != self.order:
             raise InputError("grid size mismatch")
-        comps = _analyze_batch(batch, 2)
-        sharp = np.conj(comps[..., self._rev_half])
-        g0 = self.phi[:, 0, 0] * sharp[0] + self.phi[:, 0, 1] * sharp[1]
-        g1 = self.phi[:, 1, 0] * sharp[0] + self.phi[:, 1, 1] * sharp[1]
-        out = _synthesize_batch(np.stack([g0, g1], axis=0), self.order)
-        return out[0] if squeeze else out
+        # a single grid function runs as a batch of one: at M = 2 numpy rounds
+        # complex products of length-1 vectors differently from batched ones
+        batch = values.reshape(1, -1) if values.ndim == 1 else values
+        half = self.order // 2
+        phi = self.phi
+        gathered = batch[..., self._gather]
+        np.conjugate(gathered, out=gathered)
+        out = np.empty_like(gathered)
+        a, b = gathered[..., :half], gathered[..., half:]
+        lo, hi = out[..., :half], out[..., half:]
+        np.add(a, b, out=lo)
+        np.multiply(lo, 0.5, out=lo)  # lo = reflected component 0
+        np.subtract(a, b, out=b)
+        np.multiply(b, 0.5, out=b)
+        np.multiply(b, self._twiddle_in, out=b)  # b = reflected component 1
+        np.multiply(phi[:, 0, 0], lo, out=a)
+        np.multiply(phi[:, 0, 1], b, out=hi)
+        np.add(a, hi, out=a)  # a = g_0
+        np.multiply(phi[:, 1, 0], lo, out=hi)
+        np.multiply(phi[:, 1, 1], b, out=b)
+        np.add(hi, b, out=b)
+        np.multiply(b, self._twiddle_out, out=b)  # b = xi g_1 on the first half-grid
+        np.add(a, b, out=lo)
+        np.subtract(a, b, out=hi)  # xi at p + M/2 is -xi at p
+        return out.reshape(values.shape)
 
     def matrix(self):
         """The dense action apply(eye).T, cached with its fiber blocks.

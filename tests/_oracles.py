@@ -241,6 +241,30 @@ def shift_defects_dense(A, M):
     )
 
 
+def shift_apply_fft(phi, values):
+    """The squared-shift model C f through length-2 FFTs across the fibers of
+    xi -> xi^2: components f_j by a forward DFT and twiddle, reflected and
+    conjugated, mixed by the symbol phi (shape (M/2, 2, 2)), and put back
+    by a twiddle and an inverse DFT.  values has the grid axis last; a
+    single grid function is run as a batch of one."""
+    values = np.asarray(values, dtype=complex)
+    batch = values.reshape(1, -1) if values.ndim == 1 else values
+    M = values.shape[-1]
+    half = M // 2
+    j = np.arange(2)[:, None]
+    p = np.arange(half)[None, :]
+    fibers = batch.reshape(batch.shape[:-1] + (2, half))
+    comps = np.moveaxis(np.fft.fft(fibers, axis=-2) / 2 * np.exp(-2j * np.pi * (j * p) / M), -2, 0)
+    sharp = np.conj(comps[..., (-np.arange(half)) % half])
+    g = np.stack([
+        phi[:, 0, 0] * sharp[0] + phi[:, 0, 1] * sharp[1],
+        phi[:, 1, 0] * sharp[0] + phi[:, 1, 1] * sharp[1],
+    ])
+    twiddle = np.exp(2j * np.pi * (j * p) / M).reshape((2,) + (1,) * (g.ndim - 2) + (half,))
+    fibers = np.fft.ifft(np.moveaxis(g * twiddle, 0, -2), axis=-2) * 2
+    return fibers.reshape(values.shape)
+
+
 def reconstruction_residual_dense(U, basis, diag):
     """||U - B diag(d) B*||_F for basis B and eigenvalue diagonal d."""
     B = np.asarray(basis, dtype=complex)

@@ -134,6 +134,16 @@ def test_symmetry_defect_examples():
     assert d == pytest.approx(2 * np.sqrt(2))
 
 
+def test_defects_measure_non_unitary_u(rng):
+    # unitarity is verify_membership's check; the defects are the plain norms
+    n = 4
+    C = AntilinearOperator(symmetric_unitary(n, rng))
+    U = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cuc = apply_cuc_on_basis(C, U)
+    assert commutation_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U), rel=1e-12)
+    assert symmetry_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U.conj().T), rel=1e-12)
+
+
 def test_spectral_symmetric_factorization(rng):
     # J1 = W J W* satisfies J1 U J1 = U*, and J2 = J1 o U completes U = J1 J2
     n = 5

@@ -163,6 +163,16 @@ def test_decompose_dimension_mismatch_is_input_error():
     assert json.loads(out) == {"error": {"code": 2, "message": "operator dimensions do not match"}}
 
 
+def test_verify_non_unitary_u_is_input_error(tmp_path):
+    u_file = tmp_path / "u_bad.json"
+    save_json(u_file, matrix_to_dict(np.diag([2.0, 1.0])))
+    code, out, err = run_captured(["verify", str(u_file), str(INPUTS / "c_plain.json")])
+    assert code == EXIT_INPUT
+    message = "U is not unitary: defect 3.000e+00"
+    assert json.loads(out) == {"error": {"code": 2, "message": message}}
+    assert message in err
+
+
 def test_measure_refusal_exit_code():
     code, out, _ = run_captured(["measure", "rn", str(INPUTS / "mu_unpaired.json")])
     assert code == EXIT_REFUSED

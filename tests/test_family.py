@@ -332,6 +332,11 @@ def test_verify_membership_judgements(rng):
     assert not ok and report.commutation_defect > 1e-3
 
 
+def test_verify_membership_rejects_non_unitary_u():
+    with pytest.raises(InputError, match=r"^U is not unitary: defect 3\.000e\+00$"):
+        verify_membership(np.diag([2.0, 1.0]), plain_conjugation(2))
+
+
 def test_membership_invariant_under_transport(rng):
     for _ in range(6):
         U, *_ = planted_selfdual(rng, max_dim=12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from conjugations.shifts import (
     synthesize,
 )
 
-from _oracles import shift_defects_dense
+from _oracles import shift_apply_fft, shift_defects_dense
 
 
 def random_grid(rng, M):
@@ -177,6 +179,37 @@ def test_squared_shift_defects_match_dense_oracle(rng, M):
         for p in range(M // 2):
             off[np.ix_([rows[p], rows[p] + M // 2], [p, p + M // 2])] = 0.0
         assert not off.any() and C._slack == 0.0
+
+
+@pytest.mark.parametrize("M", [2, 4, 6, 16, 1024])
+def test_model_apply_matches_fft_oracle(rng, M):
+    C = squared_shift_conjugation(random_params(rng, M // 2), M)
+    wide = rng.normal(size=(3, 2 * M)) + 1j * rng.normal(size=(3, 2 * M))
+    inputs = (
+        np.eye(M, dtype=complex),
+        rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M)),
+        rng.normal(size=M) + 1j * rng.normal(size=M),
+        wide[:, ::2],  # a non-contiguous view
+    )
+    for values in inputs:
+        kept = values.copy()
+        got = C.apply(values)
+        assert got.shape == values.shape
+        assert np.array_equal(got, shift_apply_fft(C.phi, values))
+        assert np.array_equal(values, kept)
+
+
+def test_model_apply_peak_memory(rng):
+    M = 1024
+    C = squared_shift_conjugation(random_params(rng, M // 2), M)
+    eye = np.eye(M, dtype=complex)
+    tracemalloc.start()
+    try:
+        C.apply(eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * M * M * 16, peak / (M * M * 16)
 
 
 class LeakyConjugation(ModelConjugation):
