@@ -58,6 +58,7 @@ CASES = [
     ("decompose_mismatch", ["decompose", "{IN}/u_mixed.json", "{IN}/c_swap.json"], 2),
     ("fourunit_small", ["fourunit", "{IN}/a_small.json"], 0),
     ("measure_reflect", ["measure", "reflect", "{IN}/mu.json"], 0),
+    ("measure_reflect_extra", ["measure", "reflect", "{IN}/mu.json", "{IN}/mu2.json"], 2),
     ("measure_rn", ["measure", "rn", "{IN}/mu.json"], 0),
     ("measure_rn_refused", ["measure", "rn", "{IN}/mu_unpaired.json"], 3),
     ("measure_meet", ["measure", "meet", "{IN}/mu.json", "{IN}/mu2.json"], 0),

@@ -29,9 +29,6 @@ class AntilinearOperator:
     def dim(self):
         return self.matrix.shape[0]
 
-    def __call__(self, x):
-        return apply(self, x)
-
 
 def plain_conjugation(n):
     """J x = conj(x), entrywise conjugation (A = I)."""

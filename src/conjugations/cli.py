@@ -292,6 +292,10 @@ def cmd_fourunit(args):
 
 
 def cmd_measure(args):
+    needed = 1 if args.action in ("reflect", "rn") else 2
+    if len(args.files) != needed:
+        files = "one measure file" if needed == 1 else "two measure files"
+        raise InputError(f"measure {args.action} needs {files}")
     if args.action == "reflect":
         mu = load_measure(args.files[0])
         emit(measures.reflect(mu).to_dict())
@@ -300,8 +304,6 @@ def cmd_measure(args):
         h = measures.radon_nikodym(mu)
         emit({"h": [float(v) for v in h]})
     else:
-        if len(args.files) != 2:
-            raise InputError(f"measure {args.action} needs two measure files")
         mu, nu = load_measure(args.files[0]), load_measure(args.files[1])
         op = measures.lattice_meet if args.action == "meet" else measures.lattice_join
         emit(op(mu, nu).to_dict())

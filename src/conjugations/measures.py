@@ -4,7 +4,7 @@ Measures are finite lists of weighted atoms.  Reflection sends an atom at
 angle t to -t; when every non-real atom has a reflected partner the
 Radon-Nikodym weights h_k = w_{sigma(k)} / w_k exist and satisfy
 h_k * h_{sigma(k)} = 1.  On the weighted sequence space built over the atoms,
-the map f -> sqrt(h) * J(f o conj) is a conjugation commuting with the
+the map f -> sqrt(h) * conj(f o conj) is a conjugation commuting with the
 coordinate multiplier, and composing it with a pointwise unitary field stays
 a conjugation exactly when the field is reflection symmetric.
 
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import ConjugationReport, is_conjugation, plain_conjugation
+from .antilinear import ConjugationReport
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import threshold
+from .linalg import threshold, unitarity_defect
 
 THETA_DECIMALS = 12           # canonical angle resolution
 PAIR_TOL = 1e-9               # conjugate-partner lookup tolerance
@@ -75,10 +75,6 @@ class AtomicMeasure:
         if points.size and np.any(np.abs(np.abs(points) - 1.0) > 1e-12):
             raise InputError("atoms must sit on the unit circle within 1e-12")
         return cls(np.angle(points), weights)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(0), np.zeros(0))
 
     @property
     def size(self):
@@ -207,30 +203,16 @@ def radon_nikodym(mu):
 
 
 def lattice_join(mu, nu):
-    """Atomwise weight sum over the union of the atom sets."""
-    acc = {}
-    for t, w in zip(mu.thetas, mu.weights):
-        acc[t] = acc.get(t, 0.0) + w
-    for t, w in zip(nu.thetas, nu.weights):
-        acc[t] = acc.get(t, 0.0) + w
-    if not acc:
-        return AtomicMeasure.zero()
-    ts = sorted(acc)
-    return AtomicMeasure(np.array(ts), np.array([acc[t] for t in ts]))
+    """Atomwise weight sum over the union of the atom sets, sorted by angle."""
+    thetas, slot = np.unique(np.concatenate([mu.thetas, nu.thetas]), return_inverse=True)
+    weights = np.bincount(slot, weights=np.concatenate([mu.weights, nu.weights]))
+    return AtomicMeasure(thetas, weights)
 
 
 def lattice_meet(mu, nu):
-    """Atomwise minimum over the intersection of the atom sets."""
-    wn = dict(zip(nu.thetas, nu.weights))
-    ts, ws = [], []
-    for t, w in zip(mu.thetas, mu.weights):
-        if t in wn:
-            ts.append(t)
-            ws.append(min(w, wn[t]))
-    if not ts:
-        return AtomicMeasure.zero()
-    order = np.argsort(ts)
-    return AtomicMeasure(np.array(ts)[order], np.array(ws)[order])
+    """Atomwise minimum over the intersection of the atom sets, sorted by angle."""
+    thetas, i, j = np.intersect1d(mu.thetas, nu.thetas, assume_unique=True, return_indices=True)
+    return AtomicMeasure(thetas, np.minimum(mu.weights[i], nu.weights[j]))
 
 
 @dataclass(frozen=True)
@@ -341,27 +323,23 @@ def compose_fields(F, G):
     )
 
 
-def reflection_conjugation(mu, fiber_dim, fiber_conjugation=None):
-    """The weighted conjugation f -> (k -> sqrt(h_k) * J(f_{sigma(k)})).
+def reflection_conjugation(mu, fiber_dim):
+    """The weighted conjugation f -> (k -> sqrt(h_k) * conj(f_{sigma(k)})).
 
-    J is a conjugation on the fiber (entrywise conjugation by default).  The
-    sqrt(h) factors are stored as exact reciprocal pairs, so composing the
-    field with itself gives the identity to the last ulp.  Commutes with the
-    coordinate multiplier and is isometric for the weighted inner product.
+    The fiber conjugation is entrywise.  Any other one, x -> A' conj(x) with
+    A' a symmetric unitary, is the constant unitary field A' composed with
+    this one (assemble_model's unitary_fields).  The sqrt(h) factors are
+    stored as exact reciprocal pairs, so composing the field with itself
+    gives the identity to the last ulp.  Commutes with the coordinate
+    multiplier and is isometric for the weighted inner product.
     """
-    J = fiber_conjugation if fiber_conjugation is not None else plain_conjugation(fiber_dim)
-    if J.dim != fiber_dim:
-        raise InputError("fiber conjugation has the wrong dimension")
-    okJ, _ = is_conjugation(J)
-    if not okJ:
-        raise InputError("fiber map is not a conjugation")
     sigma, s = _reciprocal_ratios(mu, np.sqrt)
-    mats = s[:, None, None] * J.matrix[None, :, :]
+    mats = s[:, None, None] * np.eye(fiber_dim)[None, :, :]
     return FieldOperator(mu, mats, antilinear=True, point_map=sigma)
 
 
-def is_reflection_symmetric(field, fiber_conjugation=None):
-    """Whether J U_k J = U_{sigma(k)}* at every atom, for a unitary field U.
+def is_reflection_symmetric(field):
+    """Whether conj(U_k) = U_{sigma(k)}* at every atom, for a unitary field U.
 
     This is the exact criterion for the composite of the multiplication field
     with the weighted reflection conjugation to be a conjugation again.
@@ -371,7 +349,6 @@ def is_reflection_symmetric(field, fiber_conjugation=None):
     if field.antilinear or field.point_map is not None:
         raise InputError("expected a pointwise linear multiplication field")
     r = field.fiber_dim
-    J = fiber_conjugation if fiber_conjugation is not None else plain_conjugation(r)
     mats = field.matrices
     gram = np.einsum("kji,kjl->kil", np.conj(mats), mats)
     not_unitary = np.nonzero(
@@ -384,10 +361,8 @@ def is_reflection_symmetric(field, fiber_conjugation=None):
         raise AbsoluteContinuityError(
             "field measure has an unpaired non-real atom; no reflection conjugation exists"
         )
-    A = J.matrix
-    lhs = A @ np.conj(mats) @ np.conj(A)
     rhs = np.conj(mats[sigma]).transpose(0, 2, 1)
-    worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2)), initial=0.0))
+    worst = float(np.max(np.linalg.norm(np.conj(mats) - rhs, axis=(1, 2)), initial=0.0))
     return worst <= threshold(np.sqrt(r)), worst
 
 
@@ -413,16 +388,16 @@ def field_conjugation_report(field):
     atom basis, so they vanish identically for genuine conjugations
     regardless of the weights.  With A the field's matrix there (see
     _orthonormal_matrix) and D the atom coordinate repeated over the fiber:
-    isometry ||A^T conj(A) - I||; commutation ||A conj(D) - D A|| for
-    antilinear fields and ||A D - D A|| for linear ones; involution
-    ||B - I|| with B the matrix of the field composed with itself.  B is
-    built from the composed field rather than as A conj(A), so the exact
-    reciprocal sqrt(h) pairs of a reflection conjugation give exactly 0.
+    isometry ||A* A - I|| (linalg.unitarity_defect); commutation
+    ||A conj(D) - D A|| for antilinear fields and ||A D - D A|| for linear
+    ones; involution ||B - I|| with B the matrix of the field composed with
+    itself.  B is built from the composed field rather than as A conj(A), so
+    the exact reciprocal sqrt(h) pairs of a reflection conjugation give
+    exactly 0.
     """
     A = _orthonormal_matrix(field)
-    eye = np.eye(A.shape[0])
-    iso = float(np.linalg.norm(A.T @ np.conj(A) - eye))
-    inv = float(np.linalg.norm(_orthonormal_matrix(compose_fields(field, field)) - eye))
+    iso = unitarity_defect(A)
+    inv = float(np.linalg.norm(_orthonormal_matrix(compose_fields(field, field)) - np.eye(len(A))))
     d = np.repeat(field.measure.points, field.fiber_dim)
     right = np.conj(d) if field.antilinear else d
     comm = float(np.linalg.norm(A * right[None, :] - d[:, None] * A))
@@ -450,22 +425,21 @@ class DirectSumConjugation:
         )
 
 
-def assemble_model(model, fiber_conjugations=None, unitary_fields=None):
+def assemble_model(model, unitary_fields=None):
     """Direct sum of weighted reflection conjugations, one per component.
 
     Each component of the multiplicity model must pass the absolute
     continuity test, otherwise no commuting conjugation exists and the
     assembly is refused.  Optional per-component unitary fields are composed
-    in after checking reflection symmetry.
+    in after checking reflection symmetry; a constant symmetric unitary field
+    A' gives the component the fiber conjugation x -> A' conj(x).
     """
-    comps = model.components
     blocks = []
-    for i, (mu, r) in enumerate(comps):
-        J = fiber_conjugations[i] if fiber_conjugations is not None else None
-        base = reflection_conjugation(mu, r, J)
+    for i, (mu, r) in enumerate(model.components):
+        base = reflection_conjugation(mu, r)
         if unitary_fields is not None and unitary_fields[i] is not None:
             uf = unitary_fields[i]
-            ok, defect = is_reflection_symmetric(uf, J)
+            ok, defect = is_reflection_symmetric(uf)
             if not ok:
                 raise InputError(
                     f"component {i}: field is not reflection symmetric (defect {defect:.3e})"

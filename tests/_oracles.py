@@ -4,9 +4,10 @@ Nothing here shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
-eigenvalue at a time, from scipy's complex Schur form, and the squared-shift
+eigenvalue at a time, from scipy's complex Schur form, the squared-shift
 defects and spectral residuals are the dense matrix products they are
-defined by.
+defined by, and the measure lattice and the reflection conjugation are
+per-atom loops.
 """
 
 import numpy as np
@@ -326,3 +327,41 @@ def decompose_loop(U, C):
         if len(q) and defect(q) > thr + 1e-8 * np.sqrt(len(q)):
             raise InputError("real block is not unitary")
     return v_blocks, q_plus, q_minus
+
+
+def lattice_join_loop(mu, nu):
+    """(thetas, weights) of the atomwise weight sum, one dict entry per angle."""
+    acc = {}
+    for t, w in zip(mu.thetas, mu.weights):
+        acc[t] = acc.get(t, 0.0) + w
+    for t, w in zip(nu.thetas, nu.weights):
+        acc[t] = acc.get(t, 0.0) + w
+    ts = sorted(acc)
+    return np.array(ts, dtype=float), np.array([acc[t] for t in ts], dtype=float)
+
+
+def lattice_meet_loop(mu, nu):
+    """(thetas, weights) of the atomwise minimum over the shared angles."""
+    wn = dict(zip(nu.thetas, nu.weights))
+    pairs = sorted((t, min(w, wn[t])) for t, w in zip(mu.thetas, mu.weights) if t in wn)
+    return np.array([t for t, _ in pairs], dtype=float), np.array([w for _, w in pairs], dtype=float)
+
+
+def reflection_conjugation_with_fiber(mu, r, A):
+    """(matrices, point_map) of f -> (k -> sqrt(h_k) * A conj(f_{sigma(k)})).
+
+    The weighted reflection conjugation with fiber conjugation x -> A conj(x),
+    one atom at a time: sigma(k) is the atom at the conjugate point within
+    1e-9, h_k = w_sigma(k) / w_k, and block k is sqrt(h_k) * A.
+    """
+    A = np.asarray(A, dtype=complex)
+    assert A.shape == (r, r)
+    thetas, weights = np.asarray(mu.thetas), np.asarray(mu.weights)
+    mats = np.zeros((len(thetas), r, r), dtype=complex)
+    point = np.zeros(len(thetas), dtype=int)
+    for k, t in enumerate(thetas):
+        gap = np.abs(np.angle(np.exp(1j * (thetas + t))))
+        (partner,) = np.nonzero(gap <= 1e-9)[0]
+        point[k] = partner
+        mats[k] = np.sqrt(weights[partner] / weights[k]) * A
+    return mats, point

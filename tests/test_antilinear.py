@@ -23,6 +23,7 @@ SWAP = AntilinearOperator([[0.0, 1.0], [1.0, 0.0]])
 
 def test_apply_plain_conjugation():
     assert np.allclose(apply(plain_conjugation(2), [1j, 1.0]), [-1j, 1.0])
+    assert not callable(plain_conjugation(2))  # apply is the one way to apply it
 
 
 def test_apply_swap():

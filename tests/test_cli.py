@@ -179,6 +179,19 @@ def test_measure_refusal_exit_code():
     assert "absolutely continuous" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("action,files,message", [
+    ("reflect", ["mu.json", "mu2.json"], "measure reflect needs one measure file"),
+    ("rn", ["mu.json", "missing.json"], "measure rn needs one measure file"),
+    ("meet", ["mu.json"], "measure meet needs two measure files"),
+    ("join", ["mu.json", "mu2.json", "mu.json"], "measure join needs two measure files"),
+])
+def test_measure_file_count_is_checked_before_loading(action, files, message):
+    # missing.json does not exist: the count is refused before any file is read
+    code, out, _ = run_captured(["measure", action, *(str(INPUTS / f) for f in files)])
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+
+
 def test_matrix_schema_round_trip(rng):
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = matrix_from_dict(matrix_to_dict(M), "mem")

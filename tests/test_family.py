@@ -142,6 +142,18 @@ def test_decompose_rejects_dimension_mismatch():
         decompose(U, AntilinearOperator([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_decompose_n1_window_between_bounds():
+    # at n = 1 is_conjugation's bound 1.01e-8 exceeds thr = 1e-8: C passes
+    # is_conjugation and its structure check, so decompose returns its one
+    # block, while verify_membership fails it on the isometry defect
+    U, C = np.eye(1), AntilinearOperator([[1 + 5.02e-9]])
+    assert 1e-8 < is_conjugation(C)[1].isometry_defect <= 1.01e-8
+    params = decompose(U, C)
+    W, layout = canonical_form(U)
+    assert np.array_equal(from_params(layout, W, params).matrix, C.matrix)
+    assert not verify_membership(U, C)[0]
+
+
 def _noisy_members(rng, eps):
     """Members of planted families with n <= 24, moved by noise of norm eps:
     transported by exp(i eps H), which leaves a conjugation off the block

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjugations.antilinear import plain_conjugation
 from conjugations.errors import AbsoluteContinuityError, InputError
 from conjugations.linalg import haar_unitary, symmetric_unitary
 from conjugations.measures import (
@@ -27,9 +26,10 @@ from conjugations.measures import (
     reflection_conjugation,
     weighted_inner,
 )
-from conjugations.spectral import multiplicity_model
+from conjugations.spectral import MultiplicityModel, multiplicity_model
 
 from random_inputs import random_paired_measure
+from _oracles import lattice_join_loop, lattice_meet_loop, reflection_conjugation_with_fiber
 
 
 def delta(theta, weight=1.0):
@@ -110,6 +110,28 @@ def test_lattice_examples():
         AtomicMeasure([np.pi / 2, 0.0], [2.0, 1.0]), delta(np.pi / 2, 1.0)
     )
     assert m.size == 1 and m.weights[0] == 1.0 and m.thetas[0] == pytest.approx(np.pi / 2)
+
+
+def _grid_measure(rng, picked):
+    """Atoms at the picked points of a 16-point grid, random weights."""
+    thetas = 2 * np.pi * np.flatnonzero(picked) / len(picked)
+    return AtomicMeasure(thetas, rng.uniform(0.1, 10.0, thetas.size))
+
+
+def test_lattice_matches_loop_oracle(rng):
+    empty = AtomicMeasure([], [])
+    pairs = [(empty, empty), (empty, delta(0.3)), (delta(0.3), empty)]
+    for _ in range(200):
+        mu = _grid_measure(rng, rng.random(16) < 0.5)
+        nu = _grid_measure(rng, rng.random(16) < 0.5)
+        half = rng.random(16) < 0.5
+        disjoint = (_grid_measure(rng, half), _grid_measure(rng, ~half))
+        pairs += [(mu, nu), disjoint, (mu, mu), (random_paired_measure(rng), nu)]
+    for mu, nu in pairs:
+        for op, loop in ((lattice_join, lattice_join_loop), (lattice_meet, lattice_meet_loop)):
+            got, (thetas, weights) = op(mu, nu), loop(mu, nu)
+            assert got.thetas.tobytes() == thetas.tobytes()
+            assert got.weights.tobytes() == weights.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,24 +241,42 @@ def test_multiplier_adjoint(rng):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def _paired_unitary_field(mu, r, rng, fiber_conjugation=None):
+def _paired_unitary_field(mu, r, rng):
     """Unitary field satisfying the reflection symmetry by construction."""
-    J = fiber_conjugation if fiber_conjugation is not None else plain_conjugation(r)
-    A = J.matrix
     sigma, unpaired = conjugate_pairing(mu)
     assert not unpaired
     mats = np.zeros((mu.size, r, r), dtype=complex)
     for k in range(mu.size):
         if sigma[k] == k:
-            # J U J = U* means the block is symmetric when J is entrywise
+            # conj(U) = U* means the block is symmetric
             mats[k] = symmetric_unitary(r, rng)
         elif sigma[k] > k:
             mats[k] = haar_unitary(r, rng)
     for k in range(mu.size):
         if sigma[k] < k:
-            other = mats[sigma[k]]
-            mats[k] = (A @ np.conj(other) @ np.conj(A)).conj().T
+            mats[k] = mats[sigma[k]].T
     return FieldOperator(mu, mats)
+
+
+def test_other_fiber_conjugation_is_a_constant_unitary_field(rng):
+    # x -> A conj(x) on the fiber is the constant field A composed with the
+    # entrywise reflection conjugation, for every symmetric unitary A
+    for _ in range(20):
+        mu = random_paired_measure(rng, max_pairs=5, weight_span=(0.1, 10.0))
+        r = int(rng.integers(1, 5))
+        A = symmetric_unitary(r, rng)
+        constant = multiplier_field(mu, np.repeat(A[None], mu.size, axis=0))
+        field = compose_fields(constant, reflection_conjugation(mu, r))
+        mats, point = reflection_conjugation_with_fiber(mu, r, A)
+        # the library's sqrt(h) pairs are nudged a few ulps to exact reciprocals
+        scale = np.sqrt(mu.weights.max() / mu.weights.min())
+        assert field.antilinear
+        assert np.array_equal(field.point_map, point)
+        assert np.max(np.abs(field.matrices - mats)) <= 1e-15 * scale
+        # assemble_model takes the same field as a reflection-symmetric one
+        model = MultiplicityModel(components=((mu, r),))
+        (block,) = assemble_model(model, unitary_fields=[constant]).blocks
+        assert np.array_equal(block.matrices, field.matrices)
 
 
 def test_reflection_symmetry_criterion():

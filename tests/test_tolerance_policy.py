@@ -1,5 +1,6 @@
 """The tolerance policy is a handful of module constants: no public callable
-takes a per-call tolerance, and the threshold rules keep their values."""
+takes a per-call tolerance, and the threshold rules keep their values.  No
+public callable takes a fiber conjugation either."""
 
 import importlib
 import inspect
@@ -43,6 +44,18 @@ def test_no_callable_takes_a_tolerance():
     }
     assert not knobs
     assert list(inspect.signature(conjugations.decompose).parameters) == ["U", "C"]
+
+
+def test_no_callable_takes_a_fiber_conjugation():
+    # entrywise conjugation is the one fiber conjugation; another one is a
+    # constant unitary field composed with it
+    knobs = {
+        f"{name}({param})"
+        for name, obj in _public_callables()
+        for param in inspect.signature(obj).parameters
+        if param in ("fiber_conjugation", "fiber_conjugations")
+    }
+    assert not knobs
 
 
 def test_no_tolerance_object():
