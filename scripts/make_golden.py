@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 from conjugations.cli import matrix_to_dict, run, save_json
+from conjugations.family import sample
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 INPUTS = ROOT / "inputs"
@@ -23,10 +24,9 @@ def write_inputs():
     INPUTS.mkdir(parents=True, exist_ok=True)
     save_json(INPUTS / "u_pair.json", matrix_to_dict(np.diag([1j, -1j])))
     save_json(INPUTS / "u_bad.json", matrix_to_dict(np.diag([1j, 1j])))
-    save_json(
-        INPUTS / "u_mixed.json",
-        matrix_to_dict(np.diag([np.exp(0.5j), np.exp(-0.5j), 1.0, -1.0])),
-    )
+    u_mixed = np.diag([np.exp(0.5j), np.exp(-0.5j), 1.0, -1.0])
+    save_json(INPUTS / "u_mixed.json", matrix_to_dict(u_mixed))
+    save_json(INPUTS / "c_mixed.json", matrix_to_dict(sample(u_mixed, 7).matrix))
     save_json(INPUTS / "c_swap.json", matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]])))
     save_json(INPUTS / "c_plain.json", matrix_to_dict(np.eye(2)))
     save_json(
@@ -54,6 +54,7 @@ CASES = [
     ("sample_mixed", ["sample", "{IN}/u_mixed.json", "--seed", "7"], 0),
     ("verify_pass", ["verify", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
     ("verify_fail", ["verify", "{IN}/u_pair.json", "{IN}/c_plain.json"], 4),
+    ("verify_mixed", ["verify", "{IN}/u_mixed.json", "{IN}/c_mixed.json"], 0),
     ("decompose_swap", ["decompose", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
     ("decompose_mismatch", ["decompose", "{IN}/u_mixed.json", "{IN}/c_swap.json"], 2),
     ("fourunit_small", ["fourunit", "{IN}/a_small.json"], 0),
