@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square_matrix, require_unitary, threshold, unitarity_defect
+from .linalg import _diagonal_entries, as_square_matrix, require_unitary, threshold
+from .linalg import unitarity_defect
 
 
 @dataclass(frozen=True)
@@ -107,21 +108,32 @@ def transport(C, W):
     return AntilinearOperator(W @ C.matrix @ W.T)
 
 
+def _cuc(C, U, caller):
+    """U as a complex array and the matrix A conj(U) conj(A) of C U C.
+
+    For diagonal U = diag(d) the first product is the column scaling
+    A * conj(d): one n^3 product instead of two."""
+    U = as_square_matrix(U, "U")
+    if U.shape[0] != C.dim:
+        raise InputError(f"{caller} dimension mismatch")
+    A = C.matrix
+    d = _diagonal_entries(U)
+    if d is None:
+        return U, A @ np.conj(U) @ np.conj(A)
+    return U, (A * np.conj(d)) @ np.conj(A)
+
+
 def commutation_defect(C, U):
     """||C U C - U|| as ||A conj(U) conj(A) - U|| in Frobenius norm.
 
     Measures any square U; verify_membership checks U's unitarity first."""
-    U = as_square_matrix(U, "U")
-    if U.shape[0] != C.dim:
-        raise InputError("commutation_defect dimension mismatch")
-    return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U))
+    U, cuc = _cuc(C, U, "commutation_defect")
+    return float(np.linalg.norm(cuc - U))
 
 
 def symmetry_defect(C, U):
     """||C U C - U*|| as ||A conj(U) conj(A) - U*|| in Frobenius norm.
 
     Measures any square U; verify_membership checks U's unitarity first."""
-    U = as_square_matrix(U, "U")
-    if U.shape[0] != C.dim:
-        raise InputError("symmetry_defect dimension mismatch")
-    return float(np.linalg.norm(C.matrix @ np.conj(U) @ np.conj(C.matrix) - U.conj().T))
+    U, cuc = _cuc(C, U, "symmetry_defect")
+    return float(np.linalg.norm(cuc - U.conj().T))

@@ -87,11 +87,6 @@ def layout_conjugation(layout, params):
     matrix symmetric for any unitary V_j; the real blocks must be symmetric
     unitaries themselves.
     """
-    return AntilinearOperator(_block_matrix(layout, params))
-
-
-def _block_matrix(layout, params):
-    """The matrix of layout_conjugation(layout, params), as a plain array."""
     _validate_params(layout, params)
     n = layout.dim
     V = np.zeros((n, n), dtype=complex)
@@ -103,7 +98,7 @@ def _block_matrix(layout, params):
     V[pos : pos + layout.ell, pos : pos + layout.ell] = params.q_plus
     pos += layout.ell
     V[pos : pos + layout.kay, pos : pos + layout.kay] = params.q_minus
-    return V
+    return AntilinearOperator(V)
 
 
 def from_params(layout, W, params):
@@ -206,20 +201,17 @@ def decompose(U, C):
 
     Transports C to the canonical basis, checks that the matrix of the
     transported operator has the pair/real block structure (everything off
-    structure below the membership threshold), and reads the blocks off.
-    The parameters are relative to the same basis canonical_form returns, so
-    from_params with that basis reproduces C.
+    structure below the membership threshold), reads the blocks off and
+    refuses them unless from_params' own parameter check accepts them.  The
+    parameters are relative to the same basis canonical_form returns, so
+    from_params with that basis rebuilds C.
     """
     U = as_square_matrix(U, "U")  # canonical_form checks its unitarity
     if U.shape[0] != C.dim:
         raise InputError("operator dimensions do not match")
     thr = membership_threshold(U.shape[0])
-    # This settles V and its blocks: V = W* A conj(W) has A's isometry and
-    # symmetry defects up to W's roundoff, bounded here by 1e-10 + 1e-8 sqrt(n)
-    # < thr for n >= 2.  A pair's lower block minus the upper's transpose is
-    # part of V - V^t, and a block's unitarity defect is at most thr + thr^2
-    # once V is unitary and off structure within thr.  At n = 1 the bound is
-    # 1.01e-8 against thr = 1e-8; verify_membership judges that window.
+    # V = W* A conj(W) has A's symmetry defect up to W's roundoff, so a pair's
+    # lower block is its upper block's transpose within is_conjugation's bound
     ok, _ = is_conjugation(C)
     if not ok:
         raise InputError("C is not a conjugation")
@@ -239,4 +231,9 @@ def decompose(U, C):
     pos, ell = len(V) - layout.ell - layout.kay, layout.ell
     q_plus = V[pos : pos + ell, pos : pos + ell].copy()
     q_minus = V[pos + ell :, pos + ell :].copy()
-    return ConjugationParams(v_blocks, q_plus, q_minus)
+    params = ConjugationParams(v_blocks, q_plus, q_minus)
+    try:
+        _validate_params(layout, params)
+    except InputError as e:
+        raise MembershipError(f"C's blocks are not family parameters: {e}") from None
+    return params

@@ -8,8 +8,8 @@ conjugate pair (i, -i) plus the real classes:
 
 - Fourier, spectrum (1, -i, -1, i): BlockLayout(((1j, m),), m, m) with
   m = N/4; Ui fills the pair block (it maps the -i class to the i class),
-  O1 and O2 fill the +1 and -1 blocks, and the result is re-indexed from
-  the layout's slot order into class order.
+  O1 and O2 fill the +1 and -1 blocks, each written straight to the strided
+  positions of its classes.
 - Hilbert, spectrum (i, -i): BlockLayout(((1j, N/2),), 0, 0), already in
   class order; the pair block is Ui^t, since Ui maps the i half to the -i
   half.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .antilinear import AntilinearOperator
 from .errors import InputError
-from .family import ConjugationParams, _block_matrix, layout_conjugation
+from .family import ConjugationParams, _validate_params, layout_conjugation
 from .linalg import threshold
 from .spectral import BlockLayout
 
@@ -90,19 +90,21 @@ def fourier_conjugation(N, O1, O2, Ui):
 
     with O1, O2 real symmetric orthogonal on the real eigenvalue classes (the
     explicit sub-family kept here) and Ui an arbitrary unitary mapping the -i
-    class to the i class.  Built by layout_conjugation on
-    BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui, whose slots hold
-    the classes (i, -i, 1, -1).
+    class to the i class.  The parameters are those of the family engine on
+    BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui, checked by its
+    _validate_params; class k holds the indices k::4, where the four nonzero
+    blocks are written directly.
     """
-    model = FourBlockModel(N)
+    FourBlockModel(N)
     m = N // 4
-    O1 = _require_real(O1, m, "O1")
-    O2 = _require_real(O2, m, "O2")
-    layout = BlockLayout(pairs=((1j, m),), ell=m, kay=m)
-    V = _block_matrix(layout, ConjugationParams((Ui,), O1, O2))
-    slots = np.concatenate([model.class_indices(k) for k in (3, 1, 0, 2)])
-    A = np.empty_like(V)
-    A[np.ix_(slots, slots)] = V
+    params = ConjugationParams((Ui,), _require_real(O1, m, "O1"), _require_real(O2, m, "O2"))
+    _validate_params(BlockLayout(pairs=((1j, m),), ell=m, kay=m), params)
+    (Ui,) = params.v_blocks
+    A = np.zeros((N, N), dtype=complex)
+    A[0::4, 0::4] = params.q_plus
+    A[1::4, 3::4] = Ui.T
+    A[2::4, 2::4] = params.q_minus
+    A[3::4, 1::4] = Ui
     return AntilinearOperator(A)
 
 

@@ -227,6 +227,37 @@ def schur_spectrum(U, tol, residual_tol):
     return "ok", clusters, selfdual
 
 
+def unitarity_defect_dense(A):
+    """||A*A - I||_F, the full product however A is structured."""
+    A = np.asarray(A, dtype=complex)
+    return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0])))
+
+
+def cuc_defects_dense(A, U):
+    """||A conj(U) conj(A) - U||_F and ||A conj(U) conj(A) - U*||_F, both
+    products formed in full however U is structured."""
+    A, U = np.asarray(A, dtype=complex), np.asarray(U, dtype=complex)
+    cuc = A @ np.conj(U) @ np.conj(A)
+    return float(np.linalg.norm(cuc - U)), float(np.linalg.norm(cuc - U.conj().T))
+
+
+def fourier_scatter(O1, O2, Ui):
+    """Matrix of the Fourier model's conjugation assembled in the slot order
+    (i, -i, 1, -1) of its block layout, then scattered entry by entry to the
+    classes 3, 1, 0, 2 (class k holds the indices k mod 4)."""
+    m = len(Ui)
+    N = 4 * m
+    V = np.zeros((N, N), dtype=complex)
+    V[:m, m : 2 * m] = Ui
+    V[m : 2 * m, :m] = np.transpose(Ui)
+    V[2 * m : 3 * m, 2 * m : 3 * m] = O1
+    V[3 * m :, 3 * m :] = O2
+    slots = np.concatenate([np.arange(k, N, 4) for k in (3, 1, 0, 2)])
+    A = np.empty_like(V)
+    A[np.ix_(slots, slots)] = V
+    return A
+
+
 def shift_defects_dense(A, M):
     """Isometry, involution and commutation defects of the order-M grid
     conjugation with matrix A, straight from their M x M products:
@@ -284,10 +315,11 @@ def decompose_loop(U, C):
     U is checked for unitarity before canonical_form checks it again; after
     the whole-matrix off-structure and symmetric-unitary checks, each pair's
     lower block is checked to be the transpose of its upper block, each
-    upper block and each real block to be unitary.  Returns (v_blocks,
-    q_plus, q_minus) or raises InputError or MembershipError where those
-    checks fail.  Only canonical_form, the basis the parameters are read
-    in, comes from the library.
+    upper block to be unitary and each real block to be symmetric unitary,
+    the blocks of size m within from_params' bound 1e-10 + 1e-8 sqrt(m).
+    Returns (v_blocks, q_plus, q_minus) or raises InputError or
+    MembershipError where those checks fail.  Only canonical_form, the basis
+    the parameters are read in, comes from the library.
     """
     from conjugations.errors import InputError, MembershipError
     from conjugations.spectral import canonical_form
@@ -317,15 +349,16 @@ def decompose_loop(U, C):
         block = V[pos : pos + m, pos + m : pos + 2 * m]
         if np.linalg.norm(V[pos + m : pos + 2 * m, pos : pos + m] - block.T) > thr:
             raise MembershipError("lower block is not the transpose of the upper")
-        if defect(block) > thr:
+        if defect(block) > 1e-10 + 1e-8 * np.sqrt(m):
             raise MembershipError("pair block is not unitary")
         v_blocks.append(block.copy())
         pos += 2 * m
     q_plus = V[pos : pos + layout.ell, pos : pos + layout.ell].copy()
     q_minus = V[pos + layout.ell :, pos + layout.ell :].copy()
     for q in (q_plus, q_minus):
-        if len(q) and defect(q) > thr + 1e-8 * np.sqrt(len(q)):
-            raise InputError("real block is not unitary")
+        bound = 1e-10 + 1e-8 * np.sqrt(len(q))
+        if len(q) and (defect(q) > bound or np.linalg.norm(q - q.T) > bound):
+            raise MembershipError("real block is not symmetric unitary")
     return v_blocks, q_plus, q_minus
 
 

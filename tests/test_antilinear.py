@@ -14,9 +14,10 @@ from conjugations.antilinear import (
     transport,
 )
 from conjugations.errors import InputError
-from conjugations.linalg import haar_unitary, symmetric_unitary
+from conjugations.linalg import _diagonal_entries, haar_unitary, symmetric_unitary
+from conjugations.linalg import unitarity_defect
 
-from _oracles import apply_cuc_on_basis
+from _oracles import apply_cuc_on_basis, cuc_defects_dense, unitarity_defect_dense
 
 SWAP = AntilinearOperator([[0.0, 1.0], [1.0, 0.0]])
 
@@ -143,6 +144,30 @@ def test_defects_measure_non_unitary_u(rng):
     cuc = apply_cuc_on_basis(C, U)
     assert commutation_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U), rel=1e-12)
     assert symmetry_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U.conj().T), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_diagonal_u_defects_match_the_dense_products(rng, n):
+    # generic phases: the column scaling rounds like the dense product only
+    # up to the order of its sums
+    U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+    C = AntilinearOperator(symmetric_unitary(n, rng) if n else np.zeros((0, 0)))
+    assert _diagonal_entries(U) is not None
+    tol = 1e-14 * max(n, 1)
+    assert abs(unitarity_defect(U) - unitarity_defect_dense(U)) <= tol
+    got = (commutation_defect(C, U), symmetry_defect(C, U))
+    for a, b in zip(got, cuc_defects_dense(C.matrix, U)):
+        assert abs(a - b) <= tol
+
+
+def test_one_off_diagonal_entry_takes_the_dense_path(rng):
+    n = 7
+    U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+    U[0, 1] = 1e-300
+    C = AntilinearOperator(symmetric_unitary(n, rng))
+    assert _diagonal_entries(U) is None
+    assert unitarity_defect(U) == unitarity_defect_dense(U)
+    assert (commutation_defect(C, U), symmetry_defect(C, U)) == cuc_defects_dense(C.matrix, U)
 
 
 def test_spectral_symmetric_factorization(rng):

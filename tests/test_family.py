@@ -17,10 +17,11 @@ from conjugations.family import (
     decompose,
     from_params,
     identity_params,
+    layout_conjugation,
     sample,
     verify_membership,
 )
-from conjugations.linalg import haar_unitary, symmetric_unitary
+from conjugations.linalg import haar_unitary, membership_threshold, symmetric_unitary
 from conjugations.spectral import BlockLayout, canonical_form
 
 from random_inputs import planted_selfdual
@@ -144,14 +145,34 @@ def test_decompose_rejects_dimension_mismatch():
 
 def test_decompose_n1_window_between_bounds():
     # at n = 1 is_conjugation's bound 1.01e-8 exceeds thr = 1e-8: C passes
-    # is_conjugation and its structure check, so decompose returns its one
-    # block, while verify_membership fails it on the isometry defect
+    # is_conjugation, its structure check and from_params' check of its one
+    # block, so decompose returns that block, while verify_membership fails
+    # it on the isometry defect
     U, C = np.eye(1), AntilinearOperator([[1 + 5.02e-9]])
     assert 1e-8 < is_conjugation(C)[1].isometry_defect <= 1.01e-8
     params = decompose(U, C)
     W, layout = canonical_form(U)
     assert np.array_equal(from_params(layout, W, params).matrix, C.matrix)
     assert not verify_membership(U, C)[0]
+
+
+@pytest.mark.parametrize("scale", [1 + 5e-9, 1 + 8e-9])
+def test_decompose_returns_only_what_from_params_rebuilds(scale):
+    # pair block 0 (1 x 1) scaled off the unit circle: its unitarity defect
+    # 2(scale - 1) meets from_params' bound 1.01e-8 at 5e-9 and misses it at
+    # 8e-9, while C stays within is_conjugation's bound and verify passes both
+    U = np.diag(np.exp(1j * np.array([0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 0.0, np.pi])))
+    W, layout = canonical_form(U)
+    V = layout_conjugation(layout, identity_params(layout)).matrix
+    V[:2, :2] *= scale
+    C = transport(AntilinearOperator(V), W)
+    assert verify_membership(U, C)[0]
+    if scale < 1 + 8e-9:
+        rebuilt = from_params(layout, W, decompose(U, C)).matrix
+        assert np.linalg.norm(rebuilt - C.matrix) <= membership_threshold(len(U))
+    else:
+        with pytest.raises(MembershipError, match="pair block 0 is not unitary"):
+            decompose(U, C)
 
 
 def _noisy_members(rng, eps):
@@ -186,10 +207,10 @@ def _outcome(call, U, C):
         return type(e)
 
 
-def test_decompose_without_block_checks_keeps_every_outcome(rng):
-    # the whole-matrix checks imply the per-block ones up to a window of
-    # width thr^2, so members under noise near thr get the same answer, and
-    # the same parameter bits, as with every block checked on its own
+def test_noisy_members_decompose_as_the_loop_oracle_and_rebuild(rng):
+    # members under noise near thr get the same answer, and the same
+    # parameter bits, as with every block checked on its own; whatever
+    # decompose returns, from_params rebuilds C from within thr
     seen = set()
     for eps in (1e-9, 1e-8, 3e-8, 1e-7):
         for U, C in _noisy_members(rng, eps):
@@ -199,6 +220,9 @@ def test_decompose_without_block_checks_keeps_every_outcome(rng):
                 seen.add(want)
                 continue
             seen.add("ok")
+            W, layout = canonical_form(U)
+            rebuilt = from_params(layout, W, got).matrix
+            assert np.linalg.norm(rebuilt - C.matrix) <= membership_threshold(len(U))
             v_blocks, q_plus, q_minus = want
             assert len(got.v_blocks) == len(v_blocks)
             for a, b in zip(got.v_blocks, v_blocks):

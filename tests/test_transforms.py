@@ -19,7 +19,8 @@ from conjugations.transforms import (
     require_centered_grid,
 )
 
-from _oracles import pairing_rule_entrywise
+from _oracles import cuc_defects_dense, fourier_scatter, pairing_rule_entrywise
+from _oracles import unitarity_defect_dense
 
 
 def test_model_validation():
@@ -198,6 +199,29 @@ def test_fourier_conjugation_is_the_family_member(rng, N):
     W = np.eye(N)[:, np.concatenate([model.class_indices(k) for k in (3, 1, 0, 2)])]
     member = from_params(BlockLayout(((1j, m),), m, m), W, ConjugationParams((Ui,), O1, O2))
     assert np.array_equal(fourier_conjugation(N, O1, O2, Ui).matrix, member.matrix)
+
+
+@pytest.mark.parametrize("N", [4, 16, 512])
+def test_fourier_conjugation_equals_the_class_order_scatter(rng, N):
+    m = N // 4
+    O1, O2 = real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng)
+    Ui = haar_unitary(m, rng)
+    assert np.array_equal(fourier_conjugation(N, O1, O2, Ui).matrix, fourier_scatter(O1, O2, Ui))
+
+
+def test_transform_model_defects_equal_the_dense_products(rng):
+    # the models' diagonals hold only +-1 and +-i, so scaling columns by
+    # them is exact and the diagonal path gives the dense products' bits
+    N, m = 512, 128
+    fourier = fourier_conjugation(
+        N, real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng), haar_unitary(m, rng)
+    )
+    hilbert = hilbert_conjugation(N, haar_unitary(N // 2, rng))
+    for C, U in ((fourier, FourBlockModel(N).matrix()), (hilbert, TwoBlockModel(N).matrix())):
+        _, report = verify_membership(U, C, threshold=1e-12 * N)
+        assert unitarity_defect(U) == unitarity_defect_dense(U)
+        assert report.isometry_defect == unitarity_defect_dense(C.matrix)
+        assert (report.commutation_defect, report.symmetry_defect) == cuc_defects_dense(C.matrix, U)
 
 
 @pytest.mark.parametrize("N", [2, 6, 64])
