@@ -108,32 +108,33 @@ def transport(C, W):
     return AntilinearOperator(W @ C.matrix @ W.T)
 
 
-def _cuc(C, U, caller):
-    """U as a complex array and the matrix A conj(U) conj(A) of C U C.
+def _cuc_distance(C, U, adjoint, caller):
+    """||A conj(U) conj(A) - T|| in Frobenius norm, T = U* if adjoint else U.
 
     For diagonal U = diag(d) the first product is the column scaling
-    A * conj(d): one n^3 product instead of two."""
+    A * conj(d), one n^3 product instead of two, and T is subtracted on the
+    diagonal alone."""
     U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError(f"{caller} dimension mismatch")
     A = C.matrix
     d = _diagonal_entries(U)
     if d is None:
-        return U, A @ np.conj(U) @ np.conj(A)
-    return U, (A * np.conj(d)) @ np.conj(A)
+        return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
+    cuc = (A * np.conj(d)) @ np.conj(A)
+    cuc[np.diag_indices_from(cuc)] -= np.conj(d) if adjoint else d
+    return float(np.linalg.norm(cuc))
 
 
 def commutation_defect(C, U):
     """||C U C - U|| as ||A conj(U) conj(A) - U|| in Frobenius norm.
 
     Measures any square U; verify_membership checks U's unitarity first."""
-    U, cuc = _cuc(C, U, "commutation_defect")
-    return float(np.linalg.norm(cuc - U))
+    return _cuc_distance(C, U, False, "commutation_defect")
 
 
 def symmetry_defect(C, U):
     """||C U C - U*|| as ||A conj(U) conj(A) - U*|| in Frobenius norm.
 
     Measures any square U; verify_membership checks U's unitarity first."""
-    U, cuc = _cuc(C, U, "symmetry_defect")
-    return float(np.linalg.norm(cuc - U.conj().T))
+    return _cuc_distance(C, U, True, "symmetry_defect")

@@ -4,10 +4,11 @@ Nothing here shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
-eigenvalue at a time, from scipy's complex Schur form, the squared-shift
-defects and spectral residuals are the dense matrix products they are
-defined by, and the measure lattice and the reflection conjugation are
-per-atom loops.
+eigenvalue at a time, from scipy's complex Schur form, the unitarity and
+commutation defects, the squared-shift defects and the spectral residuals
+are the dense matrix products they are defined by, the Fourier model is
+scattered into class order entry by entry, and the measure lattice and the
+reflection conjugation are per-atom loops.
 """
 
 import numpy as np
