@@ -210,7 +210,7 @@ def _outcome(call, U, C):
 def test_noisy_members_decompose_as_the_loop_oracle_and_rebuild(rng):
     # members under noise near thr get the same answer, and the same
     # parameter bits, as with every block checked on its own; whatever
-    # decompose returns, from_params rebuilds C from within thr
+    # decompose returns, from_params rebuilds C within thr
     seen = set()
     for eps in (1e-9, 1e-8, 3e-8, 1e-7):
         for U, C in _noisy_members(rng, eps):
