@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import _diagonal_entries, as_square_matrix, require_unitary, threshold
+from .linalg import as_square_matrix, require_unitary, threshold
 from .linalg import unitarity_defect
 
 
@@ -109,21 +109,37 @@ def transport(C, W):
 
 
 def _cuc_distance(C, U, adjoint, caller):
-    """||A conj(U) conj(A) - T|| in Frobenius norm, T = U* if adjoint else U.
-
-    For diagonal U = diag(d) the first product is the column scaling
-    A * conj(d), one n^3 product instead of two, and T is subtracted on the
-    diagonal alone."""
+    """||A conj(U) conj(A) - T|| in Frobenius norm, T = U* if adjoint else U."""
     U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError(f"{caller} dimension mismatch")
     A = C.matrix
-    d = _diagonal_entries(U)
-    if d is None:
-        return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
-    cuc = (A * np.conj(d)) @ np.conj(A)
-    cuc[np.diag_indices_from(cuc)] -= np.conj(d) if adjoint else d
-    return float(np.linalg.norm(cuc))
+    return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
+
+
+def _class_report(A, d):
+    """The four defects of x -> A conj(x) against U = diag(d) from the blocks
+    A[I_a, I_b] pairing each class I_a = {i : d_i = lam} with the class I_b
+    of conj(lam), or None when A has a nonzero entry off them (an exact
+    count).  A*A, A conj(A) and A conj(U) conj(A) = lam A conj(A) are then
+    block diagonal: sum m_a^3 work instead of n^3.  A class without a
+    conjugate partner has I_b empty."""
+    values, cls, counts = np.unique(d, return_inverse=True, return_counts=True)
+    at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
+    partner = np.where(values[at] == np.conj(values), at, -1)
+    members = np.split(np.argsort(cls, kind="stable"), np.cumsum(counts)[:-1])
+    rows = [A[np.ix_(I, members[b] if b >= 0 else I[:0])] for I, b in zip(members, partner)]
+    if sum(map(np.count_nonzero, rows)) != np.count_nonzero(A):
+        return None
+    sq = np.zeros(4)
+    for lam, B, b in zip(values, rows, partner):
+        K = rows[b] if b >= 0 else B.T  # A[I_b, I_a]
+        G, M = K.conj().T @ K, B @ np.conj(K)
+        cuc, sym = lam * M, lam * M
+        for R, target in ((G, 1), (M, 1), (cuc, lam), (sym, np.conj(lam))):
+            R.flat[:: len(R) + 1] -= target
+        sq += [np.vdot(R, R).real for R in (G, M, cuc, sym)]
+    return ConjugationReport(*map(float, np.sqrt(sq)))
 
 
 def commutation_defect(C, U):

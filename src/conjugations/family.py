@@ -16,16 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antilinear import (
-    AntilinearOperator,
-    commutation_defect,
-    is_conjugation,
-    symmetry_defect,
-    transport,
-)
+from .antilinear import AntilinearOperator, _class_report, commutation_defect, is_conjugation
+from .antilinear import symmetry_defect, transport
 from .errors import InputError, MembershipError
-from .linalg import as_square_matrix, haar_unitary, membership_threshold, require_unitary
-from .linalg import symmetric_unitary, threshold, unitarity_defect
+from .linalg import _diagonal_entries, as_square_matrix, haar_unitary, require_unitary
+from .linalg import membership_threshold, symmetric_unitary, threshold, unitarity_defect
 from .spectral import canonical_form
 
 
@@ -134,21 +129,23 @@ def sample(U, seed):
 def verify_membership(U, C, threshold=None):
     """Defect report for C against U with a boolean verdict.
 
-    The report is is_conjugation's, with the commutation and symmetry defects
-    added.  The verdict requires the isometry, involution, and commutation
+    For a diagonal U, the report is antilinear._class_report's when C's
+    matrix sits on the blocks pairing each eigenvalue class with its
+    conjugate's.  Otherwise it is is_conjugation's, with the dense commutation
+    and symmetry defects added.  The verdict requires the isometry, involution, and commutation
     defects to sit below the threshold (membership_threshold(n) = 1e-8 * n
     by default).
     """
     U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
         raise InputError("operator dimensions do not match")
-    require_unitary(U, "U")
+    d = _diagonal_entries(U)
+    require_unitary(U, "U", d)
     thr = membership_threshold(U.shape[0]) if threshold is None else threshold
-    report = replace(
-        is_conjugation(C)[1],
-        commutation_defect=commutation_defect(C, U),
-        symmetry_defect=symmetry_defect(C, U),
-    )
+    report = None if d is None else _class_report(C.matrix, d)
+    if report is None:
+        report = replace(is_conjugation(C)[1], commutation_defect=commutation_defect(C, U),
+                         symmetry_defect=symmetry_defect(C, U))
     passed = (
         report.isometry_defect <= thr
         and report.involution_defect <= thr

@@ -79,22 +79,25 @@ def _diagonal_entries(A):
     return d if np.count_nonzero(A) == np.count_nonzero(d) else None
 
 
-def unitarity_defect(M):
+def unitarity_defect(M, d=None):
     """Frobenius distance of M*M from the identity, read from the diagonal
-    alone when M is diagonal."""
-    A = as_square_matrix(M)
-    d = _diagonal_entries(A)
+    alone when M is diagonal.  A caller that has found the diagonal d of a
+    diagonal M with _diagonal_entries passes it, and M is not read."""
+    if d is None:
+        A = as_square_matrix(M)
+        d = _diagonal_entries(A)
     if d is not None:
         return float(np.linalg.norm(np.conj(d) * d - 1))
     return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0])))
 
 
-def require_unitary(M, name="matrix"):
+def require_unitary(M, name="matrix", d=None):
     """Return M as a complex array after checking it is unitary within
-    threshold(sqrt(n))."""
-    A = as_square_matrix(M, name)
+    threshold(sqrt(n)).  A caller that has read M with as_square_matrix and
+    found its diagonal d with _diagonal_entries passes d; M is not read again."""
+    A = as_square_matrix(M, name) if d is None else M
     n = A.shape[0]
-    defect = unitarity_defect(A) if n else 0.0
+    defect = unitarity_defect(A, d)
     if defect > threshold(np.sqrt(max(n, 1))):
         raise InputError(f"{name} is not unitary: defect {defect:.3e}")
     return A

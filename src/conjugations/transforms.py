@@ -45,7 +45,8 @@ class FourBlockModel:
             raise InputError("four-block model size must be a positive multiple of 4")
 
     def matrix(self):
-        return np.diag((-1j) ** np.arange(self.size))
+        # (-i)^n read from a table: the power rounds off the axes for n > 64
+        return np.diag(np.array([1, -1j, -1, 1j])[np.arange(self.size) % 4])
 
     def class_indices(self, k):
         return np.arange(self.size)[np.arange(self.size) % 4 == k]

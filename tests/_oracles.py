@@ -4,8 +4,8 @@ Nothing here shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
-eigenvalue at a time, from scipy's complex Schur form, the unitarity and
-commutation defects, the squared-shift defects and the spectral residuals
+eigenvalue at a time, from scipy's complex Schur form, the unitarity,
+involution and commutation defects, the squared-shift defects and the spectral residuals
 are the dense matrix products they are defined by, the Fourier model is
 scattered into class order entry by entry, and the measure lattice and the
 reflection conjugation are per-atom loops.
@@ -240,6 +240,15 @@ def cuc_defects_dense(A, U):
     A, U = np.asarray(A, dtype=complex), np.asarray(U, dtype=complex)
     cuc = A @ np.conj(U) @ np.conj(A)
     return float(np.linalg.norm(cuc - U)), float(np.linalg.norm(cuc - U.conj().T))
+
+
+def membership_defects_dense(A, U):
+    """Isometry, involution, commutation and symmetry defects of A against
+    U, in the order of ConjugationReport: ||A*A - I||, ||A conj(A) - I||,
+    then cuc_defects_dense, every product formed in full."""
+    A = np.asarray(A, dtype=complex)
+    involution = float(np.linalg.norm(A @ np.conj(A) - np.eye(A.shape[0])))
+    return (unitarity_defect_dense(A), involution, *cuc_defects_dense(A, U))
 
 
 def fourier_scatter(O1, O2, Ui):

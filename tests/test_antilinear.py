@@ -148,8 +148,9 @@ def test_defects_measure_non_unitary_u(rng):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
 def test_diagonal_u_defects_match_the_dense_products(rng, n):
-    # generic phases: the column scaling rounds like the dense product only
-    # up to the order of its sums
+    # generic phases: the diagonal unitarity defect rounds like the dense
+    # product only up to the order of its sums; the commutation and symmetry
+    # defects are the dense products for any U
     U = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
     C = AntilinearOperator(symmetric_unitary(n, rng) if n else np.zeros((0, 0)))
     assert _diagonal_entries(U) is not None

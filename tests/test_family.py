@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conjugations import family
 from conjugations.antilinear import (
     AntilinearOperator,
     commutation_defect,
@@ -28,6 +33,7 @@ from random_inputs import planted_selfdual
 from _oracles import (
     brute_force_2x2_members,
     decompose_loop,
+    membership_defects_dense,
     min_commutation_defect_3x3,
     off_structure_loop,
 )
@@ -371,6 +377,90 @@ def test_verify_membership_judgements(rng):
 def test_verify_membership_rejects_non_unitary_u():
     with pytest.raises(InputError, match=r"^U is not unitary: defect 3\.000e\+00$"):
         verify_membership(np.diag([2.0, 1.0]), plain_conjugation(2))
+
+
+def _refuse(*args):
+    raise AssertionError("verify_membership fell back to the dense products")
+
+
+def class_path_only():
+    """Make verify_membership fail if it calls the dense defect functions."""
+    return mock.patch.multiple(
+        family, is_conjugation=_refuse, commutation_defect=_refuse, symmetry_defect=_refuse
+    )
+
+
+def planted_classes(pair_sizes, ell, kay, lone, kind, seed):
+    """(U, A): U diagonal with conjugate pair classes of the given sizes, +1
+    and -1 classes of sizes ell and kay, and a class of size lone without a
+    conjugate partner; A zero off the blocks pairing each class with its
+    conjugate's.  kind "member" places a sampled member of the family (the
+    lone class's rows and columns stay zero), "noisy" adds noise on those
+    blocks, "random" fills them at random.  Both are then permuted."""
+    rng = np.random.default_rng(seed)
+    lams = np.exp(1j * rng.uniform(0.1, 3.0, len(pair_sizes)))
+    d = np.concatenate(
+        [np.repeat([lam, np.conj(lam)], m) for lam, m in zip(lams, pair_sizes)]
+        + [np.ones(ell), -np.ones(kay), np.full(lone, np.exp(-1j * rng.uniform(0.1, 3.0)))]
+    )
+    n = len(d)
+    blocks = d[None, :] == np.conj(d)[:, None]
+    layout = BlockLayout(tuple(zip(lams, pair_sizes)), ell, kay)
+    params = ConjugationParams(
+        tuple(haar_unitary(m, rng) for m in pair_sizes),
+        symmetric_unitary(ell, rng) if ell else np.eye(0),
+        symmetric_unitary(kay, rng) if kay else np.eye(0),
+    )
+    A = np.zeros((n, n), dtype=complex)
+    A[: layout.dim, : layout.dim] = layout_conjugation(layout, params).matrix
+    noise = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * blocks
+    if kind == "noisy":
+        A += 10.0 ** rng.uniform(-10, -6) * noise
+    elif kind == "random":
+        A = noise / np.sqrt(max(n, 1))
+    perm = rng.permutation(n)
+    return np.diag(d[perm]), A[np.ix_(perm, perm)]
+
+
+def assert_dense_verdict(got, report, A, U, tol):
+    dense = membership_defects_dense(A, U)
+    for value, want in zip(report.as_dict().values(), dense):
+        assert abs(value - want) <= tol
+    thr = membership_threshold(len(U))
+    assert got == all(x <= thr for x in dense[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.sampled_from(["member", "noisy", "random"]),
+    st.integers(0, 2**32 - 1),
+)
+@example([], 0, 0, 0, "member", 0)
+@example([], 1, 0, 0, "member", 1)
+@example([], 0, 1, 0, "random", 2)
+@example([], 0, 0, 1, "member", 3)
+@example([1], 0, 0, 0, "member", 4)
+def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind, seed):
+    U, A = planted_classes(pair_sizes, ell, kay, lone, kind, seed)
+    n = len(U)
+    C = AntilinearOperator(A)
+    with class_path_only():
+        got, report = verify_membership(U, C)
+    assert_dense_verdict(got, report, A, U, 1e-14 * max(n, 1))
+    if kind == "member" and not lone:
+        assert got
+    # one entry off the pairing blocks, however tiny, takes the dense path
+    off = np.argwhere(np.diagonal(U)[None, :] != np.conj(np.diagonal(U))[:, None])
+    if len(off):
+        i, j = off[seed % len(off)]
+        A[i, j] = 1e-300
+        got, report = verify_membership(U, AntilinearOperator(A))
+        assert tuple(report.as_dict().values()) == membership_defects_dense(A, U)
+        assert_dense_verdict(got, report, A, U, 0.0)
 
 
 def test_membership_invariant_under_transport(rng):

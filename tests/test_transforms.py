@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conjugations import family
 from conjugations.antilinear import is_conjugation
 from conjugations.errors import InputError
 from conjugations.family import ConjugationParams, decompose, from_params, sample, verify_membership
@@ -19,7 +20,7 @@ from conjugations.transforms import (
     require_centered_grid,
 )
 
-from _oracles import cuc_defects_dense, fourier_scatter, pairing_rule_entrywise
+from _oracles import fourier_scatter, membership_defects_dense, pairing_rule_entrywise
 from _oracles import unitarity_defect_dense
 
 
@@ -30,6 +31,11 @@ def test_model_validation():
         TwoBlockModel(5)
     F = FourBlockModel(8).matrix()
     assert np.allclose(np.diagonal(F), [(-1j) ** n for n in range(8)])
+    for N in (512, 1024):
+        # (-i)^n exactly: 4 distinct values, or the class path splits them
+        d = np.diagonal(FourBlockModel(N).matrix())
+        assert np.array_equal(d, np.round((-1j) ** np.arange(N)))
+        assert len(np.unique(d)) == 4
 
 
 def test_fourier_conjugation_identity_blocks():
@@ -209,19 +215,37 @@ def test_fourier_conjugation_equals_the_class_order_scatter(rng, N):
     assert np.array_equal(fourier_conjugation(N, O1, O2, Ui).matrix, fourier_scatter(O1, O2, Ui))
 
 
-def test_transform_model_defects_equal_the_dense_products(rng):
-    # the models' diagonals hold only +-1 and +-i, so scaling columns by
-    # them is exact and the diagonal path gives the dense products' bits
+def transform_models_512(rng):
     N, m = 512, 128
     fourier = fourier_conjugation(
         N, real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng), haar_unitary(m, rng)
     )
     hilbert = hilbert_conjugation(N, haar_unitary(N // 2, rng))
-    for C, U in ((fourier, FourBlockModel(N).matrix()), (hilbert, TwoBlockModel(N).matrix())):
-        _, report = verify_membership(U, C, threshold=1e-12 * N)
+    return N, ((fourier, FourBlockModel(N).matrix()), (hilbert, TwoBlockModel(N).matrix()))
+
+
+def test_transform_model_defects_match_the_dense_products(rng):
+    # the class path sums its blocks in another order than the dense
+    # products, so the two agree within 1e-14 N, not bitwise
+    N, models = transform_models_512(rng)
+    for C, U in models:
+        ok, report = verify_membership(U, C, threshold=1e-12 * N)
+        assert ok
         assert unitarity_defect(U) == unitarity_defect_dense(U)
-        assert report.isometry_defect == unitarity_defect_dense(C.matrix)
-        assert (report.commutation_defect, report.symmetry_defect) == cuc_defects_dense(C.matrix, U)
+        dense = membership_defects_dense(C.matrix, U)
+        for got, want in zip(report.as_dict().values(), dense):
+            assert abs(got - want) <= 1e-14 * N
+
+
+def test_transform_model_checks_take_the_class_path(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_membership fell back to the dense products")
+
+    for name in ("is_conjugation", "commutation_defect", "symmetry_defect"):
+        monkeypatch.setattr(family, name, refuse)
+    N, models = transform_models_512(rng)
+    for C, U in models:
+        assert verify_membership(U, C, threshold=1e-12 * N)[0]
 
 
 @pytest.mark.parametrize("N", [2, 6, 64])
