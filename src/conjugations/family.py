@@ -132,9 +132,9 @@ def verify_membership(U, C, threshold=None):
     For a diagonal U, the report is antilinear._class_report's when C's
     matrix sits on the blocks pairing each eigenvalue class with its
     conjugate's.  Otherwise it is is_conjugation's, with the dense commutation
-    and symmetry defects added.  The verdict requires the isometry, involution, and commutation
-    defects to sit below the threshold (membership_threshold(n) = 1e-8 * n
-    by default).
+    and symmetry defects added.  The verdict requires the isometry,
+    involution, and commutation defects to sit below the threshold
+    (membership_threshold(n) = 1e-8 * n by default).
     """
     U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:

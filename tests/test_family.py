@@ -379,17 +379,6 @@ def test_verify_membership_rejects_non_unitary_u():
         verify_membership(np.diag([2.0, 1.0]), plain_conjugation(2))
 
 
-def _refuse(*args):
-    raise AssertionError("verify_membership fell back to the dense products")
-
-
-def class_path_only():
-    """Make verify_membership fail if it calls the dense defect functions."""
-    return mock.patch.multiple(
-        family, is_conjugation=_refuse, commutation_defect=_refuse, symmetry_defect=_refuse
-    )
-
-
 def planted_classes(pair_sizes, ell, kay, lone, kind, seed):
     """(U, A): U diagonal with conjugate pair classes of the given sizes, +1
     and -1 classes of sizes ell and kay, and a class of size lone without a
@@ -448,7 +437,10 @@ def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind,
     U, A = planted_classes(pair_sizes, ell, kay, lone, kind, seed)
     n = len(U)
     C = AntilinearOperator(A)
-    with class_path_only():
+    dense_path = mock.Mock(side_effect=AssertionError("fell back to the dense products"))
+    with mock.patch.multiple(
+        family, is_conjugation=dense_path, commutation_defect=dense_path, symmetry_defect=dense_path
+    ):
         got, report = verify_membership(U, C)
     assert_dense_verdict(got, report, A, U, 1e-14 * max(n, 1))
     if kind == "member" and not lone:
