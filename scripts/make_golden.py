@@ -57,6 +57,7 @@ CASES = [
     ("verify_mixed", ["verify", "{IN}/u_mixed.json", "{IN}/c_mixed.json"], 0),
     ("decompose_swap", ["decompose", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
     ("decompose_mismatch", ["decompose", "{IN}/u_mixed.json", "{IN}/c_swap.json"], 2),
+    ("decompose_refused", ["decompose", "{IN}/u_bad.json", "{IN}/c_swap.json"], 3),
     ("fourunit_small", ["fourunit", "{IN}/a_small.json"], 0),
     ("measure_reflect", ["measure", "reflect", "{IN}/mu.json"], 0),
     ("measure_reflect_extra", ["measure", "reflect", "{IN}/mu.json", "{IN}/mu2.json"], 2),
