@@ -8,10 +8,6 @@ class InputError(ValueError):
 class NotSelfDualError(RuntimeError):
     """The unitary is not equivalent to its adjoint, so no commuting conjugation exists."""
 
-    def __init__(self, message, mismatches=()):
-        super().__init__(message)
-        self.mismatches = tuple(mismatches)
-
 
 class AbsoluteContinuityError(RuntimeError):
     """The reflected measure is not absolutely continuous: an unpaired non-real atom."""

@@ -32,46 +32,6 @@ def as_square_matrix(M, name="matrix"):
     return A
 
 
-def complex_from_pairs(data, shape, where, field):
-    """Complex array of the given shape from JSON nested lists of [re, im] pairs.
-
-    One np.asarray call parses the whole payload.  Only a payload that fails
-    to parse is walked, to name its first misfit entry in the error.  An
-    axis of length 0 ends the nesting: a 0-row matrix is just [].
-    """
-    full = (*shape, 2)
-    nested = full[: full.index(0) + 1] if 0 in full else full
-    try:
-        pairs = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.shape != nested:
-        raise InputError(f"{where}: {_misfit(data, full, field) or field + ' is malformed'}")
-    if not np.all(np.isfinite(pairs)):
-        raise InputError(f"{where}: {field} entries must be finite")
-    pairs = pairs.reshape(full)
-    return pairs[..., 0] + 1j * pairs[..., 1]
-
-
-def _misfit(data, shape, name):
-    """What the first entry of data breaking the nested-list shape must be."""
-    if not shape:
-        try:
-            float(data)
-        except (TypeError, ValueError, OverflowError):
-            return f"{name} must be a number"
-        return None
-    if not isinstance(data, list) or len(data) != shape[0]:
-        if len(shape) == 1:
-            return f"{name} must be a [re, im] pair"
-        return f"{name} must be a list of {shape[0]} entries"
-    for i, item in enumerate(data):
-        found = _misfit(item, shape[1:], f"{name}[{i}]")
-        if found:
-            return found
-    return None
-
-
 def _diagonal_entries(A):
     """The diagonal of the square array A when every nonzero entry of A sits
     on it, else None.  O(n^2): one count of the nonzero entries."""

@@ -110,7 +110,7 @@ class AtomicMeasure:
             try:
                 thetas.append(float(atom["theta"]))
                 weights.append(float(atom["weight"]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InputError(f"{where}: atoms[{i}] has non-numeric fields") from None
         return cls(np.array(thetas), np.array(weights))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import ABS_TOL, complex_from_pairs
+from .linalg import ABS_TOL
 
 SYMBOL_TOL = 1e-12
 
@@ -40,22 +40,6 @@ class GridModel:
     @property
     def points(self):
         return grid_points(self.order)
-
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "values": np.stack((self.values.real, self.values.imag), axis=-1).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj, where="grid"):
-        if not isinstance(obj, dict) or "order" not in obj or "values" not in obj:
-            raise InputError(f"{where}: expected an object with 'order' and 'values'")
-        try:
-            order = int(obj["order"])
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: order must be an integer") from None
-        return cls(order, complex_from_pairs(obj["values"], (order,), where, "values"))
 
 
 def grid_points(order):

@@ -198,12 +198,22 @@ def _selfdual_from_clusters(clusters, partner):
     return not mismatches, mismatches
 
 
+def _format_point(lam):
+    """1, -1, i or -i within 1e-9 of the point, else exp(<angle>i) with six
+    significant digits, so an angle near 0 or pi does not read as +-1."""
+    for value, label in ((1, "1"), (-1, "-1"), (1j, "i"), (-1j, "-i")):
+        if abs(lam - value) <= 1e-9:
+            return label
+    return f"exp({float(np.angle(lam)):.6g}i)"
+
+
 def canonical_form(U):
     """Basis W and block layout with W* U W block diagonal.
 
     The target form is diag(xi_j I, conj(xi_j) I) over the conjugate pairs
     sorted by increasing Arg xi_j in (0, pi), followed by I_ell and -I_kay.
-    Raises NotSelfDualError when the pairing fails.
+    Raises NotSelfDualError, worded as the CLI prints it, when the pairing
+    fails.
     """
     spectrum = diagonalize_unitary(U)
     n = spectrum.dim
@@ -212,8 +222,8 @@ def canonical_form(U):
     if not ok:
         lam, mult, conj_mult = mismatches[0]
         raise NotSelfDualError(
-            f"eigenvalue {lam:.6g} multiplicity {mult}, conjugate multiplicity {conj_mult}",
-            mismatches,
+            f"C_c(U) is empty: eigenvalue {_format_point(lam)} multiplicity {mult}, "
+            f"conjugate multiplicity {conj_mult}"
         )
 
     offsets = np.cumsum([0] + [m for _, m in spectrum.clusters])

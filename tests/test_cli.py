@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conjugations.cli import (
     save_json,
 )
 from conjugations.errors import InputError
+from conjugations.linalg import operator_norm
 from conjugations.measures import AtomicMeasure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,6 +67,59 @@ def test_empty_family_message():
         payload["error"]["message"]
         == "C_c(U) is empty: eigenvalue i multiplicity 2, conjugate multiplicity 0"
     )
+
+
+@pytest.mark.parametrize("angles,label", [
+    ([2e-7, 2e-7, 0.5, -0.5], "exp(2e-07i) multiplicity 2, conjugate multiplicity 0"),
+    ([2e-7, 2e-7, -2e-7], "exp(-2e-07i) multiplicity 1, conjugate multiplicity 2"),
+], ids=["4x4", "3x3"])
+def test_refusal_label_near_one_keeps_its_angle(tmp_path, angles, label):
+    # the mismatch is never 1 itself, so the label must not round to exp(0i)
+    path = tmp_path / "u.json"
+    save_json(path, matrix_to_dict(np.diag(np.exp(1j * np.array(angles)))))
+    code, out, _ = run_captured(["canonical", str(path)])
+    assert code == EXIT_REFUSED
+    assert json.loads(out)["error"]["message"] == f"C_c(U) is empty: eigenvalue {label}"
+
+
+@pytest.mark.parametrize("command,content,message", [
+    (["check"], b"\xff\xfe\x00garbage", "not UTF-8 text: invalid start byte at byte 0"),
+    (["check"], b"[" * 100_000 + b"]" * 100_000, "JSON nests too deeply"),
+    (["check"], b'{"rows": 1e400, "cols": 1, "data": []}', "rows/cols must be integers"),
+    (["measure", "reflect"], b'{"atoms": [{"theta": 1' + b"0" * 400 + b', "weight": 1}]}',
+     "atoms[0] has non-numeric fields"),
+], ids=["not_utf8", "deep_nesting", "huge_rows", "huge_theta"])
+def test_malformed_file_is_input_error(tmp_path, command, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, _ = run_captured([*command, str(path)])
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": f"{path}: {message}"}}
+
+
+def test_fourunit_operator_norm_is_linalg_operator_norm(tmp_path, rng):
+    # fourunit doubles the split's scale instead of running a second SVD
+    path = tmp_path / "a.json"
+    for A in [np.zeros((3, 3))] + [
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(1, 9)
+    ]:
+        save_json(path, matrix_to_dict(A))
+        code, out, _ = run_captured(["fourunit", str(path)])
+        assert code == EXIT_OK
+        assert json.loads(out)["operator_norm"] == operator_norm(A)
+
+
+def test_fourunit_runs_one_svd():
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", spy):
+        code, _, _ = run_captured(["fourunit", str(INPUTS / "a_small.json")])
+    assert code == EXIT_OK and len(calls) == 1
 
 
 def test_malformed_json_points_at_problem(tmp_path):

@@ -54,6 +54,17 @@ def test_canonical_refuses_non_selfdual():
         canonical_conjugation(np.diag([1j, 1j]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda U: sample(U, 1),
+    canonical_conjugation,
+    lambda U: decompose(U, AntilinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+], ids=["sample", "canonical_conjugation", "decompose"])
+def test_empty_family_error_is_the_cli_text(build):
+    with pytest.raises(NotSelfDualError) as err:
+        build(np.diag([1j, 1j]))
+    assert str(err.value) == "C_c(U) is empty: eigenvalue i multiplicity 2, conjugate multiplicity 0"
+
+
 def test_canonical_on_random_selfdual(rng):
     for _ in range(10):
         U, *_ = planted_selfdual(rng, max_dim=20)

@@ -342,14 +342,3 @@ def test_semicircle_subspace_invariance(rng):
         assert np.max(np.abs(out[np.abs(t) >= np.pi / 2])) <= 1e-14
         assert np.max(np.abs(out - out[rev])) <= 1e-12
 
-
-def test_grid_json_round_trip(rng):
-    f = random_grid(rng, 6)
-    back = GridModel.from_dict(f.to_dict())
-    assert np.array_equal(back.values, f.values)
-    with pytest.raises(InputError):
-        GridModel.from_dict({"order": 2, "values": [[0, 0]]})
-    with pytest.raises(InputError, match=r"values\[1\] must be a \[re, im\] pair"):
-        GridModel.from_dict({"order": 2, "values": [[0, 0], [1]]})
-    with pytest.raises(InputError, match="values entries must be finite"):
-        GridModel.from_dict({"order": 1, "values": [[float("nan"), 0]]})
