@@ -68,6 +68,7 @@ CASES = [
     ("shift_demo_sincos", ["shift-demo", "--order", "16", "--degree", "2", "--preset", "sincos"], 0),
     ("shift_demo_lambda", ["shift-demo", "--order", "16", "--degree", "2", "--preset", "lambda"], 0),
     ("shift_demo_scalar", ["shift-demo", "--order", "16", "--degree", "1", "--preset", "sincos"], 0),
+    ("shift_demo_blocks", ["shift-demo", "--order", "1030", "--degree", "2", "--preset", "lambda"], 0),
     ("fourier_demo", ["fourier-demo", "--size", "16", "--seed", "1"], 0),
     ("hilbert_demo", ["hilbert-demo", "--size", "10", "--seed", "1"], 0),
     ("malformed_input", ["check", "{IN}/malformed.json"], 2),
