@@ -112,7 +112,10 @@ class AtomicMeasure:
                 weights.append(float(atom["weight"]))
             except (TypeError, ValueError, OverflowError):
                 raise InputError(f"{where}: atoms[{i}] has non-numeric fields") from None
-        return cls(np.array(thetas), np.array(weights))
+        try:
+            return cls(np.array(thetas), np.array(weights))
+        except InputError as e:
+            raise InputError(f"{where}: {e}") from None
 
 
 def reflect(mu):

@@ -20,6 +20,7 @@ from .errors import InputError
 from .linalg import ABS_TOL
 
 SYMBOL_TOL = 1e-12
+_BLOCK_BYTES = 1 << 19  # bytes of identity rows per apply call in ModelConjugation.matrix
 
 
 @dataclass(frozen=True)
@@ -300,19 +301,26 @@ class ModelConjugation:
     def matrix(self):
         """The dense action apply(eye).T, cached with its fiber blocks.
 
-        A maps the fiber {p, p + M/2} of xi -> xi^2 to the fiber of rev p, so
-        A = B + E with 2x2 blocks B_p = A[fiber(rev p), fiber(p)].  Each defect
-        is read from B in O(M) and raised by e(2b + e), with e = |E|_F taken on
-        a masked copy and b = max_p |B_p|_2, which bounds the dense defect of A
-        from above.  E is exactly zero for every model built from a symbol.
+        A is filled by apply on blocks of about _BLOCK_BYTES of identity rows,
+        so it peaks near 1.1 M^2 complex numbers, not 3 M^2.  A maps the fiber
+        {p, p + M/2} of xi -> xi^2 to the fiber of rev p, so A = B + E with 2x2
+        blocks B_p = A[fiber(rev p), fiber(p)].  Each defect is read from B in
+        O(M) and raised by e(2b + e), with e = |E|_F taken on A with B zeroed
+        in place and b = max_p |B_p|_2, which bounds the dense defect of A from
+        above.  E is exactly zero for every model built from a symbol.
         """
         if self._matrix is None:
-            A = self.apply(np.eye(self.order, dtype=complex)).T
-            fiber = np.arange(self.order).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
+            M = self.order
+            A = np.empty((M, M), dtype=complex)
+            r = max(1, _BLOCK_BYTES // (16 * M))
+            for s in range(0, M, r):
+                A[:, s : s + r] = self.apply(np.eye(min(r, M - s), M, s, dtype=complex)).T
+            fiber = np.arange(M).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
             at = (fiber[self._rev_half][:, :, None], fiber[:, None, :])
-            off = A.copy()
-            off[at] = 0.0
-            eps, self._blocks = float(np.linalg.norm(off)), A[at]
+            self._blocks = A[at]
+            A[at] = 0.0
+            eps = float(np.linalg.norm(A))
+            A[at] = self._blocks
             self._slack = eps * (2 * np.linalg.norm(self._blocks, 2, axis=(1, 2)).max() + eps)
             self._matrix = A
         return self._matrix

@@ -172,12 +172,19 @@ def test_bad_flag_values_are_input_errors(argv, message):
     assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
 
 
-def test_measure_with_nonfinite_weight_is_input_error(tmp_path):
-    mu = tmp_path / "mu_nan.json"
-    mu.write_text('{"atoms": [{"theta": 0.5, "weight": NaN}, {"theta": -0.5, "weight": 1.0}]}')
+@pytest.mark.parametrize("atoms,message", [
+    ('{"theta": 1e400, "weight": 1.0}', "atom angles must be finite"),
+    ('{"theta": 0.5, "weight": NaN}', "atom weights must be finite"),
+    ('{"theta": 0.5, "weight": -1}', "atom weights must be strictly positive"),
+    (f'{{"theta": 0.5, "weight": 1.0}}, {{"theta": {0.5 + 2 * np.pi!r}, "weight": 2.0}}',
+     "duplicate atoms after canonicalization"),
+], ids=["infinite_theta", "nan_weight", "negative_weight", "duplicate_atoms"])
+def test_measure_value_errors_name_the_file(tmp_path, atoms, message):
+    mu = tmp_path / "mu.json"
+    mu.write_text(f'{{"atoms": [{atoms}, {{"theta": -0.25, "weight": 1.0}}]}}')
     code, out, _ = run_captured(["measure", "reflect", str(mu)])
     assert code == EXIT_INPUT
-    assert "atom weights must be finite" in json.loads(out)["error"]["message"]
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": f"{mu}: {message}"}}
 
 
 def test_canonical_verify_round_trip(tmp_path):

@@ -21,7 +21,7 @@ from conjugations.shifts import (
     synthesize,
 )
 
-from _oracles import shift_apply_fft, shift_defects_dense
+from _oracles import shift_apply_fft, shift_defects_dense, shift_fiber_certificate
 
 
 def random_grid(rng, M):
@@ -221,12 +221,41 @@ class LeakyConjugation(ModelConjugation):
         return super().apply(values) + 1e-6 * np.roll(np.conj(values), 1, axis=-1)
 
 
-@pytest.mark.parametrize("M", [8, 64])
+@pytest.mark.parametrize("M", [8, 64, 1028])
 def test_off_fiber_leak_raises_every_defect(rng, M):
     C = LeakyConjugation(symbol_field(random_params(rng, M // 2)), M)
     exact = shift_defects_dense(C.matrix(), M)
     got = _defects(C)
     assert np.all(got >= np.array(exact) * (1 - 1e-12)) and np.all(got > 1e-7), (got, exact)
+
+
+@pytest.mark.parametrize("cls,M", [
+    (ModelConjugation, 2),
+    (ModelConjugation, 16),
+    (ModelConjugation, 1030),  # 34 identity blocks, the last one 7 rows
+    (ModelConjugation, 2048),
+    (LeakyConjugation, 16),
+    (LeakyConjugation, 1030),
+])
+def test_blocked_matrix_matches_unblocked_apply(rng, cls, M):
+    C = cls(symbol_field(random_params(rng, M // 2)), M)
+    dense = C.apply(np.eye(M, dtype=complex)).T
+    blocks, slack = shift_fiber_certificate(dense, M)
+    assert np.array_equal(C.matrix(), dense)
+    assert np.array_equal(C._blocks, blocks) and C._slack == slack
+    assert (slack > 0) == (cls is LeakyConjugation)
+
+
+def test_model_matrix_peak_memory(rng):
+    M = 1024
+    C = squared_shift_conjugation(random_params(rng, M // 2), M)
+    tracemalloc.start()
+    try:
+        C.matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * M * M * 16, peak / (M * M * 16)
 
 
 def test_squared_shift_random_params(rng):
