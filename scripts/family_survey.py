@@ -16,7 +16,6 @@ from conjugations.family import canonical_conjugation, decompose, from_params, s
 from conjugations.linalg import haar_unitary
 from conjugations.measures import field_conjugation_report, reflection_conjugation
 from conjugations.shifts import (
-    GridModel,
     SymbolParams,
     UMultiplierConjugation,
     conjugate_indices,
@@ -77,7 +76,7 @@ def survey_grids(rng, order):
     rev = conjugate_indices(order)
     phase = rng.uniform(-np.pi, np.pi, order)
     u = np.exp(1j * (phase + phase[rev]) / 2)
-    uc = UMultiplierConjugation(GridModel(order, u))
+    uc = UMultiplierConjugation(u)
     half = order // 2
     params = SymbolParams(
         rng.uniform(0, 1, half),

@@ -342,7 +342,7 @@ def cmd_shift_demo(args):
         if args.preset != "sincos":
             raise InputError("degree 1 supports the 'sincos' preset only")
         t = shifts.grid_arguments(M)
-        conj = shifts.UMultiplierConjugation(shifts.GridModel(M, np.exp(1j * np.cos(t))))
+        conj = shifts.UMultiplierConjugation(np.exp(1j * np.cos(t)))
     elif args.degree == 2:
         if M % 2 != 0:
             raise InputError("--order must be even for degree 2")

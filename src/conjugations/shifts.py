@@ -4,12 +4,14 @@ Truncating the bilateral shift to finitely many Fourier modes destroys
 unitarity, but multiplication by the coordinate on the roots-of-unity grid is
 exactly unitary and every identity used here is pointwise, so it holds on the
 grid without discretization error.  The grid point j is e^{2 pi i j / M}, and
-the grid is closed under complex conjugation via j -> (M - j) mod M.
+the grid is closed under complex conjugation via j -> (M - j) mod M.  A grid
+function is a complex array with the grid axis last, so one call takes a
+single function or a batch.
 
 For a divisor d of M, a grid function splits uniquely as
 f(xi) = sum_j xi^j f_j(xi^d) with the components living on the order-M/d
 grid; analyze/synthesize implement the two directions through length-d DFTs
-across the fibers of xi -> xi^d.
+across the fibers of xi -> xi^d, the components stacked on a leading axis.
 """
 
 from dataclasses import dataclass
@@ -19,28 +21,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import ABS_TOL
 
-SYMBOL_TOL = 1e-12
 _BLOCK_BYTES = 1 << 19  # bytes of identity rows per apply call in ModelConjugation.matrix
-
-
-@dataclass(frozen=True)
-class GridModel:
-    """Complex values on the order-M roots-of-unity grid, index j at angle 2 pi j / M."""
-
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if self.order < 1:
-            raise InputError("grid order must be at least 1")
-        if values.shape != (self.order,):
-            raise InputError(f"expected {self.order} grid values, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def points(self):
-        return grid_points(self.order)
 
 
 def grid_points(order):
@@ -57,53 +38,41 @@ def conjugate_indices(order):
     return (-np.arange(order)) % order
 
 
-def grid_norm(f):
+def grid_norm(values):
     """Normalized grid norm, the counting measure divided by the order."""
-    return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
+    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
-def _analyze_batch(values, d):
-    """Component arrays of shape (d, ..., M/d) for a batch with grid axis last."""
-    M = values.shape[-1]
+def analyze(values, d):
+    """Split grid functions into their d model components, f(xi) = sum_j xi^j f_j(xi^d).
+
+    values has the grid axis last; the result has shape (d, ..., M/d).
+    """
+    values = np.asarray(values, dtype=complex)
+    M = values.shape[-1] if values.ndim else 0
+    if M < 1:
+        raise InputError("grid order must be at least 1")
+    if d < 1 or M % d != 0:
+        raise InputError(f"degree {d} must divide the grid order {M}")
     Md = M // d
     fibers = values.reshape(values.shape[:-1] + (d, Md))
     g = np.fft.fft(fibers, axis=-2) / d
-    j = np.arange(d)[:, None]
-    p = np.arange(Md)[None, :]
-    twiddle = np.exp(-2j * np.pi * (j * p) / M)
+    twiddle = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(Md)) / M)
     return np.moveaxis(g * twiddle, -2, 0)
 
 
-def _synthesize_batch(components, M):
-    d = components.shape[0]
-    Md = M // d
-    j = np.arange(d)[:, None]
-    p = np.arange(Md)[None, :]
-    twiddle = np.exp(2j * np.pi * (j * p) / M)
+def synthesize(components):
+    """Inverse of analyze, with d read from the first axis; exact on the grid and norm preserving."""
+    components = np.asarray(components, dtype=complex)
+    if components.ndim < 2 or components.size == 0:
+        raise InputError(f"components must have shape (d, ..., M/d), got {components.shape}")
+    d, Md = components.shape[0], components.shape[-1]
+    M = d * Md
+    twiddle = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(Md)) / M)
     tw = twiddle.reshape((d,) + (1,) * (components.ndim - 2) + (Md,))
     g = np.moveaxis(components * tw, 0, -2)
     fibers = np.fft.ifft(g, axis=-2) * d
     return fibers.reshape(fibers.shape[:-2] + (M,))
-
-
-def analyze(f, d):
-    """Split f into the d model components: f(xi) = sum_j xi^j f_j(xi^d)."""
-    if d < 1 or f.order % d != 0:
-        raise InputError(f"degree {d} must divide the grid order {f.order}")
-    comps = _analyze_batch(f.values, d)
-    return [GridModel(f.order // d, comps[j]) for j in range(d)]
-
-
-def synthesize(components, d):
-    """Inverse of analyze; exact on the grid and norm preserving."""
-    if len(components) != d:
-        raise InputError(f"expected {d} components, got {len(components)}")
-    Md = components[0].order
-    for c in components:
-        if c.order != Md:
-            raise InputError("components must share one grid order")
-    stack = np.stack([c.values for c in components], axis=0)
-    return GridModel(Md * d, _synthesize_batch(stack, Md * d))
 
 
 class UMultiplierConjugation:
@@ -114,17 +83,12 @@ class UMultiplierConjugation:
     """
 
     def __init__(self, u):
-        if not isinstance(u, GridModel):
-            u = GridModel(len(u), np.asarray(u))
-        M = u.order
-        rev = conjugate_indices(M)
-        if np.max(np.abs(np.abs(u.values) - 1.0)) > SYMBOL_TOL:
-            raise InputError("u must be unimodular on the grid")
-        if np.max(np.abs(u.values - u.values[rev])) > SYMBOL_TOL:
-            raise InputError("u must satisfy u(xi) = u(conj xi) on the grid")
-        self.order = M
-        self.u = u.values
-        self._rev = rev
+        u = np.asarray(u, dtype=complex)
+        if u.ndim != 1 or u.size == 0:
+            raise InputError(f"u must be a non-empty 1-d grid array, got shape {u.shape}")
+        self.order = u.size
+        self.u = _check_symbol(u[:, None, None], self.order, 1)[:, 0, 0]
+        self._rev = conjugate_indices(self.order)
 
     def apply(self, values):
         values = np.asarray(values, dtype=complex)
@@ -213,13 +177,15 @@ def symbol_field(params):
     return phi
 
 
-def _check_symbol(phi, order):
+def _check_symbol(phi, order, block):
+    """phi as a complex (order, block, block) field, unitary and reflection
+    compatible, phi(conj xi) = phi(xi)^t, within ABS_TOL max-abs."""
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (order, 2, 2):
-        raise InputError(f"symbol must have shape ({order}, 2, 2)")
+    if phi.shape != (order, block, block):
+        raise InputError(f"symbol must have shape ({order}, {block}, {block})")
     rev = conjugate_indices(order)
     sym = float(np.max(np.abs(phi.transpose(0, 2, 1) - phi[rev])))
-    eye = np.eye(2)
+    eye = np.eye(block)
     unit = float(
         np.max(np.abs(np.einsum("kji,kjl->kil", np.conj(phi), phi) - eye[None, :, :]))
     )
@@ -246,12 +212,12 @@ class ModelConjugation:
         if order % 2 != 0:
             raise InputError("grid order must be even for the squared-shift model")
         self.order = order
-        self.phi = _check_symbol(phi, order // 2)
+        self.phi = _check_symbol(phi, order // 2, 2)
         half = order // 2
         self._rev_half = conjugate_indices(half)
         self._gather = np.concatenate((self._rev_half, half + self._rev_half))
         p = np.arange(half)
-        # component 1's twiddles in _analyze_batch (conjugated, reflected) and _synthesize_batch
+        # component 1's twiddles in analyze (conjugated, reflected) and synthesize
         self._twiddle_in = np.conj(np.exp(-2j * np.pi * p / order))[self._rev_half]
         self._twiddle_out = np.exp(2j * np.pi * p / order)
         self._matrix = None
@@ -264,10 +230,10 @@ class ModelConjugation:
         reflected model components (a + b)/2 and (a - b)/2 times a twiddle,
         the 2x2 symbol mixes them into g_0, g_1, and the inverse butterfly
         g_0 +- xi g_1 writes the two halves of the output.  The steps are
-        those of _analyze_batch and _synthesize_batch, so the values agree
-        with them bit for bit up to the sign of zeros.  Besides the output
-        the only scratch is the gathered copy of the input: a batch of k grid
-        functions takes 2 k M complex numbers, 2 M^2 for apply(eye).
+        those of analyze and synthesize, so the values agree with them bit
+        for bit up to the sign of zeros.  Besides the output the only scratch
+        is the gathered copy of the input: a batch of k grid functions takes
+        2 k M complex numbers, 2 M^2 for apply(eye).
         """
         values = np.asarray(values, dtype=complex)
         if values.shape[-1] != self.order:
@@ -377,5 +343,5 @@ def extract_symbol(apply_fn, order):
         raise InputError("grid order must be even")
     probes = (np.ones(order, dtype=complex), grid_points(order))
     images = np.stack([apply_fn(probe) for probe in probes])
-    out = _analyze_batch(images, 2)  # out[i, j]: component i of the image of xi^j
+    out = analyze(images, 2)  # out[i, j]: component i of the image of xi^j
     return np.moveaxis(out, -1, 0)

@@ -191,8 +191,8 @@ def check_selfdual(U):
 
 def _selfdual_from_clusters(clusters, partner):
     mismatches = []
-    for i, (lam, mult) in enumerate(clusters):
-        conj_mult = clusters[partner[i]][1] if partner[i] >= 0 else 0
+    for i, ((lam, mult), j) in enumerate(zip(clusters, partner)):
+        conj_mult = clusters[j][1] if j >= 0 and partner[j] == i else 0  # partners must be mutual
         if conj_mult != mult:
             mismatches.append((lam, mult, conj_mult))
     return not mismatches, mismatches
@@ -269,11 +269,16 @@ def multiplicity_model(U):
     Each multiplicity value k occurring in the spectrum contributes one
     component (mu_k, k) with mu_k the unit-weight sum of point masses at the
     clusters of multiplicity exactly k.  Components are mutually singular by
-    construction.
+    construction.  Of two mutual conjugate partners the cluster below the
+    real axis sits at the exact conjugate of the other, so the measure layer
+    pairs atoms exactly where check_selfdual pairs clusters.
     """
-    spectrum = diagonalize_unitary(U)
+    clusters = diagonalize_unitary(U).clusters
+    partner = _pair_clusters(clusters)
     by_mult = {}
-    for lam, mult in spectrum.clusters:
+    for i, ((lam, mult), j) in enumerate(zip(clusters, partner)):
+        if lam.imag < 0 and j >= 0 and partner[j] == i:
+            lam = np.conj(clusters[j][0])
         by_mult.setdefault(mult, []).append(lam)
     components = []
     for mult in sorted(by_mult):

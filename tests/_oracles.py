@@ -199,7 +199,8 @@ def schur_spectrum(U, tol, residual_tol):
     ("ToleranceError", None, None) when the clustered spectrum misses U by
     more than residual_tol in Frobenius norm, else ("ok", clusters, selfdual) with clusters the (value, multiplicity) pairs
     sorted by angle and selfdual whether every cluster's multiplicity equals
-    that of its partner under pair_clusters_loop.
+    that of its partner under pair_clusters_loop, a partner that does not
+    take the cluster back counting as multiplicity 0.
     """
     T, Q = schur(U, output="complex")
     vals = np.diagonal(T)
@@ -224,7 +225,8 @@ def schur_spectrum(U, tol, residual_tol):
     clusters.sort(key=lambda c: np.angle(c[0]))
     partner = pair_clusters_loop([lam for lam, _ in clusters], tol)
     selfdual = all(
-        (clusters[p][1] if p >= 0 else 0) == m for (_, m), p in zip(clusters, partner)
+        (clusters[p][1] if p >= 0 and partner[p] == i else 0) == m
+        for i, ((_, m), p) in enumerate(zip(clusters, partner))
     )
     return "ok", clusters, selfdual
 

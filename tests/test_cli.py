@@ -81,6 +81,25 @@ def test_refusal_label_near_one_keeps_its_angle(tmp_path, angles, label):
     assert json.loads(out)["error"]["message"] == f"C_c(U) is empty: eigenvalue {label}"
 
 
+@pytest.mark.parametrize("command", ["check", "canonical", "sample"])
+def test_non_mutual_partner_is_refused(tmp_path, command):
+    # both clusters near exp(-0.5i) pick exp(0.5i) as partner; counting it for
+    # both used to call U self-dual and leave W 7 x 6
+    path = tmp_path / "u.json"
+    angles = [0.5, -(0.5 + 6e-8), -(0.5 - 6e-8), 1, -1, 2, -2]
+    save_json(path, matrix_to_dict(np.diag(np.exp(1j * np.array(angles)))))
+    argv = [command, str(path)] + (["--seed", "1"] if command == "sample" else [])
+    code, out, _ = run_captured(argv)
+    payload = json.loads(out)
+    if command == "check":
+        assert code == EXIT_OK and payload["selfdual"] is False
+    else:
+        assert code == EXIT_REFUSED
+        assert payload["error"]["message"] == (
+            "C_c(U) is empty: eigenvalue exp(-0.5i) multiplicity 1, conjugate multiplicity 0"
+        )
+
+
 @pytest.mark.parametrize("command,content,message", [
     (["check"], b"\xff\xfe\x00garbage", "not UTF-8 text: invalid start byte at byte 0"),
     (["check"], b"[" * 100_000 + b"]" * 100_000, "JSON nests too deeply"),

@@ -6,7 +6,6 @@ import pytest
 from conjugations.errors import InputError
 from conjugations.family import sample
 from conjugations.shifts import (
-    GridModel,
     ModelConjugation,
     SymbolParams,
     UMultiplierConjugation,
@@ -25,7 +24,7 @@ from _oracles import shift_apply_fft, shift_defects_dense, shift_fiber_certifica
 
 
 def random_grid(rng, M):
-    return GridModel(M, rng.normal(size=M) + 1j * rng.normal(size=M))
+    return rng.normal(size=M) + 1j * rng.normal(size=M)
 
 
 def random_params(rng, L):
@@ -38,30 +37,28 @@ def random_params(rng, L):
 
 
 def test_analyze_constant():
-    f = GridModel(8, np.ones(8))
-    c0, c1 = analyze(f, 2)
-    assert np.allclose(c0.values, 1.0) and np.allclose(c1.values, 0.0)
+    c0, c1 = analyze(np.ones(8), 2)
+    assert np.allclose(c0, 1.0) and np.allclose(c1, 0.0)
 
 
 def test_analyze_coordinate():
     M = 8
-    f = GridModel(M, grid_points(M))
-    c0, c1 = analyze(f, 2)
-    assert np.allclose(c0.values, 0.0, atol=1e-14) and np.allclose(c1.values, 1.0)
+    c0, c1 = analyze(grid_points(M), 2)
+    assert np.allclose(c0, 0.0, atol=1e-14) and np.allclose(c1, 1.0)
 
 
 def test_analyze_synthesize_round_trip(rng):
     M, d = 32, 4
     f = random_grid(rng, M)
     comps = analyze(f, d)
-    back = synthesize(comps, d)
-    assert np.max(np.abs(back.values - f.values)) <= 1e-13
+    back = synthesize(comps)
+    assert np.max(np.abs(back - f)) <= 1e-13
     # splitting identity at every grid point: f(xi) = sum_j xi^j f_j(xi^d),
     # where xi_m^d is the point at index m mod M/d of the quotient grid
     m = np.arange(M)
     xi = grid_points(M)
-    direct = sum(xi**j * comps[j].values[m % (M // d)] for j in range(d))
-    assert np.max(np.abs(direct - f.values)) <= 1e-12
+    direct = sum(xi**j * comps[j][m % (M // d)] for j in range(d))
+    assert np.max(np.abs(direct - f)) <= 1e-12
 
 
 def test_parseval(rng):
@@ -71,13 +68,40 @@ def test_parseval(rng):
 
 
 def test_analyze_rejects_bad_degree():
-    with pytest.raises(InputError):
-        analyze(GridModel(8, np.ones(8)), 3)
+    with pytest.raises(InputError, match="degree 3 must divide the grid order 8"):
+        analyze(np.ones(8), 3)
+    with pytest.raises(InputError, match="degree 0 must divide"):
+        analyze(np.ones((2, 8)), 0)
+
+
+@pytest.mark.parametrize("values", [np.zeros(0), np.zeros((3, 0)), np.array(1.0)], ids=["0", "3x0", "scalar"])
+def test_analyze_rejects_empty_grid(values):
+    with pytest.raises(InputError, match="grid order must be at least 1"):
+        analyze(values, 1)
+
+
+@pytest.mark.parametrize("components", [np.ones(4), np.zeros((0, 3)), np.zeros((2, 0))], ids=["1d", "0x3", "2x0"])
+def test_synthesize_rejects_shapeless_components(components):
+    with pytest.raises(InputError, match="components must have shape"):
+        synthesize(components)
+
+
+@pytest.mark.parametrize("M", [2, 6, 24, 1024])
+def test_batch_transforms_act_row_by_row(rng, M):
+    # a batch with the grid axis last is analyzed one grid function at a time,
+    # bit for bit, and synthesize reads d off the leading component axis
+    batch = rng.normal(size=(5, M)) + 1j * rng.normal(size=(5, M))
+    for d in (d for d in range(1, M + 1) if M % d == 0):
+        comps = analyze(batch, d)
+        assert comps.shape == (d, 5, M // d)
+        for i in range(5):
+            assert np.array_equal(comps[:, i], analyze(batch[i], d))
+        assert np.max(np.abs(synthesize(comps) - batch)) <= 1e-13
 
 
 def test_shift_conjugation_plain():
     M = 8
-    C = UMultiplierConjugation(GridModel(M, np.ones(M)))
+    C = UMultiplierConjugation(np.ones(M))
     f = np.arange(M) + 1j
     rev = conjugate_indices(M)
     assert np.allclose(C.apply(f), np.conj(f[rev]))
@@ -88,7 +112,7 @@ def test_shift_conjugation_plain():
 def test_shift_conjugation_even_phase(rng):
     for M in (16, 128, 4096):
         t = grid_arguments(M)
-        C = UMultiplierConjugation(GridModel(M, np.exp(1j * np.cos(t))))
+        C = UMultiplierConjugation(np.exp(1j * np.cos(t)))
         assert C.isometry_defect() <= 1e-12
         assert C.involution_defect() <= 1e-12
         assert C.commutation_defect() <= 1e-12
@@ -97,9 +121,21 @@ def test_shift_conjugation_even_phase(rng):
 def test_shift_conjugation_rejects_odd_symbol():
     M = 16
     with pytest.raises(InputError):
-        UMultiplierConjugation(GridModel(M, grid_points(M)))  # u(xi) = xi is odd
+        UMultiplierConjugation(grid_points(M))  # u(xi) = xi is odd
     with pytest.raises(InputError):
-        UMultiplierConjugation(GridModel(M, 2 * np.ones(M)))  # not unimodular
+        UMultiplierConjugation(2 * np.ones(M))  # not unimodular
+
+
+def test_shift_conjugation_symbol_window():
+    # u is checked as a field of 1x1 blocks, at the ABS_TOL window of the 2x2 symbols
+    M = 16
+    C = UMultiplierConjugation(np.full(M, 1.0 + 2e-11))
+    assert C.isometry_defect() <= 1e-9
+    with pytest.raises(InputError, match="unitarity"):
+        UMultiplierConjugation(np.full(M, 1.0 + 1e-9))
+    for u in (np.ones((2, M)), np.ones(0), np.array(1.0)):
+        with pytest.raises(InputError, match="non-empty 1-d grid array"):
+            UMultiplierConjugation(u)
 
 
 def test_symbol_field_top_row():
@@ -137,10 +173,8 @@ def test_squared_shift_top_family(rng):
     f = random_grid(rng, M)
     c0, c1 = analyze(f, 2)
     revh = conjugate_indices(M // 2)
-    expect = synthesize(
-        [GridModel(M // 2, np.conj(c0.values[revh])), GridModel(M // 2, -np.conj(c1.values[revh]))], 2
-    )
-    assert np.max(np.abs(C.apply(f.values) - expect.values)) <= 1e-13
+    expect = synthesize([np.conj(c0[revh]), -np.conj(c1[revh])])
+    assert np.max(np.abs(C.apply(f) - expect)) <= 1e-13
 
 
 @pytest.mark.parametrize("M", [8, 64, 512, 2048])
@@ -275,8 +309,8 @@ def test_sincos_matches_literal_multiplier_on_quarter_arc():
     C = squared_shift_conjugation(params, M)
     t = grid_arguments(M)
     xi = grid_points(M)
-    delta0 = synthesize([GridModel(M // 2, np.ones(M // 2)), GridModel(M // 2, np.zeros(M // 2))], 2)
-    m1 = C.apply(delta0.values)  # f_1 = 1 is reflection invariant, so this is the multiplier
+    delta0 = synthesize([np.ones(M // 2), np.zeros(M // 2)])
+    m1 = C.apply(delta0)  # f_1 = 1 is reflection invariant, so this is the multiplier
     mask = np.abs(t) < np.pi / 4
     literal = np.sin(2 * np.abs(t)) + xi * np.cos(2 * t)
     assert np.max(np.abs(m1[mask] - literal[mask])) <= 1e-12
@@ -311,12 +345,11 @@ def _loop_extract_symbol(apply_fn, order):
     phi = np.empty((half, 2, 2), dtype=complex)
     for j in range(2):
         for p in range(half):
-            comps = [GridModel(half, np.zeros(half)), GridModel(half, np.zeros(half))]
-            comps[j] = GridModel(half, np.eye(half)[p])
-            image = GridModel(order, apply_fn(synthesize(comps, 2).values))
-            out = analyze(image, 2)
+            comps = np.zeros((2, half), dtype=complex)
+            comps[j, p] = 1.0
+            out = analyze(apply_fn(synthesize(comps)), 2)
             # the delta at z_p lands at conj(z_p) = z_{rev[p]}
-            phi[rev[p], :, j] = [out[0].values[rev[p]], out[1].values[rev[p]]]
+            phi[rev[p], :, j] = out[:, rev[p]]
     return phi
 
 
@@ -366,7 +399,7 @@ def test_semicircle_subspace_invariance(rng):
         g = (g + g[rev]) / 2  # even part, still supported on the arc
         phase = rng.uniform(-np.pi, np.pi, M)
         u = np.exp(1j * (phase + phase[rev]) / 2)  # even unimodular
-        C = UMultiplierConjugation(GridModel(M, u))
+        C = UMultiplierConjugation(u)
         out = C.apply(g)
         assert np.max(np.abs(out[np.abs(t) >= np.pi / 2])) <= 1e-14
         assert np.max(np.abs(out - out[rev])) <= 1e-12

@@ -4,7 +4,7 @@ import pytest
 from conjugations import spectral
 from conjugations.errors import InputError, NotSelfDualError, ToleranceError
 from conjugations.linalg import haar_unitary, membership_threshold, unitarity_defect
-from conjugations.measures import radon_nikodym
+from conjugations.measures import assemble_model, radon_nikodym
 from conjugations.spectral import (
     CLUSTER_TOL,
     _cluster_indices,
@@ -226,6 +226,10 @@ BOUNDARY_PROBES = [
     ("probe-off-pair", np.diag(np.exp([0.5j, -(0.5 + 5e-8) * 1j])), "ok"),
 ]
 
+# two clusters 1.2e-7 apart near exp(-0.5i) that both take exp(0.5i) as their
+# conjugate partner, which takes only one of them back
+NON_MUTUAL = np.diag(np.exp(1j * np.array([0.5, -(0.5 + 6e-8), -(0.5 - 6e-8), 1, -1, 2, -2])))
+
 # two clusters near 1, 1.8e-7 apart, that both snap to exactly 1: at n = 14
 # they are a conjugate pair, at n = 17 their multiplicities are 1 and 2
 SNAPPED_TWICE = {
@@ -244,6 +248,7 @@ AGREEMENT_CASES = (
     + [(name, lambda U=U: U) for name, U, _ in BOUNDARY_PROBES]
     + [(name + "-rotated", lambda U=U: _rotated(np.angle(np.diag(U)), 9)) for name, U, _ in BOUNDARY_PROBES]
     + [(f"snapped-twice-{n}", lambda U=U: U) for n, U in SNAPPED_TWICE.items()]
+    + [("non-mutual", lambda: NON_MUTUAL), ("non-mutual-rotated", lambda: _rotated(np.angle(np.diag(NON_MUTUAL)), 9))]
 )
 
 
@@ -322,6 +327,48 @@ def test_clusters_snapped_to_one_merge():
     assert diagonalize_unitary(SNAPPED_TWICE[17]).clusters[1] == (1.0 + 0.0j, 3)
     ok, mismatches = check_selfdual(SNAPPED_TWICE[17])
     assert ok and not any(lam == 1.0 for lam, _, _ in mismatches)
+
+
+def test_partners_must_be_mutual():
+    # one of the two clusters near exp(-0.5i) is left without a partner
+    ok, mismatches = check_selfdual(NON_MUTUAL)
+    assert not ok
+    assert [(round(float(np.angle(lam)), 6), m, c) for lam, m, c in mismatches] == [(-0.5, 1, 0)]
+    with pytest.raises(NotSelfDualError) as err:
+        canonical_form(NON_MUTUAL)
+    assert str(err.value) == (
+        "C_c(U) is empty: eigenvalue exp(-0.5i) multiplicity 1, conjugate multiplicity 0"
+    )
+
+
+def _off_conjugate(eps):
+    return np.diag(np.exp(1j * np.array([0.5, -(0.5 + eps), 1, -1])))
+
+
+ASSEMBLY_CASES = (
+    [(f"off-conjugate-{eps:g}", lambda eps=eps: _off_conjugate(eps), eps < 1e-7)
+     for eps in (5e-10, 5e-9, 5e-8, 2e-7)]
+    + [(f"off-conjugate-{eps:g}-rotated", lambda eps=eps: _rotated(np.angle(np.diag(_off_conjugate(eps))), 3),
+        eps < 1e-7) for eps in (5e-9, 5e-8)]
+    + [("non-mutual", lambda: NON_MUTUAL, False)]
+    + [(f"planted-{seed}", lambda seed=seed: planted_selfdual(np.random.default_rng(seed), max_dim=12)[0], True)
+       for seed in range(4)]
+    + [(f"haar-{n}", lambda n=n: haar_unitary(n, np.random.default_rng(n)), False) for n in (2, 5)]
+)
+
+
+@pytest.mark.parametrize("make,selfdual", [c[1:] for c in ASSEMBLY_CASES], ids=[c[0] for c in ASSEMBLY_CASES])
+def test_assembly_refused_iff_not_selfdual(make, selfdual):
+    # the measure layer pairs atoms at 1e-9; the model puts mutual partners
+    # at exact conjugates so that the 1e-7 cluster pairing decides
+    U = make()
+    assert check_selfdual(U)[0] == selfdual
+    try:
+        assemble_model(multiplicity_model(U))
+        assembled = True
+    except AbsoluteContinuityError:
+        assembled = False
+    assert assembled == selfdual
 
 
 def _pairing_sets(rng):

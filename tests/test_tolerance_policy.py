@@ -64,10 +64,12 @@ def test_no_tolerance_object():
 
 
 def test_threshold_values():
+    from conjugations import shifts
     from conjugations.linalg import ABS_TOL, REL_TOL, membership_threshold, threshold
     from conjugations.spectral import CLUSTER_TOL
 
     assert (ABS_TOL, REL_TOL, CLUSTER_TOL) == (1e-10, 1e-8, 1e-7)
+    assert not hasattr(shifts, "SYMBOL_TOL")  # grid symbols are checked at ABS_TOL
     assert threshold() == 1e-10 + 1e-8
     assert threshold(4.0) == 1e-10 + 1e-8 * 4.0
     assert membership_threshold(0) == membership_threshold(1) == 1e-8
