@@ -130,6 +130,9 @@ def matrix_from_dict(obj, where):
         rows, cols = int(obj["rows"]), int(obj["cols"])
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{where}: rows/cols must be integers") from None
+    given = (obj["rows"], obj["cols"])
+    if min(rows, cols) < 0 or (rows, cols) != given or any(isinstance(v, bool) for v in given):
+        raise InputError(f"{where}: rows/cols must be nonnegative integers")
     full = (rows, cols, 2)
     nested = full[: full.index(0) + 1] if 0 in full else full
     try:

@@ -39,28 +39,33 @@ def _diagonal_entries(A):
     return d if np.count_nonzero(A) == np.count_nonzero(d) else None
 
 
-def unitarity_defect(M, d=None):
+_UNREAD = object()  # the d of a matrix not yet read and looked at for its diagonal
+
+
+def unitarity_defect(M, d=_UNREAD):
     """Frobenius distance of M*M from the identity, read from the diagonal
-    alone when M is diagonal.  A caller that has found the diagonal d of a
-    diagonal M with _diagonal_entries passes it, and M is not read."""
-    if d is None:
-        A = as_square_matrix(M)
-        d = _diagonal_entries(A)
+    alone when M is diagonal.  A caller that has read M with as_square_matrix
+    and looked for its diagonal with _diagonal_entries passes the answer d,
+    None when M is not diagonal, and M is not read again."""
+    if d is _UNREAD:
+        M = as_square_matrix(M)
+        d = _diagonal_entries(M)
     if d is not None:
         return float(np.linalg.norm(np.conj(d) * d - 1))
-    return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0])))
+    return float(np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0])))
 
 
-def require_unitary(M, name="matrix", d=None):
+def require_unitary(M, name="matrix", d=_UNREAD):
     """Return M as a complex array after checking it is unitary within
-    threshold(sqrt(n)).  A caller that has read M with as_square_matrix and
-    found its diagonal d with _diagonal_entries passes d; M is not read again."""
-    A = as_square_matrix(M, name) if d is None else M
-    n = A.shape[0]
-    defect = unitarity_defect(A, d)
-    if defect > threshold(np.sqrt(max(n, 1))):
+    threshold(sqrt(n)).  M is read and its diagonal looked for once; a caller
+    that has done both passes the answer d, as to unitarity_defect."""
+    if d is _UNREAD:
+        M = as_square_matrix(M, name)
+        d = _diagonal_entries(M)
+    defect = unitarity_defect(M, d)
+    if defect > threshold(np.sqrt(max(M.shape[0], 1))):
         raise InputError(f"{name} is not unitary: defect {defect:.3e}")
-    return A
+    return M
 
 
 def operator_norm(M):

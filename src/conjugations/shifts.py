@@ -220,7 +220,7 @@ class ModelConjugation:
         # component 1's twiddles in analyze (conjugated, reflected) and synthesize
         self._twiddle_in = np.conj(np.exp(-2j * np.pi * p / order))[self._rev_half]
         self._twiddle_out = np.exp(2j * np.pi * p / order)
-        self._matrix = None
+        self._blocks = None
 
     def apply(self, values):
         """C f on a batch of grid functions, grid axis last; values is not modified.
@@ -265,48 +265,47 @@ class ModelConjugation:
         return out.reshape(values.shape)
 
     def matrix(self):
-        """The dense action apply(eye).T, cached with its fiber blocks.
+        """The dense action A = apply(eye).T, built anew on each call, not cached: apply
+        runs on blocks of about _BLOCK_BYTES of identity rows, so A peaks near 1.1 M^2."""
+        M = self.order
+        A = np.empty((M, M), dtype=complex)
+        r = max(1, _BLOCK_BYTES // (16 * M))
+        for s in range(0, M, r):
+            A[:, s : s + r] = self.apply(np.eye(min(r, M - s), M, s, dtype=complex)).T
+        return A
 
-        A is filled by apply on blocks of about _BLOCK_BYTES of identity rows,
-        so it peaks near 1.1 M^2 complex numbers, not 3 M^2.  A maps the fiber
-        {p, p + M/2} of xi -> xi^2 to the fiber of rev p, so A = B + E with 2x2
-        blocks B_p = A[fiber(rev p), fiber(p)].  Each defect is read from B in
-        O(M) and raised by e(2b + e), with e = |E|_F taken on A with B zeroed
-        in place and b = max_p |B_p|_2, which bounds the dense defect of A from
-        above.  E is exactly zero for every model built from a symbol.
+    def _fiber_blocks(self):
+        """The 2x2 blocks B_p = A[fiber(rev p), fiber(p)], fiber(p) = (p, p + M/2), A = B + E.
+
+        A is built once by matrix() for the defects and then released; the
+        model keeps its M/2 blocks and the slack e(2b + e), with e = |E|_F
+        taken on A with B zeroed in place and b = max_p |B_p|_2.  Each defect
+        is read from B in O(M) and raised by the slack, which bounds the dense
+        defect of A from above.  E is exactly zero for every built model.
         """
-        if self._matrix is None:
-            M = self.order
-            A = np.empty((M, M), dtype=complex)
-            r = max(1, _BLOCK_BYTES // (16 * M))
-            for s in range(0, M, r):
-                A[:, s : s + r] = self.apply(np.eye(min(r, M - s), M, s, dtype=complex)).T
-            fiber = np.arange(M).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
+        if self._blocks is None:
+            A = self.matrix()
+            fiber = np.arange(self.order).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
             at = (fiber[self._rev_half][:, :, None], fiber[:, None, :])
             self._blocks = A[at]
             A[at] = 0.0
             eps = float(np.linalg.norm(A))
-            A[at] = self._blocks
             self._slack = eps * (2 * np.linalg.norm(self._blocks, 2, axis=(1, 2)).max() + eps)
-            self._matrix = A
-        return self._matrix
+        return self._blocks
 
     def _defect(self, residual):
         return float(np.linalg.norm(residual) + self._slack)
 
     def isometry_defect(self):
-        self.matrix()
-        B = self._blocks
+        B = self._fiber_blocks()
         return self._defect(np.conj(B.transpose(0, 2, 1)) @ B - np.eye(2))
 
     def involution_defect(self):
-        self.matrix()
-        B = self._blocks
+        B = self._fiber_blocks()
         return self._defect(B[self._rev_half] @ np.conj(B) - np.eye(2))
 
     def commutation_defect(self):
-        self.matrix()
-        B, rev = self._blocks, self._rev_half
+        B, rev = self._fiber_blocks(), self._rev_half
         w = grid_points(self.order // 2)[:, None, None]  # xi^2 on each fiber
         return self._defect((B[rev] * np.conj(w[rev])) @ np.conj(B) - w * np.eye(2))
 

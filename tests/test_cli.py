@@ -405,6 +405,27 @@ def test_writer_nonfinite_and_other_arrays():
     assert buf.getvalue() == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("header", [
+    '"rows": 2.7, "cols": 2.2',
+    '"rows": true, "cols": 1',
+    '"rows": -1, "cols": 1',
+], ids=["fractional", "boolean", "negative"])
+def test_matrix_header_must_be_nonnegative_integers(tmp_path, header):
+    path = tmp_path / "bad.json"
+    path.write_text("{%s, %s}" % (header, '"data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'))
+    code, out, _ = run_captured(["check", str(path)])
+    assert code == EXIT_INPUT
+    message = f"{path}: rows/cols must be nonnegative integers"
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+
+
+def test_matrix_header_accepts_integral_floats():
+    data = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    for rows in (2, 2.0):
+        got = matrix_from_dict({"rows": rows, "cols": 2.0, "data": data}, "m.json")
+        assert np.array_equal(got, np.eye(2))
+
+
 def test_matrix_parser_rejects_misfits():
     cases = [
         ({"rows": 2, "cols": 1, "data": [[[1, 0]]]}, "data must be a list of 2 entries"),

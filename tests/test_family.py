@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conjugations import family
+from conjugations import family, linalg
 from conjugations.antilinear import (
     AntilinearOperator,
     commutation_defect,
@@ -388,6 +388,22 @@ def test_verify_membership_judgements(rng):
 def test_verify_membership_rejects_non_unitary_u():
     with pytest.raises(InputError, match=r"^U is not unitary: defect 3\.000e\+00$"):
         verify_membership(np.diag([2.0, 1.0]), plain_conjugation(2))
+
+
+def test_verify_membership_reads_a_dense_u_once(rng):
+    U, *_ = planted_selfdual(rng, max_dim=12)
+    W = haar_unitary(U.shape[0], rng)
+    U, C = W @ U @ W.conj().T, transport(canonical_conjugation(U), W)
+    bad = np.array([[1.0, 1.0], [0.0, 1.0]])
+    looked = mock.Mock(wraps=linalg._diagonal_entries)
+    with mock.patch.object(linalg, "_diagonal_entries", looked), \
+            mock.patch.object(family, "_diagonal_entries", looked):
+        assert verify_membership(U, C)[0]
+        with pytest.raises(InputError, match=r"^U is not unitary: defect 1\.732e\+00$"):
+            verify_membership(bad, plain_conjugation(2))
+    # is_conjugation also looks at C's own matrix; count the looks at U
+    on = [c.args[0] for c in looked.call_args_list]
+    assert [sum(np.array_equal(A, V) for A in on) for V in (U, bad)] == [1, 1]
 
 
 def planted_classes(pair_sizes, ell, kay, lone, kind, seed):

@@ -276,8 +276,22 @@ def test_blocked_matrix_matches_unblocked_apply(rng, cls, M):
     dense = C.apply(np.eye(M, dtype=complex)).T
     blocks, slack = shift_fiber_certificate(dense, M)
     assert np.array_equal(C.matrix(), dense)
+    C.isometry_defect()
     assert np.array_equal(C._blocks, blocks) and C._slack == slack
     assert (slack > 0) == (cls is LeakyConjugation)
+
+
+def test_defects_release_the_dense_action(rng):
+    # the defects build A once and keep only its M/2 fiber blocks and the slack
+    M = 1024
+    C = squared_shift_conjugation(random_params(rng, M // 2), M)
+    tracemalloc.start()
+    try:
+        _defects(C)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * M * 16, held / (M * 16)
 
 
 def test_model_matrix_peak_memory(rng):
