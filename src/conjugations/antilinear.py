@@ -3,18 +3,21 @@ unitary transport, and the commuting/symmetric defects against a unitary.
 
 Storing only the matrix A of the linear part keeps every identity in plain
 matrix algebra: the composite C U C acts as A conj(U) conj(A), so defects are
-Frobenius norms of small matrix expressions instead of real 2n x 2n
-embeddings.
+Frobenius norms of small matrix expressions.  Against a diagonal U they are
+read from the blocks pairing each eigenvalue class with its conjugate's,
+stacked by block shape (_block_report).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .linalg import as_square_matrix, require_unitary, threshold
 from .linalg import unitarity_defect
+
+_BATCH = 1 << 14  # block entries stacked into one product by _block_report
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,7 @@ class ConjugationReport:
     symmetry_defect: float = math.nan
 
     def as_dict(self):
-        return {
-            "isometry_defect": self.isometry_defect,
-            "involution_defect": self.involution_defect,
-            "commutation_defect": self.commutation_defect,
-            "symmetry_defect": self.symmetry_defect,
-        }
+        return asdict(self)
 
 
 def apply(C, x):
@@ -117,29 +115,51 @@ def _cuc_distance(C, U, adjoint, caller):
     return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
 
 
-def _class_report(A, d):
-    """The four defects of x -> A conj(x) against U = diag(d) from the blocks
-    A[I_a, I_b] pairing each class I_a = {i : d_i = lam} with the class I_b
-    of conj(lam), or None when A has a nonzero entry off them (an exact
-    count).  A*A, A conj(A) and A conj(U) conj(A) = lam A conj(A) are then
-    block diagonal: sum m_a^3 work instead of n^3.  A class without a
-    conjugate partner has I_b empty."""
-    values, cls, counts = np.unique(d, return_inverse=True, return_counts=True)
-    at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
-    partner = np.where(values[at] == np.conj(values), at, -1)
-    members = np.split(np.argsort(cls, kind="stable"), np.cumsum(counts)[:-1])
-    rows = [A[np.ix_(I, members[b] if b >= 0 else I[:0])] for I, b in zip(members, partner)]
-    if sum(map(np.count_nonzero, rows)) != np.count_nonzero(A):
-        return None
-    sq = np.zeros(4)
-    for lam, B, b in zip(values, rows, partner):
-        K = rows[b] if b >= 0 else B.T  # A[I_b, I_a]
-        G, M = K.conj().T @ K, B @ np.conj(K)
-        cuc, sym = lam * M, lam * M
-        for R, target in ((G, 1), (M, 1), (cuc, lam), (sym, np.conj(lam))):
-            R.flat[:: len(R) + 1] -= target
-        sq += [np.vdot(R, R).real for R in (G, M, cuc, sym)]
-    return ConjugationReport(*map(float, np.sqrt(sq)))
+def _nonzeros(X):
+    """Exact count of X's nonzero real and imaginary parts, 2^20 at a time."""
+    F = X.ravel(order="K").view(float)
+    return sum(np.count_nonzero(F[s : s + (1 << 20)] != 0) for s in range(0, F.size, 1 << 20))
+
+
+def _block_report(A, classes, partner, lam):
+    """(report, exact, slack) for x -> A conj(x) against U = diag(lam[classes])
+    from the blocks B_a = A[I_a, I_p(a)], I_a = {i : classes[i] = a}, p = partner
+    the class of conj(lam[a]) or -1.  If exact, a count found no nonzero of A off
+    them and A*A, A conj(A), A conj(U) conj(A) have blocks K*K, M = B_a conj(K),
+    conj(lam_p(a)) M, K = B_p(a), stacked by shape up to _BATCH entries a product.
+    Else each defect gains the slack e(2b + e), e = |A off them|_F, b = max |B_a|_2."""
+    counts = np.bincount(classes, minlength=len(lam))
+    order, starts = np.argsort(classes, kind="stable"), np.cumsum(counts) - counts
+    width = np.where(partner >= 0, counts[partner], 0)
+    _, group = np.unique(counts * (len(A) + 1) + width, return_inverse=True)
+    groups = [np.flatnonzero(group == g) for g in range(group.max(initial=-1) + 1)]
+    at = [(order[starts[c][:, None] + np.arange(counts[c[0]])][:, :, None],
+           order[starts[partner[c]][:, None] + np.arange(width[c[0]])][:, None, :]) for c in groups]
+    stacks = [A[ix] for ix in at]
+    exact = sum(map(_nonzeros, stacks)) == _nonzeros(A)
+    slack = 0.0
+    if not exact:
+        off = A.copy()
+        for ix in at:
+            off[ix] = 0.0
+        eps = float(np.linalg.norm(off))
+        slack = eps * (2 * max(np.linalg.norm(B, 2, axis=(1, 2)).max() for B in stacks) + eps)
+    sq, targets = np.zeros((len(lam), 4)), np.stack([lam**0, lam**0, lam, np.conj(lam)])
+    for cls, B in zip(groups, stacks):
+        k, m, w = B.shape
+        step = max(1, _BATCH // (m * max(m, w)))
+        for s in range(0, k, step):
+            c, Bc = cls[s : s + step], B[s : s + step]
+            home = group[partner[c[0]]]
+            K = stacks[home][np.searchsorted(groups[home], partner[c])] if w else Bc.mT
+            Kc, R = np.conj(K), np.empty((4, len(c), m, m), dtype=complex)
+            np.matmul(Kc.mT, K, out=R[0])
+            np.matmul(Bc, Kc, out=R[1])
+            R[2] = R[3] = np.conj(lam[partner[c]])[:, None, None] * R[1]
+            R = R.reshape(4, len(c), -1)
+            R[:, :, :: m + 1] -= targets[:, c, None]
+            sq[c] = np.vecdot(R, R).real.T
+    return ConjugationReport(*map(float, np.sqrt(sq.sum(axis=0)) + slack)), exact, slack
 
 
 def commutation_defect(C, U):

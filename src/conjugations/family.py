@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antilinear import AntilinearOperator, _class_report, commutation_defect, is_conjugation
+from .antilinear import AntilinearOperator, _block_report, commutation_defect, is_conjugation
 from .antilinear import symmetry_defect, transport
 from .errors import InputError, MembershipError
 from .linalg import _diagonal_entries, as_square_matrix, haar_unitary, require_unitary
@@ -129,7 +129,7 @@ def sample(U, seed):
 def verify_membership(U, C, threshold=None):
     """Defect report for C against U with a boolean verdict.
 
-    For a diagonal U, the report is antilinear._class_report's when C's
+    For a diagonal U, the report is antilinear._block_report's when C's
     matrix sits on the blocks pairing each eigenvalue class with its
     conjugate's.  Otherwise it is is_conjugation's, with the dense commutation
     and symmetry defects added.  The verdict requires the isometry,
@@ -142,8 +142,12 @@ def verify_membership(U, C, threshold=None):
     d = _diagonal_entries(U)
     require_unitary(U, "U", d)
     thr = membership_threshold(U.shape[0]) if threshold is None else threshold
-    report = None if d is None else _class_report(C.matrix, d)
-    if report is None:
+    if d is not None:
+        values, classes = np.unique(d, return_inverse=True)
+        at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
+        partner = np.where(values[at] == np.conj(values), at, -1)
+        report, exact, _ = _block_report(C.matrix, classes, partner, values)
+    if d is None or not exact:
         report = replace(is_conjugation(C)[1], commutation_defect=commutation_defect(C, U),
                          symmetry_defect=symmetry_defect(C, U))
     passed = (

@@ -14,7 +14,7 @@ operator data.  Only the defect report moves to the weighted orthonormal
 coordinates, where each defect is one matrix norm.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -413,19 +413,10 @@ class DirectSumConjugation:
 
     blocks: tuple  # FieldOperator per component, all antilinear
 
-    def apply(self, elements):
-        if len(elements) != len(self.blocks):
-            raise InputError("direct sum applied to the wrong number of components")
-        return [blk.apply(e) for blk, e in zip(self.blocks, elements)]
-
     def report(self):
         """Worst-case defect report over the blocks."""
-        reports = [field_conjugation_report(blk) for blk in self.blocks]
-        return ConjugationReport(
-            isometry_defect=max(r.isometry_defect for r in reports),
-            involution_defect=max(r.involution_defect for r in reports),
-            commutation_defect=max(r.commutation_defect for r in reports),
-        )
+        reports = [astuple(field_conjugation_report(blk))[:3] for blk in self.blocks]
+        return ConjugationReport(*(max(column) for column in zip(*reports)))
 
 
 def assemble_model(model, unitary_fields=None):

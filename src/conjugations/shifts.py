@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .antilinear import _block_report
 from .errors import InputError
 from .linalg import ABS_TOL
 
@@ -220,7 +221,7 @@ class ModelConjugation:
         # component 1's twiddles in analyze (conjugated, reflected) and synthesize
         self._twiddle_in = np.conj(np.exp(-2j * np.pi * p / order))[self._rev_half]
         self._twiddle_out = np.exp(2j * np.pi * p / order)
-        self._blocks = None
+        self._defects = None
 
     def apply(self, values):
         """C f on a batch of grid functions, grid axis last; values is not modified.
@@ -274,40 +275,23 @@ class ModelConjugation:
             A[:, s : s + r] = self.apply(np.eye(min(r, M - s), M, s, dtype=complex)).T
         return A
 
-    def _fiber_blocks(self):
-        """The 2x2 blocks B_p = A[fiber(rev p), fiber(p)], fiber(p) = (p, p + M/2), A = B + E.
-
-        A is built once by matrix() for the defects and then released; the
-        model keeps its M/2 blocks and the slack e(2b + e), with e = |E|_F
-        taken on A with B zeroed in place and b = max_p |B_p|_2.  Each defect
-        is read from B in O(M) and raised by the slack, which bounds the dense
-        defect of A from above.  E is exactly zero for every built model.
-        """
-        if self._blocks is None:
-            A = self.matrix()
-            fiber = np.arange(self.order).reshape(2, -1).T  # fiber[p] = (p, p + M/2)
-            at = (fiber[self._rev_half][:, :, None], fiber[:, None, :])
-            self._blocks = A[at]
-            A[at] = 0.0
-            eps = float(np.linalg.norm(A))
-            self._slack = eps * (2 * np.linalg.norm(self._blocks, 2, axis=(1, 2)).max() + eps)
-        return self._blocks
-
-    def _defect(self, residual):
-        return float(np.linalg.norm(residual) + self._slack)
+    def _report(self):
+        """_block_report of matrix(), built once and released, on the fibers (p, p + M/2)
+        paired with their reflections and carrying xi^2; only the report is kept."""
+        if self._defects is None:
+            half = self.order // 2
+            fiber, w = np.arange(self.order) % half, grid_points(half)  # xi^2 on each fiber
+            self._defects = _block_report(self.matrix(), fiber, self._rev_half, w)[0]
+        return self._defects
 
     def isometry_defect(self):
-        B = self._fiber_blocks()
-        return self._defect(np.conj(B.transpose(0, 2, 1)) @ B - np.eye(2))
+        return self._report().isometry_defect
 
     def involution_defect(self):
-        B = self._fiber_blocks()
-        return self._defect(B[self._rev_half] @ np.conj(B) - np.eye(2))
+        return self._report().involution_defect
 
     def commutation_defect(self):
-        B, rev = self._fiber_blocks(), self._rev_half
-        w = grid_points(self.order // 2)[:, None, None]  # xi^2 on each fiber
-        return self._defect((B[rev] * np.conj(w[rev])) @ np.conj(B) - w * np.eye(2))
+        return self._report().commutation_defect
 
 
 def squared_shift_conjugation(params, order):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conjugations import family, linalg
+from conjugations import antilinear, family, linalg
 from conjugations.antilinear import (
     AntilinearOperator,
+    _block_report,
     commutation_defect,
     is_conjugation,
     plain_conjugation,
@@ -480,6 +481,69 @@ def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind,
         got, report = verify_membership(U, AntilinearOperator(A))
         assert tuple(report.as_dict().values()) == membership_defects_dense(A, U)
         assert_dense_verdict(got, report, A, U, 0.0)
+
+
+def uneven_classes(seed, off):
+    """(U, A): U diagonal with lam twice and conj(lam) once, mu once and
+    conj(mu) twice, a class of size 2 without conjugate partner and a +1
+    class, permuted; A random on the blocks pairing each class with its
+    conjugate's, which have shapes (2, 1), (1, 2), (2, 0) and (1, 1), and
+    with one entry of size 1e-3 in each block position of `off` (row class,
+    column class, as indices into the unpermuted diagonal)."""
+    rng = np.random.default_rng(seed)
+    lam, mu, lone = np.exp(1j * rng.uniform(0.1, 3.0, 3))
+    d = np.array([lam, lam, np.conj(lam), mu, np.conj(mu), np.conj(mu), lone, lone, 1.0])
+    n = len(d)
+    blocks = d[None, :] == np.conj(d)[:, None]
+    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * blocks / 3
+    for i, j in off:
+        A[i, j] = 1e-3
+    perm = rng.permutation(n)
+    return np.diag(d[perm]), A[np.ix_(perm, perm)]
+
+
+def engine_inputs(d):
+    """Classes, conjugate partners and values of a diagonal, one value at a time."""
+    values, classes = np.unique(d, return_inverse=True)
+    partner = [[j for j, w in enumerate(values) if w == np.conj(v)] for v in values]
+    return classes, np.array([p[0] if p else -1 for p in partner], dtype=int), values
+
+
+ENGINE_CASES = [planted_classes(*args) for args in (
+    ([1, 2], 1, 1, 0, "member", 11),
+    ([1, 1, 1, 1], 0, 2, 1, "noisy", 12),
+    ([3, 1, 2], 2, 0, 2, "random", 13),
+    ([1] * 9, 1, 1, 0, "random", 14),
+    ([2, 2, 2, 5], 3, 1, 3, "noisy", 15),
+)] + [uneven_classes(seed, off) for seed, off in (
+    (21, ()),
+    (22, ((6, 7),)),  # inside the lone class's own block
+    (23, ((0, 1), (8, 2))),  # lam with lam, the +1 class with conj(lam)
+    (24, ((3, 3),)),
+)]
+
+
+@pytest.mark.parametrize("batch", [1, 4, antilinear._BATCH])
+@pytest.mark.parametrize("case", range(len(ENGINE_CASES)))
+def test_block_engine_matches_the_dense_products(monkeypatch, batch, case):
+    # batches of 1 and 4 entries split groups of equal block shape at chunk
+    # boundaries; the default stacks each group whole
+    monkeypatch.setattr(antilinear, "_BATCH", batch)
+    U, A = ENGINE_CASES[case]
+    n, d = len(U), np.diagonal(U)
+    report, exact, slack = _block_report(A, *engine_inputs(d))
+    assert exact == (not A[d[None, :] != np.conj(d)[:, None]].any())
+    dense = membership_defects_dense(A, U)
+    got = tuple(report.as_dict().values())
+    if exact:
+        assert slack == 0.0
+        assert all(abs(x - want) <= 1e-14 * n for x, want in zip(got, dense))
+    else:
+        assert slack > 0.0
+        assert all(x >= want - 1e-14 * n for x, want in zip(got, dense))
+    verdict, checked = verify_membership(U, AntilinearOperator(A))
+    assert verdict == all(x <= membership_threshold(n) for x in dense[:3])
+    assert tuple(checked.as_dict().values()) == (got if exact else dense)
 
 
 def test_membership_invariant_under_transport(rng):

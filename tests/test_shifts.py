@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conjugations.antilinear import _block_report
 from conjugations.errors import InputError
 from conjugations.family import sample
 from conjugations.shifts import (
@@ -194,6 +195,14 @@ def _defects(C):
     return np.array([C.isometry_defect(), C.involution_defect(), C.commutation_defect()])
 
 
+def fiber_report(A, M):
+    """The block engine's (report, exact, slack) for an order-M grid
+    conjugation with matrix A: the fibers (p, p + M/2) of xi -> xi^2 as
+    classes, each paired with its reflection and carrying xi^2."""
+    half = M // 2
+    return _block_report(A, np.tile(np.arange(half), 2), conjugate_indices(half), grid_points(half))
+
+
 @pytest.mark.parametrize("M", [8, 16, 64, 256])
 def test_squared_shift_defects_match_dense_oracle(rng, M):
     tau = grid_arguments(M // 2)
@@ -212,7 +221,8 @@ def test_squared_shift_defects_match_dense_oracle(rng, M):
         rows = conjugate_indices(M // 2)
         for p in range(M // 2):
             off[np.ix_([rows[p], rows[p] + M // 2], [p, p + M // 2])] = 0.0
-        assert not off.any() and C._slack == 0.0
+        _, exact, slack = fiber_report(C.matrix(), M)
+        assert not off.any() and exact and slack == 0.0
 
 
 @pytest.mark.parametrize("M", [2, 4, 6, 16, 1024])
@@ -274,10 +284,11 @@ def test_off_fiber_leak_raises_every_defect(rng, M):
 def test_blocked_matrix_matches_unblocked_apply(rng, cls, M):
     C = cls(symbol_field(random_params(rng, M // 2)), M)
     dense = C.apply(np.eye(M, dtype=complex)).T
-    blocks, slack = shift_fiber_certificate(dense, M)
+    _, slack = shift_fiber_certificate(dense, M)
     assert np.array_equal(C.matrix(), dense)
-    C.isometry_defect()
-    assert np.array_equal(C._blocks, blocks) and C._slack == slack
+    report, exact, got = fiber_report(dense, M)
+    assert got == slack and exact == (cls is ModelConjugation)
+    assert tuple(_defects(C)) == tuple(report.as_dict().values())[:3]
     assert (slack > 0) == (cls is LeakyConjugation)
 
 
