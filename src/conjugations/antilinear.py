@@ -159,6 +159,7 @@ def _block_report(A, classes, partner, lam):
             R = R.reshape(4, len(c), -1)
             R[:, :, :: m + 1] -= targets[:, c, None]
             sq[c] = np.vecdot(R, R).real.T
+            del K, Kc, R  # before the next chunk allocates its own
     return ConjugationReport(*map(float, np.sqrt(sq.sum(axis=0)) + slack)), exact, slack
 
 
