@@ -60,8 +60,7 @@ def transform_cases(N, rng):
 
 def shift_case(M, rng):
     L = M // 2
-    params = SymbolParams(*(rng.uniform(lo, 1.0 if lo == 0.0 else np.pi, L)
-                            for lo in (0.0, -np.pi, -np.pi, -np.pi)))
+    params = SymbolParams(rng.uniform(0.0, 1.0, L), *rng.uniform(-np.pi, np.pi, (3, L)))
 
     def run():
         C = squared_shift_conjugation(params, M)
