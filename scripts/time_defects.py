@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Time the block-defect checks and print one JSON line.
 
-Each case is the best of 30 runs in milliseconds:
+Each case reads [best of 30 runs in milliseconds, tracemalloc peak of one
+more run in MiB]; the peak counts what the case allocates beyond its
+prebuilt inputs, output included:
 
 - verify_n{16,64,512}: verify_membership of a member against a diagonal U
   with n/2 distinct conjugate pairs, one class per eigenvalue;
-- fourier_512, hilbert_512: the N = 512 transform model checks, as the
-  benchmark's models workload runs them;
+- fourier_512, hilbert_512, hilbert_1024: the transform model checks, as
+  the benchmark's models workload runs them at N = 512;
+- hilbert_512_off: the N = 512 Hilbert member with one entry of 1e-3 off
+  its blocks, which verify_membership checks on the dense path;
 - shift_1024: the order-1024 squared-shift model built from random
   parameters, then its three defects.
 
@@ -18,9 +22,11 @@ Run with the library on the path: PYTHONPATH=src python3 scripts/time_defects.py
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
+from conjugations.antilinear import AntilinearOperator
 from conjugations.family import identity_params, layout_conjugation, verify_membership
 from conjugations.linalg import haar_unitary
 from conjugations.shifts import SymbolParams, squared_shift_conjugation
@@ -40,6 +46,16 @@ def best_ms(fn):
     return round(best * 1e3, 4)
 
 
+def peak_mib(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return round((tracemalloc.get_traced_memory()[1] - base) / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def pairs_case(n):
     thetas = np.linspace(0.1, 3.0, n // 2)
     layout = BlockLayout(tuple((np.exp(1j * t), 1) for t in thetas), 0, 0)
@@ -48,14 +64,21 @@ def pairs_case(n):
     return lambda: verify_membership(U, C)
 
 
-def transform_cases(N, rng):
+def fourier_case(N, rng):
     m = N // 4
     fourier = fourier_conjugation(
         N, real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng), haar_unitary(m, rng)
     )
-    hilbert = hilbert_conjugation(N, haar_unitary(N // 2, rng))
-    F, H = FourBlockModel(N).matrix(), TwoBlockModel(N).matrix()
-    return lambda: verify_membership(F, fourier), lambda: verify_membership(H, hilbert)
+    F = FourBlockModel(N).matrix()
+    return lambda: verify_membership(F, fourier)
+
+
+def hilbert_case(N, rng, off=False):
+    A = hilbert_conjugation(N, haar_unitary(N // 2, rng)).matrix.copy()
+    if off:
+        A[0, 0] = 1e-3  # the i class with itself: off the blocks pairing i with -i
+    H, C = TwoBlockModel(N).matrix(), AntilinearOperator(A)
+    return lambda: verify_membership(H, C)
 
 
 def shift_case(M, rng):
@@ -71,11 +94,12 @@ def shift_case(M, rng):
 
 def main():
     rng = np.random.default_rng(20261019)
-    fourier, hilbert = transform_cases(512, rng)
     cases = {f"verify_n{n}": pairs_case(n) for n in (16, 64, 512)}
-    cases.update(fourier_512=fourier, hilbert_512=hilbert, shift_1024=shift_case(1024, rng))
+    cases.update(fourier_512=fourier_case(512, rng), hilbert_512=hilbert_case(512, rng),
+                 shift_1024=shift_case(1024, rng), hilbert_1024=hilbert_case(1024, rng),
+                 hilbert_512_off=hilbert_case(512, rng, off=True))
     line = {"numpy": np.__version__, "cpus": os.cpu_count()}
-    line.update({name: best_ms(fn) for name, fn in cases.items()})
+    line.update({name: [best_ms(fn), peak_mib(fn)] for name, fn in cases.items()})
     print(json.dumps(line))
 
 

@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square_matrix, require_unitary, threshold
-from .linalg import unitarity_defect
+from .linalg import _nonzeros, as_square_matrix, require_unitary, threshold, unitarity_defect
 
-_BATCH = 1 << 14  # block entries stacked into one product by _block_report
+_BATCH = 1 << 14  # block entries of one stacked product; a row panel takes up to twice that
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,8 @@ def _cuc_distance(C, U, adjoint, caller):
     return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
 
 
-def _nonzeros(X):
-    """Exact count of X's nonzero real and imaginary parts, 2^20 at a time."""
-    F = X.ravel(order="K").view(float)
-    return sum(np.count_nonzero(F[s : s + (1 << 20)] != 0) for s in range(0, F.size, 1 << 20))
-
-
-def _block_report(A, classes, partner, lam):
-    """(report, exact, slack) for x -> A conj(x) against U = diag(lam[classes])
-    from the blocks B_a = A[I_a, I_p(a)], I_a = {i : classes[i] = a}, p = partner
-    the class of conj(lam[a]) or -1.  If exact, a count found no nonzero of A off
-    them and A*A, A conj(A), A conj(U) conj(A) have blocks K*K, M = B_a conj(K),
-    conj(lam_p(a)) M, K = B_p(a), stacked by shape up to _BATCH entries a product.
-    Else each defect gains the slack e(2b + e), e = |A off them|_F, b = max |B_a|_2."""
+def _gather_blocks(A, classes, partner, lam):
+    """(exact, *blocks): _block_report's gather-and-count step, before _block_defects."""
     counts = np.bincount(classes, minlength=len(lam))
     order, starts = np.argsort(classes, kind="stable"), np.cumsum(counts) - counts
     width = np.where(partner >= 0, counts[partner], 0)
@@ -136,7 +124,10 @@ def _block_report(A, classes, partner, lam):
     at = [(order[starts[c][:, None] + np.arange(counts[c[0]])][:, :, None],
            order[starts[partner[c]][:, None] + np.arange(width[c[0]])][:, None, :]) for c in groups]
     stacks = [A[ix] for ix in at]
-    exact = sum(map(_nonzeros, stacks)) == _nonzeros(A)
+    return sum(map(_nonzeros, stacks)) == _nonzeros(A), A, partner, lam, group, groups, at, stacks
+
+
+def _block_defects(exact, A, partner, lam, group, groups, at, stacks):
     slack = 0.0
     if not exact:
         off = A.copy()
@@ -144,23 +135,37 @@ def _block_report(A, classes, partner, lam):
             off[ix] = 0.0
         eps = float(np.linalg.norm(off))
         slack = eps * (2 * max(np.linalg.norm(B, 2, axis=(1, 2)).max() for B in stacks) + eps)
-    sq, targets = np.zeros((len(lam), 4)), np.stack([lam**0, lam**0, lam, np.conj(lam)])
+    sq, targets = np.zeros((len(lam), 4)), np.stack([lam**0, lam**0, np.conj(lam), lam])
     for cls, B in zip(groups, stacks):
         k, m, w = B.shape
-        step = max(1, _BATCH // (m * max(m, w)))
+        step, h = max(1, _BATCH // (m * max(m, w))), min(m, max(1, 2 * _BATCH // max(m, w)))
         for s in range(0, k, step):
             c, Bc = cls[s : s + step], B[s : s + step]
             home = group[partner[c[0]]]
-            K = stacks[home][np.searchsorted(groups[home], partner[c])] if w else Bc.mT
-            Kc, R = np.conj(K), np.empty((4, len(c), m, m), dtype=complex)
-            np.matmul(Kc.mT, K, out=R[0])
-            np.matmul(Bc, Kc, out=R[1])
-            R[2] = R[3] = np.conj(lam[partner[c]])[:, None, None] * R[1]
-            R = R.reshape(4, len(c), -1)
-            R[:, :, :: m + 1] -= targets[:, c, None]
-            sq[c] = np.vecdot(R, R).real.T
-            del K, Kc, R  # before the next chunk allocates its own
+            j = np.searchsorted(groups[home], partner[c])
+            K = (stacks[home][j[0] : j[0] + 1] if len(c) == 1 else stacks[home][j]) if w else Bc.mT
+            R, acc = np.empty((4, len(c), h, m), dtype=complex), 0.0
+            for r in range(0, m, h):  # rows r..r+h; conj(M) = conj(B) K against conj targets
+                P = R[:, :, : m - r]
+                np.matmul(np.conj(K[:, :, r : r + h]).mT, K, out=P[0])
+                np.matmul(np.conj(Bc[:, r : r + h]), K, out=P[1])
+                P[2] = P[3] = lam[partner[c]][:, None, None] * P[1]
+                P = P.reshape(4, len(c), -1)
+                P[:, :, r :: m + 1] -= targets[:, c, None]
+                acc += np.vecdot(P, P).real.T  # 0.0 + x is x: one panel keeps its bits
+            sq[c] = acc
+            del K, R, P  # before the next chunk allocates its own
     return ConjugationReport(*map(float, np.sqrt(sq.sum(axis=0)) + slack)), exact, slack
+
+
+def _block_report(A, classes, partner, lam):
+    """(report, exact, slack) for x -> A conj(x) against U = diag(lam[classes]) from
+    the blocks B_a = A[I_a, I_p(a)], I_a = {i : classes[i] = a}, p = partner the class
+    of conj(lam[a]) or -1.  If exact, no nonzero of A is off them and A*A, A conj(A),
+    A conj(U) conj(A) have blocks K*K, M = B_a conj(K), conj(lam_p(a)) M, K = B_p(a),
+    stacked by shape up to _BATCH entries a product (a larger class: row panels of up
+    to 2 _BATCH).  Else each defect gains e(2b + e), e = |A off them|_F, b = max |B_a|_2."""
+    return _block_defects(*_gather_blocks(A, classes, partner, lam))
 
 
 def commutation_defect(C, U):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .antilinear import AntilinearOperator, _block_report, commutation_defect, is_conjugation
-from .antilinear import symmetry_defect, transport
+from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, commutation_defect
+from .antilinear import is_conjugation, symmetry_defect, transport
 from .errors import InputError, MembershipError
 from .linalg import _diagonal_entries, as_square_matrix, haar_unitary, require_unitary
 from .linalg import membership_threshold, symmetric_unitary, threshold, unitarity_defect
@@ -129,12 +129,12 @@ def sample(U, seed):
 def verify_membership(U, C, threshold=None):
     """Defect report for C against U with a boolean verdict.
 
-    For a diagonal U, the report is antilinear._block_report's when C's
-    matrix sits on the blocks pairing each eigenvalue class with its
-    conjugate's.  Otherwise it is is_conjugation's, with the dense commutation
-    and symmetry defects added.  The verdict requires the isometry,
-    involution, and commutation defects to sit below the threshold
-    (membership_threshold(n) = 1e-8 * n by default).
+    For a diagonal U, the report is antilinear._block_report's when its count
+    finds C's matrix on the blocks pairing each eigenvalue class with its
+    conjugate's.  Otherwise no block product runs, and the report is
+    is_conjugation's with the dense commutation and symmetry defects added.
+    The verdict requires the isometry, involution, and commutation defects to
+    sit below the threshold (membership_threshold(n) = 1e-8 * n by default).
     """
     U = as_square_matrix(U, "U")
     if U.shape[0] != C.dim:
@@ -146,7 +146,10 @@ def verify_membership(U, C, threshold=None):
         values, classes = np.unique(d, return_inverse=True)
         at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
         partner = np.where(values[at] == np.conj(values), at, -1)
-        report, exact, _ = _block_report(C.matrix, classes, partner, values)
+        exact, *blocks = _gather_blocks(C.matrix, classes, partner, values)
+        if exact:
+            report = _block_defects(exact, *blocks)[0]
+        del blocks  # before the dense products below allocate theirs
     if d is None or not exact:
         report = replace(is_conjugation(C)[1], commutation_defect=commutation_defect(C, U),
                          symmetry_defect=symmetry_defect(C, U))

@@ -32,11 +32,19 @@ def as_square_matrix(M, name="matrix"):
     return A
 
 
+def _nonzeros(X):
+    """Exact count of X's nonzero real and imaginary parts, 2^20 at a time."""
+    F = X.ravel(order="K").view(float)
+    if F.size <= 1 << 20:
+        return np.count_nonzero(F != 0)
+    return sum(np.count_nonzero(F[s : s + (1 << 20)] != 0) for s in range(0, F.size, 1 << 20))
+
+
 def _diagonal_entries(A):
     """The diagonal of the square array A when every nonzero entry of A sits
-    on it, else None.  O(n^2): one count of the nonzero entries."""
+    on it, else None.  O(n^2): one count of the nonzero parts."""
     d = np.diagonal(A)
-    return d if np.count_nonzero(A) == np.count_nonzero(d) else None
+    return d if _nonzeros(A) == _nonzeros(d) else None
 
 
 _UNREAD = object()  # the d of a matrix not yet read and looked at for its diagonal
@@ -127,17 +135,16 @@ def _unitary_pair(M, rotate):
     """Unitary pair from a Hermitian contraction M.
 
     rotate=True gives M +- i sqrt(I - M^2); rotate=False gives
-    iM +- sqrt(I - M^2).  Both are computed on the eigenvalues so each
-    factor is unitary up to the accuracy of one Hermitian diagonalization.
+    iM +- sqrt(I - M^2).  Both are V d V* for d on the eigenvalues, unitary up
+    to one Hermitian diagonalization; V is scaled to V d2 in place after V d1 V*.
     """
     w, V = np.linalg.eigh(M)
+    del M  # the caller passes H or K as a temporary: frees it before the products
     w = np.clip(w, -1.0, 1.0)
     s = np.sqrt(1.0 - w * w)
-    if rotate:
-        d1, d2 = w + 1j * s, w - 1j * s
-    else:
-        d1, d2 = 1j * w + s, 1j * w - s
-    return (V * d1) @ V.conj().T, (V * d2) @ V.conj().T
+    d1, d2 = (w + 1j * s, w - 1j * s) if rotate else (1j * w + s, 1j * w - s)
+    W = V.conj().T
+    return (V * d1) @ W, np.multiply(V, d2, out=V) @ W
 
 
 def four_unitary_split(A):
@@ -145,18 +152,13 @@ def four_unitary_split(A):
 
     scale is ||A||/2 in operator norm.  H = (A + A*)/(2||A||) and
     K = (A - A*)/(2i||A||) are Hermitian contractions, and the factors are
-    U_{1,2} = H +- i sqrt(I - H^2) and U_{3,4} = iK +- sqrt(I - K^2).
-    The zero matrix gets scale 0 with the canceling quadruple (I, I, I, -I).
+    U_{1,2} = H +- i sqrt(I - H^2) and U_{3,4} = iK +- sqrt(I - K^2), K formed
+    after the first pair.  The zero matrix gets scale 0 with (I, I, I, -I).
     """
     A = as_square_matrix(A)
-    n = A.shape[0]
     norm = operator_norm(A)
-    eye = np.eye(n)
     if norm == 0.0:
-        return 0.0, (eye.copy(), eye.copy(), eye.copy(), -eye)
+        return 0.0, tuple(s * np.eye(len(A)) for s in (1.0, 1.0, 1.0, -1.0))
     # Hermitian in value: entry (j, i) is computed as the conjugate of (i, j)
-    H = (A + A.conj().T) / (2 * norm)
-    K = (A - A.conj().T) / (2j * norm)
-    U1, U2 = _unitary_pair(H, rotate=True)
-    U3, U4 = _unitary_pair(K, rotate=False)
-    return norm / 2, (U1, U2, U3, U4)
+    return norm / 2, (*_unitary_pair((A + A.conj().T) / (2 * norm), rotate=True),
+                      *_unitary_pair((A - A.conj().T) / (2j * norm), rotate=False))

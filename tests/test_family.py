@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from conjugations.family import (
 )
 from conjugations.linalg import haar_unitary, membership_threshold, symmetric_unitary
 from conjugations.spectral import BlockLayout, canonical_form
+from conjugations.transforms import TwoBlockModel, hilbert_conjugation
 
 from random_inputs import planted_selfdual
 from _oracles import (
@@ -544,6 +546,79 @@ def test_block_engine_matches_the_dense_products(monkeypatch, batch, case):
     verdict, checked = verify_membership(U, AntilinearOperator(A))
     assert verdict == all(x <= membership_threshold(n) for x in dense[:3])
     assert tuple(checked.as_dict().values()) == (got if exact else dense)
+
+
+def uneven_large_classes(seed, big, small):
+    """(U, A): U diagonal with lam big times and conj(lam) small times, so the
+    two classes' blocks are big x small and small x big, beside classes of mu
+    and conj(mu) three times each and a +1 class of 2; A random on the
+    blocks, permuted."""
+    rng = np.random.default_rng(seed)
+    lam, mu = np.exp(1j * rng.uniform(0.1, 3.0, 2))
+    d = np.repeat([lam, np.conj(lam), mu, np.conj(mu), 1.0], [big, small, 3, 3, 2])
+    n = len(d)
+    blocks = d[None, :] == np.conj(d)[:, None]
+    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * blocks / np.sqrt(n)
+    perm = rng.permutation(n)
+    return np.diag(d[perm]), A[np.ix_(perm, perm)]
+
+
+# every case has a class with m * max(m, w) > _BATCH: 150 rows run as one
+# panel of their own, 185 and 200 rows as a full and a partial panel
+LARGE_CASES = [
+    planted_classes([150], 185, 0, 2, "noisy", 31),  # w = m
+    planted_classes([200], 150, 0, 2, "random", 32),
+    uneven_large_classes(33, 150, 140),  # w != m
+    uneven_large_classes(34, 200, 190),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LARGE_CASES)))
+def test_block_engine_row_panels_match_the_dense_products(case):
+    # the default _BATCH, against the dense products
+    U, A = LARGE_CASES[case]
+    n, d = len(U), np.diagonal(U)
+    assert np.bincount(engine_inputs(d)[0]).max() ** 2 > antilinear._BATCH
+    report, exact, slack = _block_report(A, *engine_inputs(d))
+    assert exact and slack == 0.0
+    got, dense = tuple(report.as_dict().values()), membership_defects_dense(A, U)
+    assert all(abs(x - want) <= 1e-14 * n for x, want in zip(got, dense))
+    assert tuple(verify_membership(U, AntilinearOperator(A))[1].as_dict().values()) == got
+
+
+def hilbert_member(N, off):
+    """(U, A): the N-point Hilbert model and a member, with an entry off
+    its blocks (the i class with itself) when off is nonzero."""
+    A = hilbert_conjugation(N, haar_unitary(N // 2, N)).matrix.copy()
+    A[0, 0] = off
+    return TwoBlockModel(N).matrix(), A
+
+
+@pytest.mark.parametrize("off", [0.0, 1e-3])
+def test_off_block_member_skips_the_block_products(off):
+    U, A = hilbert_member(512, off)
+    spy = mock.Mock(wraps=antilinear._block_defects)
+    with mock.patch.object(family, "_block_defects", spy):
+        got, report = verify_membership(U, AntilinearOperator(A))
+    assert spy.call_count == (off == 0.0)
+    assert got == (off == 0.0)
+    if off:
+        assert tuple(report.as_dict().values()) == membership_defects_dense(A, U)
+
+
+def test_block_engine_scratch_stays_bounded():
+    # the gathered blocks (2 MiB) and one panel of residuals: no copy of the
+    # partner block or of its conjugate, no residual of a whole class
+    U, A = hilbert_member(512, 0.0)
+    C = AntilinearOperator(A)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_membership(U, C)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_membership_invariant_under_transport(rng):

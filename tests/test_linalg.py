@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conjugations.errors import InputError
 from conjugations.linalg import (
+    _diagonal_entries,
     four_unitary_split,
     haar_unitary,
     hermitian_sqrt_psd,
@@ -12,6 +15,8 @@ from conjugations.linalg import (
     symmetric_unitary,
     unitarity_defect,
 )
+
+from _oracles import four_unitary_split_kept
 
 
 def test_unitarity_defect_identity():
@@ -112,3 +117,39 @@ def test_four_unitary_split_random(rng):
         assert resid <= 1e-9 * (1 + np.linalg.norm(A))
         for u in factors:
             assert unitarity_defect(u) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [*range(1, 20), 64])
+def test_four_unitary_split_keeps_the_bits_of_the_construction(n):
+    A = np.random.default_rng(n).standard_normal((n, n, 2)) @ [1, 1j]
+    scale, factors = four_unitary_split(A)
+    want_scale, want = four_unitary_split_kept(A)
+    assert scale == want_scale
+    for got, kept in zip(factors, want):
+        assert got.tobytes() == kept.tobytes()
+
+
+def test_four_unitary_split_scratch_stays_bounded():
+    # the four 1 MiB factors, and while a pair forms its eigenvectors, their
+    # adjoint and one scaled copy: H and K are never alive together
+    A = np.random.default_rng(256).standard_normal((256, 256, 2)) @ [1, 1j]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        four_unitary_split(A)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+
+
+def test_diagonal_entries_counts_nonzero_parts():
+    D = np.diag([1.0, 1j, 0.0])
+    assert _diagonal_entries(D) is not None
+    for i, j, value in ((0, 1, 1e-300), (2, 0, 1e-300j), (1, 2, np.nan), (1, 0, np.nan * 1j)):
+        off = D.copy()
+        off[i, j] = value
+        assert _diagonal_entries(off) is None
+    signed = D.copy()
+    signed[0, 2] = -0.0
+    assert _diagonal_entries(signed) is not None
