@@ -42,6 +42,10 @@ def write_inputs():
         {"atoms": [{"theta": np.pi / 2, "weight": 2.0}, {"theta": 0.0, "weight": 1.0}]},
     )
     save_json(INPUTS / "mu_unpaired.json", {"atoms": [{"theta": 0.7, "weight": 1.0}]})
+    save_json(
+        INPUTS / "mu_ambiguous.json",
+        {"atoms": [{"theta": t, "weight": 1.0} for t in (0.5, -0.5, -0.5000000005)]},
+    )
     with open(INPUTS / "malformed.json", "w") as fh:
         fh.write("{nope\n")
 
@@ -63,6 +67,7 @@ CASES = [
     ("measure_reflect_extra", ["measure", "reflect", "{IN}/mu.json", "{IN}/mu2.json"], 2),
     ("measure_rn", ["measure", "rn", "{IN}/mu.json"], 0),
     ("measure_rn_refused", ["measure", "rn", "{IN}/mu_unpaired.json"], 3),
+    ("measure_rn_ambiguous", ["measure", "rn", "{IN}/mu_ambiguous.json"], 2),
     ("measure_meet", ["measure", "meet", "{IN}/mu.json", "{IN}/mu2.json"], 0),
     ("measure_join", ["measure", "join", "{IN}/mu.json", "{IN}/mu2.json"], 0),
     ("shift_demo_sincos", ["shift-demo", "--order", "16", "--degree", "2", "--preset", "sincos"], 0),
