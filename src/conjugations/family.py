@@ -83,16 +83,13 @@ def layout_conjugation(layout, params):
     unitaries themselves.
     """
     _validate_params(layout, params)
-    n = layout.dim
-    V = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for (_, m), v in zip(layout.pairs, params.v_blocks):
-        V[pos : pos + m, pos + m : pos + 2 * m] = v
-        V[pos + m : pos + 2 * m, pos : pos + m] = v.T
-        pos += 2 * m
-    V[pos : pos + layout.ell, pos : pos + layout.ell] = params.q_plus
-    pos += layout.ell
-    V[pos : pos + layout.kay, pos : pos + layout.kay] = params.q_minus
+    V = np.zeros((layout.dim, layout.dim), dtype=complex)
+    s = [block for block, _ in layout.blocks]
+    for j, v in enumerate(params.v_blocks):
+        V[s[2 * j], s[2 * j + 1]] = v
+        V[s[2 * j + 1], s[2 * j]] = v.T
+    V[s[-2], s[-2]] = params.q_plus
+    V[s[-1], s[-1]] = params.q_minus
     return AntilinearOperator(V)
 
 
@@ -162,20 +159,13 @@ def verify_membership(U, C, threshold=None):
 
 
 def _block_slices(layout):
-    slices, pos, labels = [], 0, []
-    for j, (xi, m) in enumerate(layout.pairs):
-        slices.append(slice(pos, pos + m))
-        labels.append(f"pair {j} ({xi:.6g})")
-        slices.append(slice(pos + m, pos + 2 * m))
-        labels.append(f"pair {j} (conj)")
-        pos += 2 * m
-    if layout.ell:
-        slices.append(slice(pos, pos + layout.ell))
-        labels.append("+1 block")
-        pos += layout.ell
-    if layout.kay:
-        slices.append(slice(pos, pos + layout.kay))
-        labels.append("-1 block")
+    """The nonempty blocks of layout.blocks and their labels."""
+    slices, labels = [], []
+    for k, (block, lam) in enumerate(layout.blocks):
+        if block.stop > block.start:
+            slices.append(block)
+            labels.append(f"{lam:+g} block" if k >= 2 * len(layout.pairs)
+                          else f"pair {k // 2} " + (f"({lam:.6g})" if k % 2 == 0 else "(conj)"))
     return slices, labels
 
 
@@ -231,11 +221,9 @@ def decompose(U, C):
             f"(first violated structural zero: rows {labels[a]}, cols {labels[b]})"
         )
 
-    v_blocks = tuple(V[slices[2 * j], slices[2 * j + 1]].copy() for j in range(npairs))
-    pos, ell = len(V) - layout.ell - layout.kay, layout.ell
-    q_plus = V[pos : pos + ell, pos : pos + ell].copy()
-    q_minus = V[pos + ell :, pos + ell :].copy()
-    params = ConjugationParams(v_blocks, q_plus, q_minus)
+    s = [block for block, _ in layout.blocks]
+    v_blocks = tuple(V[s[2 * j], s[2 * j + 1]].copy() for j in range(npairs))
+    params = ConjugationParams(v_blocks, V[s[-2], s[-2]].copy(), V[s[-1], s[-1]].copy())
     try:
         _validate_params(layout, params)
     except InputError as e:

@@ -45,6 +45,35 @@ def canonical_angle(theta):
     return np.where(np.abs(r) >= _PI_ROUNDED, np.pi, r)
 
 
+def _unit_points(points):
+    """points as a 1-d complex array, each within 1e-12 of the unit circle."""
+    points = np.atleast_1d(np.asarray(points, dtype=complex))
+    if not np.all(np.abs(np.abs(points) - 1.0) <= 1e-12):  # NaN fails too
+        raise InputError("atoms must sit on the unit circle within 1e-12")
+    return points
+
+
+def _nearest_angle(angles, targets, radius):
+    """For each target angle, the index of the nearest of angles within radius
+    in wrapped angular distance, the later index on a tie, or -1.
+
+    The candidates are the angle-sorted angles (with copies shifted by
+    +-2 pi) within 2 * radius of the target: a window wide enough for the
+    roundoff of the wrap, scanned one step at a time for all targets at once.
+    """
+    order = np.argsort(angles, kind="stable")
+    ring = np.concatenate([angles[order] + s for s in (-2 * np.pi, 0.0, 2 * np.pi)])
+    lo = np.searchsorted(ring, targets - 2 * radius)
+    hi = np.searchsorted(ring, targets + 2 * radius, side="right")
+    nearest, best = np.full(targets.size, -1), np.full(targets.size, radius)
+    for step in range(int(np.max(hi - lo, initial=0))):
+        j = order[np.minimum(lo + step, len(ring) - 1) % len(angles)]
+        d = np.abs(_wrap_angle(angles[j] - targets))
+        take = (lo + step < hi) & ((d < best) | ((d == best) & (j > nearest)))
+        nearest[take], best[take] = j[take], d[take]
+    return nearest
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many weighted atoms on the unit circle, stored as angles."""
@@ -71,10 +100,7 @@ class AtomicMeasure:
 
     @classmethod
     def from_points(cls, points, weights):
-        points = np.atleast_1d(np.asarray(points, dtype=complex))
-        if points.size and np.any(np.abs(np.abs(points) - 1.0) > 1e-12):
-            raise InputError("atoms must sit on the unit circle within 1e-12")
-        return cls(np.angle(points), weights)
+        return cls(np.angle(_unit_points(points)), weights)
 
     @property
     def size(self):
@@ -127,26 +153,15 @@ def conjugate_pairing(mu):
     """Pair each atom with the atom at the conjugate point.
 
     Returns (sigma, unpaired) where sigma[k] is the partner index (k itself
-    for atoms at +-1) and unpaired lists the atoms without a partner within
-    the 1e-9 lookup tolerance.
+    for atoms at +-1, -1 for none) and unpaired lists the atoms without one.
+    The partner is the atom _nearest_angle finds within PAIR_TOL of the
+    conjugate angle; a partner that does not take the atom back is refused.
     """
-    n = mu.size
-    sigma = -np.ones(n, dtype=int)
-    unpaired = []
-    if n == 0:
-        return sigma, unpaired
-    targets = canonical_angle(-mu.thetas)
-    dist = np.abs(_wrap_angle(mu.thetas[None, :] - targets[:, None]))
-    best = np.argmin(dist, axis=1)
-    for k in range(n):
-        if dist[k, best[k]] <= PAIR_TOL:
-            sigma[k] = best[k]
-        else:
-            unpaired.append(k)
-    for k in range(n):
-        if sigma[k] >= 0 and sigma[sigma[k]] != k:
-            raise InputError("ambiguous conjugate pairing: atoms closer than 1e-9")
-    return sigma, unpaired
+    sigma = _nearest_angle(mu.thetas, canonical_angle(-mu.thetas), PAIR_TOL)
+    paired = np.flatnonzero(sigma >= 0)
+    if np.any(sigma[sigma[paired]] != paired):
+        raise InputError("ambiguous conjugate pairing: atoms closer than 1e-9")
+    return sigma, np.flatnonzero(sigma < 0).tolist()
 
 
 def _reciprocal_pair(x):
@@ -243,10 +258,6 @@ def weighted_inner(f, g):
     if f.measure.size != g.measure.size or f.fiber_dim != g.fiber_dim:
         raise InputError("weighted inner product dimension mismatch")
     return complex(np.sum(f.measure.weights * np.sum(f.values * np.conj(g.values), axis=1)))
-
-
-def weighted_norm(f):
-    return float(np.sqrt(max(weighted_inner(f, f).real, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -447,21 +458,17 @@ def assemble_model(model, unitary_fields=None):
 def invariance_probe(ds, atom_points):
     """Whether the coordinate subspace over the given atoms is mapped into itself.
 
-    atom_points are unit-circle points; membership is matched per component
-    at the conjugate-partner lookup tolerance.  True is guaranteed when the
-    atom set is closed under conjugation.  Mass leaking outside the
-    subspace counts once it exceeds threshold(1.0) of the image's norm.
+    atom_points are unit-circle points (InputError otherwise); an atom is
+    inside when _nearest_angle finds a point within PAIR_TOL of it.  True is
+    guaranteed when the atom set is closed under conjugation.  Mass leaking
+    outside the subspace counts once it exceeds threshold(1.0) of the
+    image's norm.
     """
-    sel_thetas = canonical_angle(np.angle(np.asarray(atom_points, dtype=complex)))
+    sel_thetas = canonical_angle(np.angle(_unit_points(atom_points)))
     for blk in ds.blocks:
         mu = blk.measure
-        inside = np.zeros(mu.size, dtype=bool)
-        for k in range(mu.size):
-            if np.any(np.abs(_wrap_angle(mu.thetas[k] - sel_thetas)) <= PAIR_TOL):
-                inside[k] = True
-        if not inside.any():
-            continue
-        for k in np.nonzero(inside)[0]:
+        inside = _nearest_angle(sel_thetas, mu.thetas, PAIR_TOL) >= 0
+        for k in np.flatnonzero(inside):
             for m in range(blk.fiber_dim):
                 vals = np.zeros((mu.size, blk.fiber_dim), dtype=complex)
                 vals[k, m] = 1.0
@@ -469,7 +476,7 @@ def invariance_probe(ds, atom_points):
                 outside_mass = np.sqrt(
                     np.sum(mu.weights[~inside] * np.sum(np.abs(out.values[~inside]) ** 2, axis=1))
                 )
-                if outside_mass > threshold(1.0) * weighted_norm(out):
+                if outside_mass > threshold(1.0) * np.sqrt(max(weighted_inner(out, out).real, 0.0)):
                     return False
     return True
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotSelfDualError, ToleranceError
 from .linalg import membership_threshold, require_unitary
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, _nearest_angle
 
 CLUSTER_TOL = 1e-7  # clustering, +-1 snapping and conjugate-pairing radius
 
@@ -67,6 +67,15 @@ class BlockLayout:
     @property
     def dim(self):
         return 2 * sum(m for _, m in self.pairs) + self.ell + self.kay
+
+    @property
+    def blocks(self):
+        """(slice, eigenvalue) of each diagonal block in coordinate order: xi_j
+        then conj(xi_j) per pair, then 1.0 and -1.0 (empty slices if absent)."""
+        sizes = [(lam, m) for xi, m in self.pairs for lam in (xi, np.conj(xi))]
+        sizes += [(1.0, self.ell), (-1.0, self.kay)]
+        ends = np.cumsum([m for _, m in sizes]).tolist()
+        return [(slice(end - m, end), lam) for end, (lam, m) in zip(ends, sizes)]
 
 
 @dataclass(frozen=True)
@@ -156,27 +165,13 @@ def diagonalize_unitary(U):
     return spectrum
 
 
-def _pair_clusters(clusters):
-    """Index of the conjugate cluster for each cluster, or -1 when missing.
-
-    The partner is the cluster nearest to the conjugate within CLUSTER_TOL,
-    the later index on a tie.  Clusters lie on the unit circle, so the
-    candidates are the angle-sorted clusters (with copies shifted by +-2 pi)
-    within 2 * CLUSTER_TOL of the conjugate's angle.
-    """
-    lams = np.array([lam for lam, _ in clusters], dtype=complex)
-    targets = np.conj(lams)
-    order = np.argsort(np.angle(lams), kind="stable")
-    ring = np.concatenate([np.angle(lams)[order] + s for s in (-2 * np.pi, 0.0, 2 * np.pi)])
-    lo = np.searchsorted(ring, np.angle(targets) - 2 * CLUSTER_TOL)
-    hi = np.searchsorted(ring, np.angle(targets) + 2 * CLUSTER_TOL, side="right")
-    partner, best = np.full(len(lams), -1), np.full(len(lams), CLUSTER_TOL)
-    for step in range(int(np.max(hi - lo, initial=0))):
-        j = order[np.minimum(lo + step, len(ring) - 1) % len(lams)]
-        d = np.abs(lams[j] - targets)
-        take = (lo + step < hi) & ((d < best) | ((d == best) & (j > partner)))
-        partner[take], best[take] = j[take], d[take]
-    return partner.tolist()
+def _partners(clusters):
+    """Index of each cluster's conjugate partner, or -1: the cluster nearest
+    to its conjugate within CLUSTER_TOL (measures._nearest_angle), kept only
+    when the partners are mutual."""
+    angles = np.angle([lam for lam, _ in clusters])
+    near = _nearest_angle(angles, -angles, CLUSTER_TOL)
+    return np.where(near[near] == np.arange(len(near)), near, -1).tolist()
 
 
 def check_selfdual(U):
@@ -186,13 +181,13 @@ def check_selfdual(U):
     (eigenvalue, multiplicity, conjugate_multiplicity).
     """
     clusters = diagonalize_unitary(U).clusters
-    return _selfdual_from_clusters(clusters, _pair_clusters(clusters))
+    return _selfdual_from_clusters(clusters, _partners(clusters))
 
 
 def _selfdual_from_clusters(clusters, partner):
     mismatches = []
-    for i, ((lam, mult), j) in enumerate(zip(clusters, partner)):
-        conj_mult = clusters[j][1] if j >= 0 and partner[j] == i else 0  # partners must be mutual
+    for (lam, mult), j in zip(clusters, partner):
+        conj_mult = clusters[j][1] if j >= 0 else 0
         if conj_mult != mult:
             mismatches.append((lam, mult, conj_mult))
     return not mismatches, mismatches
@@ -217,7 +212,7 @@ def canonical_form(U):
     """
     spectrum = diagonalize_unitary(U)
     n = spectrum.dim
-    partner = _pair_clusters(spectrum.clusters)
+    partner = _partners(spectrum.clusters)
     ok, mismatches = _selfdual_from_clusters(spectrum.clusters, partner)
     if not ok:
         lam, mult, conj_mult = mismatches[0]
@@ -236,14 +231,12 @@ def canonical_form(U):
         elif lam == -1.0:
             minus_cols = block[i]
         elif lam.imag > 0:
-            pairs.append(((lam, mult), i))
-    pairs.sort(key=lambda e: np.angle(e[0][0]))
-    for _, i in pairs:
-        cols += block[i] + block[partner[i]]
+            pairs.append((lam, mult))
+            cols += block[i] + block[partner[i]]
     cols += plus_cols + minus_cols
 
     W = spectrum.basis[:, cols]
-    layout = BlockLayout(tuple(e[0] for e in pairs), len(plus_cols), len(minus_cols))
+    layout = BlockLayout(tuple(pairs), len(plus_cols), len(minus_cols))
 
     resid = spectrum.residual(cols, layout_diagonal(layout))
     thr = membership_threshold(n)
@@ -254,13 +247,10 @@ def canonical_form(U):
 
 def layout_diagonal(layout):
     """The diagonal of the block diagonal matrix a BlockLayout describes."""
-    diag = []
-    for xi, m in layout.pairs:
-        diag.extend([xi] * m)
-        diag.extend([np.conj(xi)] * m)
-    diag.extend([1.0] * layout.ell)
-    diag.extend([-1.0] * layout.kay)
-    return np.array(diag, dtype=complex)
+    diag = np.empty(layout.dim, dtype=complex)
+    for block, lam in layout.blocks:
+        diag[block] = lam
+    return diag
 
 
 def multiplicity_model(U):
@@ -274,10 +264,9 @@ def multiplicity_model(U):
     pairs atoms exactly where check_selfdual pairs clusters.
     """
     clusters = diagonalize_unitary(U).clusters
-    partner = _pair_clusters(clusters)
     by_mult = {}
-    for i, ((lam, mult), j) in enumerate(zip(clusters, partner)):
-        if lam.imag < 0 and j >= 0 and partner[j] == i:
+    for (lam, mult), j in zip(clusters, _partners(clusters)):
+        if lam.imag < 0 and j >= 0:
             lam = np.conj(clusters[j][0])
         by_mult.setdefault(mult, []).append(lam)
     components = []

@@ -1,6 +1,8 @@
 """Independent brute-force oracles.
 
-Nothing here shares code with the library paths under test: membership is
+Nothing here imports the library (an ast test holds this); the two oracles
+that evaluate through a library call take it as an argument.  Nothing here
+shares code with the library paths under test: membership is
 searched by gridding or minimizing over explicitly parametrized symmetric
 unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
@@ -9,7 +11,8 @@ involution and commutation defects, the squared-shift defects and the spectral r
 are the dense matrix products they are defined by, the squared-shift fiber
 certificate is read off a masked copy of the dense action, the Fourier model is
 scattered into class order entry by entry, and the measure lattice and the
-reflection conjugation are per-atom loops.  four_unitary_split_kept is the
+reflection conjugation are per-atom loops, atoms are paired through a dense
+distance matrix, and four_unitary_split_kept is the
 four-unitary construction as first written, each factor from fresh copies.
 """
 
@@ -106,10 +109,9 @@ def pairing_rule_entrywise(U):
     return out
 
 
-def apply_cuc_on_basis(C, U):
-    """Matrix of the composite C U C evaluated column by column through apply."""
-    from conjugations.antilinear import apply
-
+def apply_cuc_on_basis(apply, C, U):
+    """Matrix of the composite C U C evaluated column by column through apply,
+    the library's antilinear application."""
     n = U.shape[0]
     cols = []
     for k in range(n):
@@ -173,6 +175,29 @@ def pair_clusters_loop(values, tol):
                 best, best_d = j, d
         partner.append(best)
     return partner
+
+
+def conjugate_pairing_dense(thetas, tol):
+    """(sigma, unpaired) of atoms at angles thetas in (-pi, pi]: each atom's
+    partner is the atom nearest to its conjugate angle in wrapped distance,
+    read off the full distance matrix, the later index on a tie, and none
+    (-1, listed in unpaired) beyond tol.  Raises ValueError when a partner
+    does not take the atom back."""
+    thetas = np.asarray(thetas, dtype=float)
+    n = len(thetas)
+    targets = np.where(thetas == np.pi, np.pi, -thetas)
+    diff = thetas[None, :] - targets[:, None]
+    dist = np.abs(np.pi - np.mod(np.pi - diff, 2 * np.pi))
+    best = n - 1 - np.argmin(dist[:, ::-1], axis=1) if n else np.zeros(0, dtype=int)
+    sigma, unpaired = [], []
+    for k in range(n):
+        sigma.append(int(best[k]) if dist[k, best[k]] <= tol else -1)
+        if sigma[k] < 0:
+            unpaired.append(k)
+    for k in range(n):
+        if sigma[k] >= 0 and sigma[sigma[k]] != k:
+            raise ValueError("ambiguous conjugate pairing")
+    return sigma, unpaired
 
 
 def cluster_loop(vals, tol):
@@ -356,7 +381,7 @@ def canonical_residual_dense(U, W, diag):
     return float(np.linalg.norm(W.conj().T @ U @ W - np.diag(diag)))
 
 
-def decompose_loop(U, C):
+def decompose_loop(U, C, canonical_form):
     """decompose with every block checked on its own.
 
     U is checked for unitarity before canonical_form checks it again; after
@@ -364,12 +389,11 @@ def decompose_loop(U, C):
     lower block is checked to be the transpose of its upper block, each
     upper block to be unitary and each real block to be symmetric unitary,
     the blocks of size m within from_params' bound 1e-10 + 1e-8 sqrt(m).
-    Returns (v_blocks, q_plus, q_minus) or raises InputError or
-    MembershipError where those checks fail.  Only canonical_form, the basis
-    the parameters are read in, comes from the library.
+    Returns (v_blocks, q_plus, q_minus), or the name of the library error,
+    "InputError" or "MembershipError", where those checks fail.  Only
+    canonical_form, the basis the parameters are read in, comes from the
+    library, as an argument.
     """
-    from conjugations.errors import InputError, MembershipError
-    from conjugations.spectral import canonical_form
 
     def defect(M):
         return np.linalg.norm(M.conj().T @ M - np.eye(len(M)))
@@ -378,26 +402,26 @@ def decompose_loop(U, C):
     A = np.asarray(C.matrix, dtype=complex)
     n = len(U)
     if defect(U) > 1e-10 + 1e-8 * np.sqrt(n):
-        raise InputError("U is not unitary")
+        return "InputError"  # U is not unitary
     if len(A) != n:
-        raise InputError("operator dimensions do not match")
+        return "InputError"  # operator dimensions do not match
     if defect(A) > 1e-10 + 1e-8 * np.sqrt(n) or np.linalg.norm(A - A.T) > 1e-10 + 1e-8 * np.sqrt(n):
-        raise InputError("C is not a conjugation")
+        return "InputError"  # C is not a conjugation
     thr = 1e-8 * max(n, 1)
     W, layout = canonical_form(U)
     V = W.conj().T @ A @ np.conj(W)
     sizes = [m for _, m in layout.pairs]
     if off_structure_loop(V, sizes, layout.ell, layout.kay)[0] > thr:
-        raise MembershipError("C does not commute with U")
+        return "MembershipError"  # C does not commute with U
     if defect(V) > thr or np.linalg.norm(V - V.T) > thr:
-        raise MembershipError("transported matrix is not symmetric unitary")
+        return "MembershipError"  # transported matrix is not symmetric unitary
     v_blocks, pos = [], 0
     for m in sizes:
         block = V[pos : pos + m, pos + m : pos + 2 * m]
         if np.linalg.norm(V[pos + m : pos + 2 * m, pos : pos + m] - block.T) > thr:
-            raise MembershipError("lower block is not the transpose of the upper")
+            return "MembershipError"  # lower block is not the transpose of the upper
         if defect(block) > 1e-10 + 1e-8 * np.sqrt(m):
-            raise MembershipError("pair block is not unitary")
+            return "MembershipError"  # pair block is not unitary
         v_blocks.append(block.copy())
         pos += 2 * m
     q_plus = V[pos : pos + layout.ell, pos : pos + layout.ell].copy()
@@ -405,7 +429,7 @@ def decompose_loop(U, C):
     for q in (q_plus, q_minus):
         bound = 1e-10 + 1e-8 * np.sqrt(len(q))
         if len(q) and (defect(q) > bound or np.linalg.norm(q - q.T) > bound):
-            raise MembershipError("real block is not symmetric unitary")
+            return "MembershipError"  # real block is not symmetric unitary
     return v_blocks, q_plus, q_minus
 
 

@@ -141,7 +141,7 @@ def test_defects_measure_non_unitary_u(rng):
     n = 4
     C = AntilinearOperator(symmetric_unitary(n, rng))
     U = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    cuc = apply_cuc_on_basis(C, U)
+    cuc = apply_cuc_on_basis(apply, C, U)
     assert commutation_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U), rel=1e-12)
     assert symmetry_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U.conj().T), rel=1e-12)
 
@@ -226,5 +226,5 @@ def test_commutation_defect_matches_basis_evaluation(rng):
         C = AntilinearOperator(A)
         W = haar_unitary(2, rng)
         U = (W * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))) @ W.conj().T
-        direct = np.linalg.norm(apply_cuc_on_basis(C, U) - U)
+        direct = np.linalg.norm(apply_cuc_on_basis(apply, C, U) - U)
         assert commutation_defect(C, U) == pytest.approx(direct, abs=1e-12)

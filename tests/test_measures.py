@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from conjugations.errors import AbsoluteContinuityError, InputError
 from conjugations.linalg import haar_unitary, symmetric_unitary
 from conjugations.measures import (
+    PAIR_TOL,
     AtomicMeasure,
     FieldOperator,
     WeightedSpaceElement,
@@ -29,7 +33,8 @@ from conjugations.measures import (
 from conjugations.spectral import MultiplicityModel, multiplicity_model
 
 from random_inputs import random_paired_measure
-from _oracles import lattice_join_loop, lattice_meet_loop, reflection_conjugation_with_fiber
+from _oracles import conjugate_pairing_dense, lattice_join_loop, lattice_meet_loop
+from _oracles import reflection_conjugation_with_fiber
 
 
 def delta(theta, weight=1.0):
@@ -81,6 +86,52 @@ def test_radon_nikodym_ratio():
     assert h[0] == pytest.approx(3.0)
     assert h[1] == pytest.approx(1.0 / 3.0)
     assert h[0] * h[1] == 1.0
+
+
+def test_conjugate_pairing_refuses_ambiguous_partners():
+    # in the first measure the third atom's nearest conjugate is the first
+    # atom, which pairs with the second.  In the second the first atom's
+    # conjugate lies 9.85e-10 from both other atoms; the tie goes to the
+    # later one, which sits 1.5e-11 from -1 and pairs with itself
+    for thetas in ([0.5, -0.5, -0.5000000005], [3.14159265259, -3.141592651605, -3.141592653575]):
+        with pytest.raises(InputError, match="^ambiguous conjugate pairing: atoms closer than 1e-9$"):
+            conjugate_pairing(AtomicMeasure(thetas, np.ones(3)))
+
+
+def test_oracles_import_nothing_from_the_library():
+    tree = ast.parse((pathlib.Path(__file__).parent / "_oracles.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "conjugations"]
+
+
+def test_conjugate_pairing_matches_dense_oracle(rng):
+    # conjugates moved by up to 2 PAIR_TOL, some by exactly PAIR_TOL (1000
+    # steps of the 1e-12 angle grid), atoms at and near +-1, duplicates of
+    # a conjugate within PAIR_TOL that make the pairing ambiguous
+    at_radius = ambiguous = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 10))
+        base = rng.uniform(-np.pi, np.pi, n)
+        base[: int(rng.integers(0, 3))] = rng.choice([0.0, np.pi, np.pi - PAIR_TOL, 0.5 * PAIR_TOL - np.pi])
+        shift = rng.choice([0.0, 0.5, 1.0, -1.0, 1.5, 2.0]) + rng.uniform(-2, 2, n) * (rng.random(n) < 0.5)
+        moved = -base + shift * PAIR_TOL
+        thetas = np.unique(canonical_angle(np.concatenate([base, moved[rng.random(n) < 0.8]])))
+        mu = AtomicMeasure(rng.permutation(thetas), np.ones(thetas.size))
+        sums = np.abs(mu.thetas[:, None] + mu.thetas[None, :])
+        at_radius += bool(np.any(np.abs(sums - PAIR_TOL) <= 1e-15))
+        try:
+            want = conjugate_pairing_dense(mu.thetas, PAIR_TOL)
+        except ValueError:
+            ambiguous += 1
+            with pytest.raises(InputError, match="ambiguous conjugate pairing"):
+                conjugate_pairing(mu)
+            continue
+        sigma, unpaired = conjugate_pairing(mu)
+        assert (sigma.tolist(), unpaired) == want
+    assert at_radius >= 20 and ambiguous >= 20
 
 
 def test_radon_nikodym_refuses_unpaired():
@@ -453,6 +504,14 @@ def test_invariance_probe():
     assert not invariance_probe(ds, [1j])
     all_atoms = [1j, -1j, 1.0]
     assert invariance_probe(ds, all_atoms)
+
+
+@pytest.mark.parametrize("point", [3j, 2.0, np.nan])
+def test_invariance_probe_refuses_points_off_the_circle(point):
+    # 3j would be read as the atom at i and 2.0 as the atom at 1
+    ds = assemble_model(multiplicity_model(np.diag([1j, -1j, 1.0, 1.0])))
+    with pytest.raises(InputError, match="unit circle"):
+        invariance_probe(ds, [point])
 
 
 def test_invariance_probe_many_members(rng):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from conjugations import spectral
+from conjugations import measures, spectral
 from conjugations.errors import InputError, NotSelfDualError, ToleranceError
 from conjugations.linalg import haar_unitary, membership_threshold, unitarity_defect
-from conjugations.measures import assemble_model, radon_nikodym
+from conjugations.measures import AtomicMeasure, _nearest_angle, assemble_model
+from conjugations.measures import conjugate_pairing, invariance_probe, radon_nikodym
 from conjugations.spectral import (
     CLUSTER_TOL,
     _cluster_indices,
-    _pair_clusters,
+    _partners,
     canonical_form,
     check_selfdual,
     diagonalize_unitary,
@@ -382,11 +383,15 @@ def _pairing_sets(rng):
     return rng.permutation(values)
 
 
+def _cluster_lookup(values):
+    """The spectral pairing's nearest-conjugate lookup, before the mutual rule."""
+    return _nearest_angle(np.angle(values), -np.angle(values), CLUSTER_TOL).tolist()
+
+
 def test_pair_clusters_matches_loop_oracle(rng):
     for _ in range(300):
         values = _pairing_sets(rng)
-        got = _pair_clusters(tuple((lam, 1) for lam in values))
-        assert got == pair_clusters_loop(values, CLUSTER_TOL)
+        assert _cluster_lookup(values) == pair_clusters_loop(values, CLUSTER_TOL)
 
 
 def test_pair_clusters_near_ties():
@@ -404,9 +409,34 @@ def test_pair_clusters_near_ties():
     ]
     for values in sets:
         values = np.array(values, dtype=complex)
-        assert _pair_clusters(tuple((lam, 1) for lam in values)) == pair_clusters_loop(values, CLUSTER_TOL)
-    assert _pair_clusters(((np.conj(t), 1), (t, 1), (t, 2))) == [2, 0, 0]
-    assert _pair_clusters(((np.conj(t), 1), (t * np.exp(1.0000001j * CLUSTER_TOL), 1))) == [-1, -1]
+        assert _cluster_lookup(values) == pair_clusters_loop(values, CLUSTER_TOL)
+    # conj(t) takes the later of the two equal t, so the first t has no
+    # mutual partner
+    assert _cluster_lookup(np.array([np.conj(t), t, t])) == [2, 0, 0]
+    assert _partners(((np.conj(t), 1), (t, 1), (t, 2))) == [2, -1, 0]
+    assert _partners(((np.conj(t), 1), (t * np.exp(1.0000001j * CLUSTER_TOL), 1))) == [-1, -1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda U, mu, ds: check_selfdual(U),
+    lambda U, mu, ds: canonical_form(U),
+    lambda U, mu, ds: multiplicity_model(U),
+    lambda U, mu, ds: conjugate_pairing(mu),
+    lambda U, mu, ds: invariance_probe(ds, [1j]),
+], ids=["check_selfdual", "canonical_form", "multiplicity_model", "conjugate_pairing", "invariance_probe"])
+def test_every_pairing_goes_through_one_lookup(monkeypatch, call):
+    U = np.diag([1j, -1j, 1.0])
+    mu, ds = AtomicMeasure([0.5, -0.5], [1.0, 2.0]), assemble_model(multiplicity_model(U))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _nearest_angle(*args)
+
+    monkeypatch.setattr(measures, "_nearest_angle", spy)
+    monkeypatch.setattr(spectral, "_nearest_angle", spy)
+    call(U, mu, ds)
+    assert calls
 
 
 def test_cluster_indices_matches_loop_oracle(rng):
