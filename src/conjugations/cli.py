@@ -10,13 +10,14 @@ the contract).
 """
 
 import argparse
+import gc
 import json
 import re
 import sys
 
 import numpy as np
 
-from . import family, measures, shifts, transforms
+from . import family, measures
 from .antilinear import AntilinearOperator
 from .errors import (
     AbsoluteContinuityError,
@@ -338,6 +339,8 @@ def _grid_demo_report(kind, order, degree, preset, conj):
 
 
 def cmd_shift_demo(args):
+    from . import shifts  # the demos alone need it: other commands skip its import
+
     M = args.order
     if M < 1:
         raise InputError("grid order must be at least 1")
@@ -365,6 +368,8 @@ def cmd_shift_demo(args):
 
 
 def _transform_demo(args, kind):
+    from . import transforms  # the demos alone need it: other commands skip its import
+
     N = args.size
     model = (transforms.FourBlockModel if kind == "fourier" else transforms.TwoBlockModel)(N)
     rng = np.random.default_rng(_seed(args))
@@ -480,7 +485,14 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """Process entry: run() with the cyclic garbage collector off, then
+    freeze what exists so the exit's collection skips it.  A command makes no
+    cycles worth collecting (a JSON matrix is a tree of lists, numpy arrays
+    hold no containers); run() leaves the collector to its caller."""
+    gc.disable()
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, commutation_defect
 from .antilinear import is_conjugation, symmetry_defect, transport
 from .errors import InputError, MembershipError
-from .linalg import _diagonal_entries, as_square_matrix, haar_unitary, require_unitary
+from .linalg import _diagonal_entries, _label_groups, as_square_matrix, haar_unitary, require_unitary
 from .linalg import membership_threshold, symmetric_unitary, threshold, unitarity_defect
 from .spectral import canonical_form
 
@@ -58,11 +58,12 @@ def _validate_params(layout, params):
         raise InputError(
             f"expected {len(layout.pairs)} pair blocks, got {len(params.v_blocks)}"
         )
-    for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks)):
-        if v.shape != (m, m):
-            raise InputError(f"pair block {j} must be {m}x{m}, got {v.shape}")
-        if unitarity_defect(v) > threshold(np.sqrt(m)):
-            raise InputError(f"pair block {j} is not unitary")
+    shaped = next((j for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks))
+                   if v.shape != (m, m)), len(layout.pairs))  # blocks before the first misshapen one
+    _check_pair_blocks(params.v_blocks[:shaped])
+    if shaped < len(layout.pairs):
+        m = layout.pairs[shaped][1]
+        raise InputError(f"pair block {shaped} must be {m}x{m}, got {params.v_blocks[shaped].shape}")
     for name, q, size in (("q_plus", params.q_plus, layout.ell), ("q_minus", params.q_minus, layout.kay)):
         if q.shape != (size, size):
             raise InputError(f"{name} must be {size}x{size}, got {q.shape}")
@@ -72,6 +73,27 @@ def _validate_params(layout, params):
             raise InputError(f"{name} is not unitary")
         if np.linalg.norm(q - q.T) > threshold(np.sqrt(size)):
             raise InputError(f"{name} is not symmetric")
+
+
+def _check_pair_blocks(blocks):
+    """Raise InputError at the first square block that has non-finite
+    entries or is not unitary within threshold(sqrt(m)).  The blocks of one
+    size m are checked in one stacked product; a lone block is stacked as a
+    view, not a copy."""
+    sizes = np.array([len(v) for v in blocks], dtype=int)
+    failed = np.zeros(len(blocks), dtype=bool)
+    for idx in _label_groups(sizes):
+        m = sizes[idx[0]]
+        S = blocks[idx[0]][None] if len(idx) == 1 else np.stack([blocks[j] for j in idx])
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block fails below
+            G = S.conj().transpose(0, 2, 1) @ S
+        G[:, np.arange(m), np.arange(m)] -= 1
+        failed[idx] = ~(np.linalg.norm(G, axis=(1, 2)) <= threshold(np.sqrt(m)))
+    if failed.any():
+        j = np.argmax(failed)
+        if not np.isfinite(blocks[j]).all():
+            raise InputError("matrix contains non-finite entries")
+        raise InputError(f"pair block {j} is not unitary")
 
 
 def layout_conjugation(layout, params):

@@ -47,6 +47,14 @@ def _diagonal_entries(A):
     return d if _nonzeros(A) == _nonzeros(d) else None
 
 
+def _label_groups(labels):
+    """[np.flatnonzero(labels == k) for k in np.unique(labels)] from one
+    stable argsort: each group ascending, groups in increasing label order.
+    np.unique is avoided because it imports numpy.ma, a few ms per process."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
+
+
 _UNREAD = object()  # the d of a matrix not yet read and looked at for its diagonal
 
 

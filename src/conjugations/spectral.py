@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfDualError, ToleranceError
-from .linalg import membership_threshold, require_unitary
+from .linalg import _label_groups, membership_threshold, require_unitary
 from .measures import AtomicMeasure, _nearest_angle
 
 CLUSTER_TOL = 1e-7  # clustering, +-1 snapping and conjugate-pairing radius
@@ -120,7 +120,7 @@ def _cluster_indices(vals):
     labels[order] = np.concatenate([[0], np.cumsum(split)])[: len(vals)]
     if split.any() and abs(vals[order[0]] - vals[order[-1]]) <= CLUSTER_TOL:
         labels[labels == labels.max()] = 0
-    return [np.flatnonzero(labels == k) for k in np.unique(labels)]
+    return _label_groups(labels)
 
 
 def diagonalize_unitary(U):
@@ -143,10 +143,11 @@ def diagonalize_unitary(U):
 
     groups = {}
     for idxs in _cluster_indices(vals):
-        rep = np.mean(vals[idxs])
+        rep = vals[idxs[0]] if len(idxs) == 1 else np.mean(vals[idxs])
         groups.setdefault(_snap(rep / abs(rep)), []).extend(idxs)
-    entries = [(rep, tuple(sorted(idxs, key=lead.__getitem__))) for rep, idxs in groups.items()]
-    entries.sort(key=lambda e: np.angle(e[0]))
+    reps = list(groups)
+    entries = [(reps[k], tuple(sorted(groups[reps[k]], key=lead.__getitem__)))
+               for k in np.argsort(np.angle(reps), kind="stable")]
 
     cols = [i for _, idxs in entries for i in idxs]
     spectrum = UnitarySpectrum(

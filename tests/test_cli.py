@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -21,7 +22,8 @@ from conjugations.cli import (
     save_json,
 )
 from conjugations.errors import InputError
-from conjugations.linalg import operator_norm
+from conjugations.family import sample
+from conjugations.linalg import haar_unitary, operator_norm
 from conjugations.measures import AtomicMeasure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -437,6 +439,12 @@ def test_matrix_parser_rejects_misfits():
     assert matrix_from_dict({"rows": 2.0, "cols": 0.0, "data": [[], []]}, "m").shape == (2, 0)
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "u_pair.json"],
     ["canonical", "u_pair.json"],
@@ -447,8 +455,6 @@ def test_matrix_parser_rejects_misfits():
 def test_commands_never_import_scipy(argv):
     # the library is numpy only: importing the CLI and running a command,
     # diagonalizing or not, must not load scipy
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys, conjugations.cli\n"
         "loaded = 'scipy' in sys.modules\n"
@@ -457,9 +463,81 @@ def test_commands_never_import_scipy(argv):
     )
     args = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, *args], env=_src_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "False 0 False"
     if argv[0] == "verify":
         assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_matrix_commands_never_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, a few ms of every process that calls it;
+    # the commands group clusters and pair blocks by one stable sort instead
+    Q = haar_unitary(6, 5)
+    U = (Q * np.exp(1j * np.array([0.5, -0.5, 1.2, -1.2, 0.0, np.pi]))) @ Q.conj().T
+    u, c = str(tmp_path / "u.json"), str(tmp_path / "c.json")
+    save_json(u, matrix_to_dict(U))
+    save_json(c, matrix_to_dict(sample(U, 3).matrix))
+    argvs = [["check", u], ["canonical", u], ["sample", u, "--seed", "3"], ["verify", u, c],
+             ["decompose", u, c]]
+    code = (
+        "import sys, conjugations.cli\n"
+        f"codes = [conjugations.cli.run(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False", proc.stderr
+
+
+ENTRY_CASES = ("sample_mixed", "verify_fail", "decompose_swap", "canonical_refused",
+               "malformed_input")
+
+
+@pytest.mark.parametrize("case", [c for c in golden_cases() if c["name"] in ENTRY_CASES],
+                         ids=lambda c: c["name"])
+def test_golden_through_the_process_entry(case):
+    # test_golden calls run(); this goes through main() and the interpreter's
+    # exit, as the console script does
+    argv = [a.replace("{IN}", str(INPUTS)) for a in case["argv"]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "conjugations.cli", *argv], env=_src_env(), capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == case["exit_code"], proc.stderr
+    expected = (GOLDEN / "expected" / f"{case['name']}.out").read_bytes()
+    assert proc.stdout.replace(str(INPUTS).encode(), b"{IN}") == expected
+
+
+def test_main_runs_without_the_cyclic_collector():
+    # main() owns its process: the collector is off for the command and
+    # everything alive at its end is frozen, so the exit collection skips it
+    code = (
+        "import atexit, gc, sys\n"
+        "from conjugations.cli import main\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "check", str(INPUTS / "u_pair.json")], env=_src_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled):
+    # run() is the library's entry: a caller shares the collector with its
+    # whole process, so only main() may switch it off or freeze
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert run_captured(["sample", str(INPUTS / "u_mixed.json"), "--seed", "7"])[0] == EXIT_OK
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()

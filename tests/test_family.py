@@ -104,6 +104,26 @@ def test_from_params_rejects_bad_blocks():
         from_params(layout, W, ConjugationParams((), 2 * np.eye(2), np.zeros((0, 0))))
 
 
+@pytest.mark.parametrize("change,message", [
+    ({2: 2}, "pair block 2 is not unitary"),
+    ({1: 2, 2: 2}, "pair block 1 is not unitary"),
+    ({0: 2, 2: np.eye(3)}, "pair block 0 is not unitary"),
+    ({2: np.eye(3)}, r"pair block 2 must be 2x2, got \(3, 3\)"),
+    ({1: np.nan, 2: 2}, "matrix contains non-finite entries"),
+    ({1: 2, 2: np.inf}, "pair block 1 is not unitary"),
+])
+def test_pair_block_errors_name_the_first_failing_block(change, message):
+    # blocks 0 and 2 share a size and are checked in one stacked product; the
+    # error is still the first in block order, as a per-block loop gives it
+    layout = BlockLayout(((1j, 2), (0.5 + 0.5j, 1), (-0.5 + 0.1j, 2)), 0, 0)
+    blocks = [haar_unitary(2, 1), np.array([[1j]]), haar_unitary(2, 2)]
+    for j, how in change.items():
+        blocks[j] = how if isinstance(how, np.ndarray) else how * blocks[j]
+    params = ConjugationParams(tuple(blocks), np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        layout_conjugation(layout, params)
+
+
 def test_sample_deterministic(rng):
     U, *_ = planted_selfdual(rng, max_dim=12)
     assert np.array_equal(sample(U, 42).matrix, sample(U, 42).matrix)
