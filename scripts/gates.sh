@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The three gates every change keeps, in order, stopping at the first failure:
 # tier-1 tests, clean goldens after regeneration (no diff and no untracked
-# file under tests/golden), the benchmark's self-tests.  Then the line count
-# of the library.  Run from anywhere: scripts/gates.sh
+# file under tests/golden), the benchmark's self-tests.  Then a smoke run of
+# real CLI processes (scripts/time_cli.py exits nonzero unless the round
+# trip's exit codes are 0/0/0/3) and the line count of the library.  Run
+# from anywhere: scripts/gates.sh
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -15,4 +17,5 @@ if [ -n "$golden" ]; then
     exit 1
 fi
 python3 -m pytest benchmark/tests
+python3 scripts/time_cli.py --n 16 --reps 1
 wc -l src/conjugations/*.py

@@ -4,9 +4,10 @@
 One job is the benchmark's round trip at size n: `sample -o C`, `verify`,
 `decompose -o P` on a self-dual U (n/2 - 2 distinct conjugate pairs, a +1
 and a -1 block of two, in a Haar basis) and a `canonical` on a Haar V that
-is refused.  Every command runs in a fresh process that enters through
-conjugations.cli.main(), as the console script does.  Each process is cut
-into four phases, in milliseconds:
+is refused.  Each job writes its outputs into a fresh directory, as the
+benchmark's jobs do.  Every command runs in a fresh process that enters
+through conjugations.cli.main(), as the console script does.  Each process
+is cut into four phases, in milliseconds:
 
 - start: from the spawn to the first line of the child's own code
   (interpreter start-up);
@@ -25,6 +26,7 @@ PYTHONPATH=src python3 scripts/time_cli.py [--n 256] [--reps 15]
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -82,16 +84,22 @@ def main():
     parser.add_argument("--reps", type=int, default=15)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        U, V, C, P = write_inputs(args.n, workdir).values()
-        argvs = [["sample", U, "--seed", "7", "-o", C], ["verify", U, C],
-                 ["decompose", U, C, "-o", P], ["canonical", V]]
-        times = {argv[0]: [] for argv in argvs}
+        U, V, _, _ = write_inputs(args.n, workdir).values()
+        times = {cmd: [] for cmd in EXPECTED_CODES}
         jobs = []
-        for _ in range(args.reps):
+        for rep in range(args.reps):
+            # fresh output files, as the benchmark's jobs have: truncating a
+            # multi-MB file written moments before costs ~0.1 s on its own
+            jobdir = os.path.join(workdir, f"job-{rep}")
+            os.mkdir(jobdir)
+            C, P = (os.path.join(jobdir, f"{k}.json") for k in "CP")
+            argvs = [["sample", U, "--seed", "7", "-o", C], ["verify", U, C],
+                     ["decompose", U, C, "-o", P], ["canonical", V]]
             start = time.monotonic()
             for argv in argvs:
                 times[argv[0]].append(time_process(argv))
             jobs.append(time.monotonic() - start)
+            shutil.rmtree(jobdir)
 
     def ms(values):
         return round(statistics.median(values) * 1e3, 2)

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import _nonzeros, as_square_matrix, require_unitary, threshold, unitarity_defect
+from .linalg import _nonzeros, _unique_inverse, as_square_matrix, require_unitary, threshold
+from .linalg import unitarity_defect
 
 _BATCH = 1 << 14  # block entries of one stacked product; a row panel takes up to twice that
 
@@ -119,7 +120,7 @@ def _gather_blocks(A, classes, partner, lam):
     counts = np.bincount(classes, minlength=len(lam))
     order, starts = np.argsort(classes, kind="stable"), np.cumsum(counts) - counts
     width = np.where(partner >= 0, counts[partner], 0)
-    _, group = np.unique(counts * (len(A) + 1) + width, return_inverse=True)
+    group = _unique_inverse(counts * (len(A) + 1) + width)[1]
     groups = [np.flatnonzero(group == g) for g in range(group.max(initial=-1) + 1)]
     at = [(order[starts[c][:, None] + np.arange(counts[c[0]])][:, :, None],
            order[starts[partner[c]][:, None] + np.arange(width[c[0]])][:, None, :]) for c in groups]

@@ -12,8 +12,11 @@ the contract).
 import argparse
 import gc
 import json
+import os
 import re
+import signal
 import sys
+import warnings
 
 import numpy as np
 
@@ -64,6 +67,12 @@ def save_json(path, obj):
 
 _ARRAY_SLOT = re.compile(r'"\\u0000(\d+)"')  # json's text of the placeholder "\0<k>"
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Floats from which _write_array formats a matrix's second half in a forked
+# child.  A fork and its pipe cost 1 to 2 ms in a CLI process, what formatting
+# some 5,000 floats takes; the margin keeps decompose's small blocks and every
+# golden in this process.
+_SPLIT = 1 << 15
+_CHUNK = 1 << 16  # bytes per read from a child's pipe
 
 
 def write_json(fh, obj):
@@ -97,7 +106,10 @@ def write_json(fh, obj):
 def _write_array(fh, A, indent):
     """Write A as json.dumps(A.tolist(), indent=2) lays it out from column
     indent on.  Float matrices of [re, im] pairs go row by row through repr
-    and string joins; other arrays, and empty ones, go through json."""
+    and string joins; from _SPLIT floats on, a forked child formats the
+    second half of the rows while this process writes the first, and its
+    text is copied into fh in _CHUNK pieces (formatted here if the child
+    fails).  Other arrays, and empty ones, go through json."""
     if A.ndim != 3 or A.dtype.kind != "f" or not A.size:
         fh.write(json.dumps(A.tolist(), indent=2).replace("\n", "\n" + " " * indent))
         return
@@ -105,14 +117,95 @@ def _write_array(fh, A, indent):
     head, tail = f"[\n{p2}[\n{p3}", f"\n{p2}]\n{p1}]"
     inner_sep, cell_sep = f",\n{p3}", f"\n{p2}],\n{p2}[\n{p3}"
     finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
-    fh.write("[\n")
-    for i, row in enumerate(A):
-        texts = list(map(repr, row.ravel().tolist()))
-        if not finite[i]:
-            texts = [_NONFINITE.get(t, t) for t in texts]
-        body = cell_sep.join(map(inner_sep.join, zip(*[iter(texts)] * A.shape[2])))
-        fh.write(f"{p1}{head}{body}{tail}{',' if i < len(A) - 1 else ''}\n")
+
+    def rows(start, stop):
+        for i in range(start, stop):
+            texts = list(map(repr, A[i].ravel().tolist()))
+            if not finite[i]:
+                texts = [_NONFINITE.get(t, t) for t in texts]
+            body = cell_sep.join(map(inner_sep.join, zip(*[iter(texts)] * A.shape[2])))
+            yield f"{p1}{head}{body}{tail}{',' if i < len(A) - 1 else ''}\n"
+
+    h = len(A) // 2 if A.size >= _SPLIT else len(A)
+    wait = _forked(lambda: "".join(rows(h, len(A))).encode("ascii")) if h < len(A) else _no_child
+    try:
+        fh.write("[\n")
+        fh.writelines(rows(0, h))
+        if not wait(lambda chunk: fh.write(chunk.decode("ascii"))):
+            fh.writelines(rows(h, len(A)))
+    finally:
+        wait(None)
     fh.write(p0 + "]")
+
+
+def _no_child(sink):
+    return False
+
+
+def _forked(produce):
+    """Run produce() in a forked child process; return wait(sink).
+
+    The child sends the bytes produce() returns through a pipe, behind their
+    length, and leaves by os._exit: it writes nothing to stdout or stderr
+    and runs no exit handler.  wait(sink) passes those bytes to sink in
+    pieces of at most _CHUNK, reaps the child and returns True.  It returns
+    False, sink never called, when the child raised or died before sending.
+    wait(None), and every call after the first, ends the child unread and
+    returns False.  Where os.fork is missing or fails there is no child and
+    wait always returns False.  produce must call no BLAS: this process's
+    BLAS calls keep both cores and the thread count their bits depend on.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return _no_child
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when a process with other threads forks: a
+            # lock one of them holds stays held in the child.  The other
+            # threads here are BLAS workers, and the child takes no BLAS lock.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):
+        os.close(r)
+        os.close(w)
+        return _no_child
+    if pid == 0:  # the child leaves here, sent or not: wait reads the length
+        try:
+            os.close(r)
+            data = produce()
+            with open(w, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(w)
+    pipe = open(r, "rb")
+
+    def wait(sink):
+        if pipe.closed:
+            return False
+        sent = False
+        try:
+            size = pipe.read(8) if sink else b""
+            if len(size) == 8:
+                left = int.from_bytes(size, "little")
+                while left:
+                    chunk = pipe.read(min(left, _CHUNK))
+                    if not chunk:
+                        raise OSError("a forked child died while sending its bytes")
+                    sink(chunk)
+                    left -= len(chunk)
+                sent = True
+        finally:
+            pipe.close()
+            if not sent:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        return sent
+
+    return wait
 
 
 def matrix_from_dict(obj, where):
@@ -180,6 +273,41 @@ def matrix_to_dict(M):
 
 def load_matrix(path):
     return matrix_from_dict(load_json(path), path)
+
+
+def load_matrices(first, second):
+    """(load_matrix(first), load_matrix(second)), the second file loaded in a
+    forked child while this process loads the first.
+
+    The child sends the matrix's shape and complex128 bytes, or the message
+    of its InputError.  The first file's error wins: the child is then ended
+    unread.  Where no answer comes back (no fork, a dead child, any other
+    exception), this process loads second itself, as two load_matrix calls
+    would.
+    """
+    wait = _forked(lambda: _matrix_bytes(second))
+    try:
+        A = load_matrix(first)
+    except BaseException:
+        wait(None)
+        raise
+    data = bytearray()
+    if not wait(data.extend):
+        return A, load_matrix(second)
+    rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
+    if rows < 0:
+        raise InputError(data[16:].decode())
+    return A, np.frombuffer(data, dtype=complex, offset=16).reshape(rows, cols)
+
+
+def _matrix_bytes(path):
+    """load_matrix(path) as int64 rows and cols, then the complex128 entries;
+    an InputError as rows -1 and cols 0, then its UTF-8 message."""
+    try:
+        M = load_matrix(path)
+    except InputError as e:
+        return np.array([-1, 0], dtype=np.int64).tobytes() + str(e).encode()
+    return np.array(M.shape, dtype=np.int64).tobytes() + M.tobytes()
 
 
 def load_measure(path):
@@ -250,8 +378,8 @@ def cmd_sample(args):
 def cmd_verify(args):
     if args.tol is not None and not 0.0 <= args.tol < np.inf:
         raise InputError("--tol must be a finite nonnegative number")
-    U = load_matrix(args.unitary)
-    C = AntilinearOperator(load_matrix(args.conjugation))
+    U, A = load_matrices(args.unitary, args.conjugation)
+    C = AntilinearOperator(A)
     thr = membership_threshold(U.shape[0]) if args.tol is None else args.tol
     passed, report = family.verify_membership(U, C, threshold=thr)
     out = _report_dict(U.shape[0], passed, report, thr)
@@ -262,8 +390,8 @@ def cmd_verify(args):
 
 
 def cmd_decompose(args):
-    U = load_matrix(args.unitary)
-    C = AntilinearOperator(load_matrix(args.conjugation))
+    U, A = load_matrices(args.unitary, args.conjugation)
+    C = AntilinearOperator(A)
     params = family.decompose(U, C)
     _, layout = canonical_form(U)
     out = {

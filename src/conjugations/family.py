@@ -19,8 +19,8 @@ import numpy as np
 from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, commutation_defect
 from .antilinear import is_conjugation, symmetry_defect, transport
 from .errors import InputError, MembershipError
-from .linalg import _diagonal_entries, _label_groups, as_square_matrix, haar_unitary, require_unitary
-from .linalg import membership_threshold, symmetric_unitary, threshold, unitarity_defect
+from .linalg import _diagonal_entries, _label_groups, _unique_inverse, as_square_matrix, haar_unitary
+from .linalg import membership_threshold, require_unitary, symmetric_unitary, threshold, unitarity_defect
 from .spectral import canonical_form
 
 
@@ -162,7 +162,7 @@ def verify_membership(U, C, threshold=None):
     require_unitary(U, "U", d)
     thr = membership_threshold(U.shape[0]) if threshold is None else threshold
     if d is not None:
-        values, classes = np.unique(d, return_inverse=True)
+        values, classes = _unique_inverse(d)
         at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
         partner = np.where(values[at] == np.conj(values), at, -1)
         exact, *blocks = _gather_blocks(C.matrix, classes, partner, values)

@@ -55,6 +55,20 @@ def _label_groups(labels):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
 
 
+def _unique_inverse(x):
+    """np.unique(x, return_inverse=True) for a 1-d x without NaN, from one
+    stable argsort as _label_groups sorts: the sorted distinct values, and
+    each entry's index among them."""
+    order = np.argsort(x, kind="stable")
+    ranked = x[order]
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    first[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 _UNREAD = object()  # the d of a matrix not yet read and looked at for its diagonal
 
 

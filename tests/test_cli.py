@@ -10,12 +10,14 @@ import sys
 import numpy as np
 import pytest
 
+from conjugations import cli
 from conjugations.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_TOLERANCE,
     emit,
+    load_matrix,
     matrix_from_dict,
     matrix_to_dict,
     run,
@@ -367,11 +369,19 @@ def _special_matrix(n, rng):
     return M
 
 
-@pytest.mark.parametrize("n", [0, 1, 64])
-def test_writer_matches_json_dumps(tmp_path, rng, n):
-    # emit and save_json stream arrays row by row; the bytes must still be
-    # exactly those of json.dumps(indent=2, sort_keys=True) on plain lists
+@pytest.mark.parametrize("n", [0, 1, 64, 131])
+def test_writer_matches_json_dumps(tmp_path, rng, monkeypatch, n):
+    # emit and save_json stream arrays row by row, from 2 * n * n >= _SPLIT
+    # on with a forked child formatting the second half of the rows; the
+    # bytes must still be exactly those of json.dumps(indent=2,
+    # sort_keys=True) on plain lists
     M = _special_matrix(n, rng)
+    if n > 64:
+        M[n - 2, 3] = complex(np.inf, -np.inf)  # a non-finite row in the child's half
+        M[1, 5] = complex(-np.inf, 0.5)  # and one in this process's
+    forks = []
+    forked = cli._forked
+    monkeypatch.setattr(cli, "_forked", lambda produce: forks.append(1) or forked(produce))
     empty = matrix_to_dict(np.zeros((0, 0)))
     docs = [
         matrix_to_dict(M),
@@ -390,6 +400,9 @@ def test_writer_matches_json_dumps(tmp_path, rng, n):
         save_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == want
         assert json.loads(want) == _as_lists(doc)
+    assert len(forks) == (0 if 2 * n * n < cli._SPLIT else 2 * len(docs))  # one M per doc, twice
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_writer_nonfinite_and_other_arrays():
@@ -482,6 +495,10 @@ def test_matrix_commands_never_import_numpy_ma(tmp_path):
     save_json(c, matrix_to_dict(sample(U, 3).matrix))
     argvs = [["check", u], ["canonical", u], ["sample", u, "--seed", "3"], ["verify", u, c],
              ["decompose", u, c]]
+    for u, c in (("u_pair.json", "c_swap.json"), ("u_mixed.json", "c_mixed.json")):
+        u, c = str(INPUTS / u), str(INPUTS / c)  # diagonal: the block engine's classes
+        argvs += [["canonical", u], ["sample", u, "--seed", "3"], ["verify", u, c],
+                  ["decompose", u, c]]
     code = (
         "import sys, conjugations.cli\n"
         f"codes = [conjugations.cli.run(argv) for argv in {argvs!r}]\n"
@@ -490,7 +507,7 @@ def test_matrix_commands_never_import_numpy_ma(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False", proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{[0] * len(argvs)} False", proc.stderr
 
 
 ENTRY_CASES = ("sample_mixed", "verify_fail", "decompose_swap", "canonical_refused",
@@ -541,3 +558,67 @@ def test_run_leaves_the_collector_as_it_found_it(enabled):
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was else gc.disable)()
+
+
+TWO_FILE_CASES = [c for c in golden_cases() if c["argv"][0] in ("verify", "decompose")]
+
+
+def _break_fork(monkeypatch, how):
+    """Make load_matrices' child unavailable: no os.fork, or a child that
+    leaves without sending anything."""
+    if how == "missing":
+        monkeypatch.delattr(os, "fork")
+    elif how == "silent":
+        forked = cli._forked
+        monkeypatch.setattr(cli, "_forked", lambda produce: forked(lambda: os._exit(0)))
+
+
+@pytest.mark.parametrize("how", ["working", "missing", "silent"])
+@pytest.mark.parametrize("case", TWO_FILE_CASES, ids=lambda c: c["name"])
+def test_two_file_commands_load_here_without_a_child(monkeypatch, case, how):
+    # the second file is parsed in a forked child; without one the command
+    # loads it itself, and every outcome stays the golden one
+    _break_fork(monkeypatch, how)
+    argv = [a.replace("{IN}", str(INPUTS)) for a in case["argv"]]
+    code, out, _ = run_captured(argv)
+    assert code == case["exit_code"]
+    assert out.replace(str(INPUTS), "{IN}") == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    with pytest.raises(ChildProcessError):  # no child outlives run()
+        os.waitpid(-1, os.WNOHANG)
+
+
+BAD_MATRIX_FILES = {
+    "missing": None,
+    "invalid_json": '{"rows": 1, "cols": 1, "data": [[[1, 0]]]',
+    "misfit": '{"rows": 1, "cols": 1, "data": [[[1, "x"]]]}',
+    "nonfinite": '{"rows": 1, "cols": 1, "data": [[[NaN, 0]]]}',
+}
+
+
+def _bad_matrix(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if BAD_MATRIX_FILES[kind] is not None:
+        path.write_text(BAD_MATRIX_FILES[kind])
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("kind", list(BAD_MATRIX_FILES))
+def test_two_file_errors_keep_their_order(monkeypatch, tmp_path, command, kind):
+    # the child's InputError is the one load_matrix gives here, and a bad
+    # first file wins over a bad second one, as when both load in turn
+    bad, good = _bad_matrix(tmp_path, kind), str(INPUTS / "c_swap.json")
+    with pytest.raises(InputError) as err:
+        load_matrix(bad)
+    other = _bad_matrix(tmp_path, "invalid_json" if kind == "missing" else "missing")
+    for first, second, message in [(good, bad, str(err.value)), (bad, other, str(err.value))]:
+        outs = []
+        for how in ("working", "missing"):
+            with monkeypatch.context() as m:
+                _break_fork(m, how)
+                outs.append(run_captured([command, first, second]))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == EXIT_INPUT
+        assert json.loads(outs[0][1]) == {"error": {"code": EXIT_INPUT, "message": message}}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

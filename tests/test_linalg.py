@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conjugations.errors import InputError
 from conjugations.linalg import (
     _diagonal_entries,
+    _unique_inverse,
     four_unitary_split,
     haar_unitary,
     hermitian_sqrt_psd,
@@ -153,3 +154,19 @@ def test_diagonal_entries_counts_nonzero_parts():
     signed = D.copy()
     signed[0, 2] = -0.0
     assert _diagonal_entries(signed) is not None
+
+
+@pytest.mark.parametrize("kind", ["complex", "int"])
+def test_unique_inverse_is_np_unique(kind, rng):
+    # the grouping the diagonal block engine keys its classes by: same
+    # sorted values and labels as np.unique, which imports numpy.ma
+    for size in (0, 1, 7, 200):
+        if kind == "complex":
+            x = np.exp(1j * rng.choice([0.0, 0.5, -0.5, np.pi, 2.0], size))
+            x[: size // 3] = np.conj(x[: size // 3])
+        else:
+            x = rng.integers(-3, 4, size) * 1000 + rng.integers(0, 2, size)
+        values, inverse = _unique_inverse(x)
+        want_values, want_inverse = np.unique(x, return_inverse=True)
+        assert values.tobytes() == want_values.tobytes()
+        assert np.array_equal(inverse, want_inverse) and inverse.dtype == np.intp
