@@ -68,11 +68,20 @@ def save_json(path, obj):
 _ARRAY_SLOT = re.compile(r'"\\u0000(\d+)"')  # json's text of the placeholder "\0<k>"
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Floats from which _write_array formats a matrix's second half in a forked
-# child.  A fork and its pipe cost 1 to 2 ms in a CLI process, what formatting
-# some 5,000 floats takes; the margin keeps decompose's small blocks and every
-# golden in this process.
-_SPLIT = 1 << 15
-_CHUNK = 1 << 16  # bytes per read from a child's pipe
+# child.  On a 2-core host, in 30 to 40 alternating writes per size, the split
+# won at most 10 of 30 up to n = 80, 14 of 30 and 33 of 40 at n = 96 (18,432
+# floats), and 27 to 38 of 40 or 28 to 30 of 30 from n = 104 (21,632) to 256.
+# Every golden stays in this process.
+_SPLIT = 20_000
+_CHUNK = 1 << 16  # characters per write of a child's text
+# Sizes, in bytes, of a second matrix file that load_matrices parses in a
+# forked child.  Below 512 KiB (n = 82) the fork costs about what the parse
+# saves: at 174 to 310 KB the child won 0 to 28 of 30 or 40 alternating
+# loads, varying from run to run, and from 484 KB on 23 to 33 of them.
+# Above 16 MiB (n = 460) both files load here in turn, as a parse holds
+# several times its file's size: at n = 1024 (an 80 MB file) parsing both at
+# once took the command's summed peak from 284 to about 490 MB.
+_LOAD_CHILD = (1 << 19, 1 << 24)
 
 
 def write_json(fh, obj):
@@ -107,9 +116,11 @@ def _write_array(fh, A, indent):
     """Write A as json.dumps(A.tolist(), indent=2) lays it out from column
     indent on.  Float matrices of [re, im] pairs go row by row through repr
     and string joins; from _SPLIT floats on, a forked child formats the
-    second half of the rows while this process writes the first, and its
-    text is copied into fh in _CHUNK pieces (formatted here if the child
-    fails).  Other arrays, and empty ones, go through json."""
+    second half of the rows while this process writes the first.  The
+    child's text is read whole before any of it is copied into fh, in
+    _CHUNK pieces, so a child that dies while sending leaves nothing behind
+    and this process formats that half itself.  Other arrays, and empty
+    ones, go through json."""
     if A.ndim != 3 or A.dtype.kind != "f" or not A.size:
         fh.write(json.dumps(A.tolist(), indent=2).replace("\n", "\n" + " " * indent))
         return
@@ -127,33 +138,38 @@ def _write_array(fh, A, indent):
             yield f"{p1}{head}{body}{tail}{',' if i < len(A) - 1 else ''}\n"
 
     h = len(A) // 2 if A.size >= _SPLIT else len(A)
-    wait = _forked(lambda: "".join(rows(h, len(A))).encode("ascii")) if h < len(A) else _no_child
+    wait = _forked(lambda: [r.encode("ascii") for r in rows(h, len(A))]) if h < len(A) else _no_child
     try:
         fh.write("[\n")
         fh.writelines(rows(0, h))
-        if not wait(lambda chunk: fh.write(chunk.decode("ascii"))):
-            fh.writelines(rows(h, len(A)))
+        half = wait()
     finally:
-        wait(None)
+        wait(False)
+    if half is None:
+        fh.writelines(rows(h, len(A)))
+    else:
+        half = memoryview(half)
+        for k in range(0, len(half), _CHUNK):
+            fh.write(str(half[k : k + _CHUNK], "ascii"))
     fh.write(p0 + "]")
 
 
-def _no_child(sink):
-    return False
+def _no_child(read=True):
+    return None
 
 
 def _forked(produce):
-    """Run produce() in a forked child process; return wait(sink).
+    """Run produce() in a forked child process; return wait().
 
-    The child sends the bytes produce() returns through a pipe, behind their
-    length, and leaves by os._exit: it writes nothing to stdout or stderr
-    and runs no exit handler.  wait(sink) passes those bytes to sink in
-    pieces of at most _CHUNK, reaps the child and returns True.  It returns
-    False, sink never called, when the child raised or died before sending.
-    wait(None), and every call after the first, ends the child unread and
-    returns False.  Where os.fork is missing or fails there is no child and
-    wait always returns False.  produce must call no BLAS: this process's
-    BLAS calls keep both cores and the thread count their bits depend on.
+    produce() returns a list of bytes-like pieces.  The child sends them
+    through a pipe, behind their total length, and leaves by os._exit: it
+    writes nothing to stdout or stderr and runs no exit handler.  wait()
+    reads all of those bytes, reaps the child and returns them as one
+    bytearray, or None when the child raised or died before it sent them
+    all, or when os.fork is missing or fails.  wait(False), and every call
+    after the first, ends the child unread and returns None.  produce must
+    call no BLAS: this process's BLAS calls keep both cores and the thread
+    count their bits depend on.
     """
     try:
         r, w = os.pipe()
@@ -174,36 +190,38 @@ def _forked(produce):
     if pid == 0:  # the child leaves here, sent or not: wait reads the length
         try:
             os.close(r)
-            data = produce()
+            pieces = produce()
             with open(w, "wb") as pipe:
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
+                pipe.write(sum(map(len, pieces)).to_bytes(8, "little"))
+                pipe.writelines(pieces)
         finally:
             os._exit(0)
     os.close(w)
     pipe = open(r, "rb")
 
-    def wait(sink):
+    def wait(read=True):
         if pipe.closed:
-            return False
-        sent = False
+            return None
+        data = None
         try:
-            size = pipe.read(8) if sink else b""
-            if len(size) == 8:
-                left = int.from_bytes(size, "little")
-                while left:
-                    chunk = pipe.read(min(left, _CHUNK))
-                    if not chunk:
-                        raise OSError("a forked child died while sending its bytes")
-                    sink(chunk)
-                    left -= len(chunk)
-                sent = True
+            if read:
+                size = pipe.read(8)
+                if len(size) == 8:
+                    data = bytearray(int.from_bytes(size, "little"))
+                    if pipe.readinto(data) < len(data):
+                        data = None  # the child died while sending
         finally:
             pipe.close()
-            if not sent:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        return sent
+            if not read:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped already: this process ignores SIGCHLD
+        return data
 
     return wait
 
@@ -277,7 +295,8 @@ def load_matrix(path):
 
 def load_matrices(first, second):
     """(load_matrix(first), load_matrix(second)), the second file loaded in a
-    forked child while this process loads the first.
+    forked child while this process loads the first when its size lies in
+    _LOAD_CHILD.
 
     The child sends the matrix's shape and complex128 bytes, or the message
     of its InputError.  The first file's error wins: the child is then ended
@@ -285,19 +304,26 @@ def load_matrices(first, second):
     exception), this process loads second itself, as two load_matrix calls
     would.
     """
-    wait = _forked(lambda: _matrix_bytes(second))
+    wait = _forked(lambda: _matrix_bytes(second)) if _worth_a_child(second) else _no_child
     try:
         A = load_matrix(first)
     except BaseException:
-        wait(None)
+        wait(False)
         raise
-    data = bytearray()
-    if not wait(data.extend):
+    data = wait()
+    if data is None:
         return A, load_matrix(second)
     rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
     if rows < 0:
         raise InputError(data[16:].decode())
     return A, np.frombuffer(data, dtype=complex, offset=16).reshape(rows, cols)
+
+
+def _worth_a_child(path):
+    try:
+        return _LOAD_CHILD[0] <= os.stat(path).st_size <= _LOAD_CHILD[1]
+    except OSError:
+        return False
 
 
 def _matrix_bytes(path):
@@ -306,8 +332,8 @@ def _matrix_bytes(path):
     try:
         M = load_matrix(path)
     except InputError as e:
-        return np.array([-1, 0], dtype=np.int64).tobytes() + str(e).encode()
-    return np.array(M.shape, dtype=np.int64).tobytes() + M.tobytes()
+        return [np.array([-1, 0], dtype=np.int64).tobytes(), str(e).encode()]
+    return [np.array(M.shape, dtype=np.int64).tobytes(), M.tobytes()]
 
 
 def load_measure(path):

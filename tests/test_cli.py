@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -563,17 +564,50 @@ def test_run_leaves_the_collector_as_it_found_it(enabled):
 TWO_FILE_CASES = [c for c in golden_cases() if c["argv"][0] in ("verify", "decompose")]
 
 
+class _Unsent(bytes):
+    """A piece counted in the length a child announces but never sent, as
+    when the child dies while sending."""
+
+    def __len__(self):
+        return 100
+
+
 def _break_fork(monkeypatch, how):
-    """Make load_matrices' child unavailable: no os.fork, or a child that
-    leaves without sending anything."""
+    """Let load_matrices fork for a second file of any size, then make its
+    child, and the split writer's, unavailable: no os.fork, a child that
+    leaves without sending anything, or one whose bytes stop short of the
+    length it announced."""
+    monkeypatch.setattr(cli, "_LOAD_CHILD", (0, float("inf")))
+    forked = cli._forked
     if how == "missing":
         monkeypatch.delattr(os, "fork")
     elif how == "silent":
-        forked = cli._forked
         monkeypatch.setattr(cli, "_forked", lambda produce: forked(lambda: os._exit(0)))
+    elif how == "short":
+        monkeypatch.setattr(cli, "_forked", lambda produce: forked(lambda: [*produce(), _Unsent()]))
 
 
-@pytest.mark.parametrize("how", ["working", "missing", "silent"])
+def _spy_forks(monkeypatch):
+    """Record, per forked child, whether its answer arrived."""
+    answers, forked = [], cli._forked
+
+    def spy(produce):
+        wait, asked = forked(produce), []
+
+        def first_answer(read=True):
+            data = wait(read)
+            if not asked:
+                asked.append(read)
+                answers.append(data is not None)
+            return data
+
+        return first_answer
+
+    monkeypatch.setattr(cli, "_forked", spy)
+    return answers
+
+
+@pytest.mark.parametrize("how", ["working", "missing", "silent", "short"])
 @pytest.mark.parametrize("case", TWO_FILE_CASES, ids=lambda c: c["name"])
 def test_two_file_commands_load_here_without_a_child(monkeypatch, case, how):
     # the second file is parsed in a forked child; without one the command
@@ -622,3 +656,56 @@ def test_two_file_errors_keep_their_order(monkeypatch, tmp_path, command, kind):
         assert json.loads(outs[0][1]) == {"error": {"code": EXIT_INPUT, "message": message}}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_child_sends_every_byte():
+    # more than a pipe holds, in pieces of every kind the CLI sends
+    pieces = [os.urandom(1 << 20), b"", np.arange(5.0).tobytes(), "text".encode()]
+    assert cli._forked(lambda: pieces)() == b"".join(pieces)
+    assert cli._forked(lambda: [*pieces, _Unsent()])() is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_second_file_loads_in_a_child_only_within_the_size_gate(monkeypatch):
+    # every golden input is far below the gate; a file above it loads here
+    answers = _spy_forks(monkeypatch)
+    u, c = str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json")
+    size = os.path.getsize(c)
+    assert size < cli._LOAD_CHILD[0]
+    for bounds, forked in [(cli._LOAD_CHILD, []), ((0, size - 1), []), ((size, size), [True])]:
+        monkeypatch.setattr(cli, "_LOAD_CHILD", bounds)
+        answers.clear()
+        assert run_captured(["verify", u, c])[0] == EXIT_OK
+        assert answers == forked
+
+
+@pytest.mark.parametrize("how", ["silent", "short", "missing"])
+def test_split_writer_formats_here_without_an_answer(monkeypatch, tmp_path, rng, how):
+    # the child's half is read whole before any of it is written, so a
+    # child that dies, even partway through sending, leaves no partial text
+    _break_fork(monkeypatch, how)
+    doc = matrix_to_dict(_special_matrix(131, rng))
+    save_json(tmp_path / "m.json", doc)
+    assert (tmp_path / "m.json").read_text() == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forks_work_when_sigchld_is_ignored(monkeypatch, tmp_path, rng):
+    # a process started with SIGCHLD ignored has its children reaped by the
+    # kernel, so waitpid finds none to reap; the children's answers still count
+    _break_fork(monkeypatch, "working")
+    answers = _spy_forks(monkeypatch)
+    case = next(c for c in TWO_FILE_CASES if c["name"] == "decompose_swap")
+    doc = matrix_to_dict(_special_matrix(131, rng))
+    was = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        code, out, _ = run_captured([a.replace("{IN}", str(INPUTS)) for a in case["argv"]])
+        save_json(tmp_path / "m.json", doc)
+    finally:
+        signal.signal(signal.SIGCHLD, was)
+    assert answers == [True, True]
+    assert code == case["exit_code"]
+    assert out.replace(str(INPUTS), "{IN}") == (GOLDEN / "expected" / f"{case['name']}.out").read_text()
+    assert (tmp_path / "m.json").read_text() == json.dumps(_as_lists(doc), indent=2, sort_keys=True) + "\n"
