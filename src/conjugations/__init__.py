@@ -9,11 +9,8 @@ Hilbert transform families.
 from .antilinear import (
     AntilinearOperator,
     ConjugationReport,
-    apply,
     commutation_defect,
-    compose,
     is_conjugation,
-    plain_conjugation,
     symmetry_defect,
     transport,
 )
@@ -36,7 +33,6 @@ from .family import (
 from .linalg import (
     four_unitary_split,
     haar_unitary,
-    hermitian_sqrt_psd,
     symmetric_unitary,
     unitarity_defect,
 )
@@ -64,23 +60,19 @@ __all__ = [
     "NotSelfDualError",
     "ToleranceError",
     "UnitarySpectrum",
-    "apply",
     "canonical_conjugation",
     "canonical_form",
     "check_selfdual",
     "commutation_defect",
-    "compose",
     "decompose",
     "diagonalize_unitary",
     "four_unitary_split",
     "from_params",
     "haar_unitary",
-    "hermitian_sqrt_psd",
     "identity_params",
     "is_conjugation",
     "layout_conjugation",
     "multiplicity_model",
-    "plain_conjugation",
     "symmetric_unitary",
     "symmetry_defect",
     "transport",

@@ -1,5 +1,5 @@
-"""Antilinear operators x -> A conj(x): conjugation predicates, composition,
-unitary transport, and the commuting/symmetric defects against a unitary.
+"""Antilinear operators x -> A conj(x): the conjugation predicate, unitary
+transport, and the commuting/symmetric defects against a unitary.
 
 Storing only the matrix A of the linear part keeps every identity in plain
 matrix algebra: the composite C U C acts as A conj(U) conj(A), so defects are
@@ -9,7 +9,7 @@ stacked by block shape (_block_report).
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class AntilinearOperator:
         return self.matrix.shape[0]
 
 
-def plain_conjugation(n):
-    """J x = conj(x), entrywise conjugation (A = I)."""
-    return AntilinearOperator(np.eye(n))
-
-
 @dataclass(frozen=True)
 class ConjugationReport:
     """Defect aggregate; fields not measured by a given check stay NaN."""
@@ -47,16 +42,6 @@ class ConjugationReport:
     involution_defect: float
     commutation_defect: float = math.nan
     symmetry_defect: float = math.nan
-
-    def as_dict(self):
-        return asdict(self)
-
-
-def apply(C, x):
-    x = np.asarray(x, dtype=complex)
-    if x.shape[0] != C.dim:
-        raise InputError(f"vector of length {x.shape[0]} fed to a dim-{C.dim} operator")
-    return C.matrix @ np.conj(x)
 
 
 def is_conjugation(C):
@@ -75,27 +60,6 @@ def is_conjugation(C):
     thr = threshold(np.sqrt(max(n, 1)))
     report = ConjugationReport(isometry_defect=iso, involution_defect=inv)
     return bool(iso <= thr and sym <= thr), report
-
-
-def compose(left, right):
-    """Composite left after right.
-
-    antilinear o antilinear is linear with matrix A conj(B); a linear matrix
-    M composes as M A (linear first) or A conj(M) (antilinear first).
-    """
-    left_anti = isinstance(left, AntilinearOperator)
-    right_anti = isinstance(right, AntilinearOperator)
-    L = left.matrix if left_anti else as_square_matrix(left, "left")
-    R = right.matrix if right_anti else as_square_matrix(right, "right")
-    if L.shape != R.shape:
-        raise InputError(f"dimension mismatch in compose: {L.shape} vs {R.shape}")
-    if left_anti and right_anti:
-        return L @ np.conj(R)
-    if left_anti:
-        return AntilinearOperator(L @ np.conj(R))
-    if right_anti:
-        return AntilinearOperator(L @ R)
-    return L @ R
 
 
 def transport(C, W):

@@ -1,6 +1,5 @@
 """Dense complex matrix utilities: the tolerance policy, unitarity defects,
-structured random sampling, Hermitian PSD square roots, and the
-four-unitary decomposition."""
+structured random sampling, and the four-unitary decomposition."""
 
 import numpy as np
 
@@ -131,26 +130,6 @@ def symmetric_unitary(n, seed):
     q = v @ v.T
     # exact symmetry regardless of how the BLAS accumulates the product
     return (q + q.T) / 2
-
-
-def hermitian_sqrt_psd(H):
-    """Hermitian PSD square root through the spectral decomposition.
-
-    Eigenvalues in [-ABS_TOL, 0) are clamped to zero; anything below
-    -ABS_TOL is rejected.  The clamping absorbs roundoff when the input sits
-    on the PSD boundary, e.g. I - H^2 for a Hermitian contraction H.
-    Recovering S from S * S is accurate to roughly the eigenvalue gaps of S;
-    clustered spectra lose digits to the eigenvector mixing.
-    """
-    A = as_square_matrix(H, "H")
-    scale = float(np.linalg.norm(A))
-    if np.linalg.norm(A - A.conj().T) > threshold(1.0 + scale):
-        raise InputError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh((A + A.conj().T) / 2)
-    if w.size and w[0] < -ABS_TOL:
-        raise InputError(f"matrix has eigenvalue {w[0]:.3e} below -ABS_TOL")
-    S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    return (S + S.conj().T) / 2
 
 
 def _unitary_pair(M, rotate):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .antilinear import ConjugationReport
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import threshold, unitarity_defect
+from .linalg import _unique_inverse, threshold, unitarity_defect
 
 THETA_DECIMALS = 12           # canonical angle resolution
 PAIR_TOL = 1e-9               # conjugate-partner lookup tolerance
@@ -93,7 +93,8 @@ class AtomicMeasure:
         if thetas.size and np.any(weights <= 0):
             raise InputError("atom weights must be strictly positive")
         thetas = canonical_angle(thetas) if thetas.size else thetas
-        if np.unique(thetas).size != thetas.size:
+        ranked = np.sort(thetas)  # np.unique would import numpy.ma
+        if np.any(ranked[1:] == ranked[:-1]):
             raise InputError("duplicate atoms after canonicalization")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "weights", weights)
@@ -109,10 +110,6 @@ class AtomicMeasure:
     @property
     def points(self):
         return np.exp(1j * self.thetas)
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.weights))
 
     def to_dict(self):
         return {
@@ -133,10 +130,14 @@ class AtomicMeasure:
         for i, atom in enumerate(atoms):
             if not isinstance(atom, dict) or "theta" not in atom or "weight" not in atom:
                 raise InputError(f"{where}: atoms[{i}] must carry 'theta' and 'weight'")
+            theta, weight = atom["theta"], atom["weight"]
+            # JSON numbers only: float() would also take "0.5" and true
+            if not all(type(v) in (int, float) for v in (theta, weight)):
+                raise InputError(f"{where}: atoms[{i}] has non-numeric fields")
             try:
-                thetas.append(float(atom["theta"]))
-                weights.append(float(atom["weight"]))
-            except (TypeError, ValueError, OverflowError):
+                thetas.append(float(theta))
+                weights.append(float(weight))
+            except OverflowError:
                 raise InputError(f"{where}: atoms[{i}] has non-numeric fields") from None
         try:
             return cls(np.array(thetas), np.array(weights))
@@ -222,7 +223,7 @@ def radon_nikodym(mu):
 
 def lattice_join(mu, nu):
     """Atomwise weight sum over the union of the atom sets, sorted by angle."""
-    thetas, slot = np.unique(np.concatenate([mu.thetas, nu.thetas]), return_inverse=True)
+    thetas, slot = _unique_inverse(np.concatenate([mu.thetas, nu.thetas]))
     weights = np.bincount(slot, weights=np.concatenate([mu.weights, nu.weights]))
     return AtomicMeasure(thetas, weights)
 
@@ -297,25 +298,6 @@ class FieldOperator:
             vals = np.conj(vals)
         out = np.einsum("kij,kj->ki", self.matrices, vals)
         return WeightedSpaceElement(self.measure, out)
-
-    def adjoint(self):
-        if self.antilinear or self.point_map is not None:
-            raise InputError("adjoint is provided for pointwise linear fields only")
-        return FieldOperator(self.measure, np.conj(np.transpose(self.matrices, (0, 2, 1))))
-
-
-def multiplier_field(mu, matrices):
-    """Pointwise linear multiplication field; scalars broadcast to 1x1 fibers."""
-    mats = np.asarray(matrices, dtype=complex)
-    if mats.ndim == 1:
-        mats = mats[:, None, None]
-    return FieldOperator(mu, mats)
-
-
-def coordinate_multiplier(mu, fiber_dim=1):
-    """Multiplication by the atom coordinate, xi_k times the identity fiber block."""
-    mats = mu.points[:, None, None] * np.eye(fiber_dim)[None, :, :]
-    return FieldOperator(mu, mats)
 
 
 def compose_fields(F, G):
@@ -479,14 +461,3 @@ def invariance_probe(ds, atom_points):
                 if outside_mass > threshold(1.0) * np.sqrt(max(weighted_inner(out, out).real, 0.0)):
                     return False
     return True
-
-
-def power_law_density(xi):
-    """Closed-form reflection density (5/3)^sgn(t) * t^(2 sgn t), t = Arg xi.
-
-    sgn(0) = 0, forced by the pointwise identity h(xi) * h(conj xi) = 1 at
-    the fixed points of conjugation.
-    """
-    t = np.angle(xi)
-    s = np.sign(t)
-    return (5.0 / 3.0) ** s * np.abs(t) ** (2 * s)

@@ -39,11 +39,6 @@ def conjugate_indices(order):
     return (-np.arange(order)) % order
 
 
-def grid_norm(values):
-    """Normalized grid norm, the counting measure divided by the order."""
-    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
-
-
 def analyze(values, d):
     """Split grid functions into their d model components, f(xi) = sum_j xi^j f_j(xi^d).
 

@@ -48,9 +48,6 @@ class FourBlockModel:
         # (-i)^n read from a table: the power rounds off the axes for n > 64
         return np.diag(np.array([1, -1j, -1, 1j])[np.arange(self.size) % 4])
 
-    def class_indices(self, k):
-        return np.arange(self.size)[np.arange(self.size) % 4 == k]
-
 
 @dataclass(frozen=True)
 class TwoBlockModel:

@@ -109,15 +109,15 @@ def pairing_rule_entrywise(U):
     return out
 
 
-def apply_cuc_on_basis(apply, C, U):
-    """Matrix of the composite C U C evaluated column by column through apply,
-    the library's antilinear application."""
+def apply_cuc_on_basis(A, U):
+    """Matrix of the composite C U C evaluated column by column, C the
+    antilinear map x -> A conj(x)."""
     n = U.shape[0]
     cols = []
     for k in range(n):
         e = np.zeros(n, dtype=complex)
         e[k] = 1.0
-        cols.append(apply(C, U @ apply(C, e)))
+        cols.append(A @ np.conj(U @ (A @ np.conj(e))))
     return np.stack(cols, axis=1)
 
 

@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from conjugations.antilinear import (
     AntilinearOperator,
-    apply,
     commutation_defect,
-    compose,
     is_conjugation,
-    plain_conjugation,
     symmetry_defect,
     transport,
 )
@@ -22,19 +19,19 @@ from _oracles import apply_cuc_on_basis, cuc_defects_dense, unitarity_defect_den
 SWAP = AntilinearOperator([[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_apply_plain_conjugation():
-    assert np.allclose(apply(plain_conjugation(2), [1j, 1.0]), [-1j, 1.0])
-    assert not callable(plain_conjugation(2))  # apply is the one way to apply it
-
-
 def test_apply_swap():
     # by hand: A conj((1, i)) = A (1, -i) = (-i, 1)
-    assert np.allclose(apply(SWAP, [1.0, 1j]), [-1j, 1.0])
+    assert np.allclose(SWAP.matrix @ np.conj([1.0, 1j]), [-1j, 1.0])
+    assert not callable(SWAP)  # the operator is its matrix A, applied as A conj(x)
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(InputError):
-        apply(SWAP, [1.0, 2.0, 3.0])
+    # an operator is only ever measured against, or moved by, a matrix of its own size
+    for call in (lambda: commutation_defect(SWAP, np.eye(3)),
+                 lambda: symmetry_defect(SWAP, np.eye(3)),
+                 lambda: transport(SWAP, np.eye(3))):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
@@ -49,13 +46,14 @@ def test_antilinearity(re, im, seed):
     x = rng.normal(size=3) + 1j * rng.normal(size=3)
     y = rng.normal(size=3) + 1j * rng.normal(size=3)
     alpha = re + 1j * im
-    lhs = apply(C, x + alpha * y)
-    rhs = apply(C, x) + np.conj(alpha) * apply(C, y)
+    A = C.matrix
+    lhs = A @ np.conj(x + alpha * y)
+    rhs = A @ np.conj(x) + np.conj(alpha) * (A @ np.conj(y))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_is_conjugation_basics():
-    assert is_conjugation(plain_conjugation(3))[0]
+    assert is_conjugation(AntilinearOperator(np.eye(3)))[0]
     assert is_conjugation(SWAP)[0]
     ok, report = is_conjugation(AntilinearOperator([[0.0, 1.0], [-1.0, 0.0]]))
     assert not ok
@@ -69,31 +67,10 @@ def test_conjugation_inner_product_rule(rng):
         C = AntilinearOperator(symmetric_unitary(4, rng))
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         y = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lhs = np.vdot(apply(C, y), apply(C, x))  # <Cx, Cy>, vdot conjugates its first arg
+        A = C.matrix
+        lhs = np.vdot(A @ np.conj(y), A @ np.conj(x))  # <Cx, Cy>, vdot conjugates its first arg
         rhs = np.vdot(x, y)  # <y, x>
         assert abs(lhs - rhs) < 1e-10
-
-
-def test_compose_involution():
-    assert np.allclose(compose(plain_conjugation(2), plain_conjugation(2)), np.eye(2))
-    assert np.allclose(compose(SWAP, SWAP), np.eye(2))
-
-
-def test_compose_linear_then_antilinear():
-    M = np.diag([1j, -1j])
-    JM = compose(plain_conjugation(2), M)  # J o M, antilinear with matrix conj(M)
-    assert isinstance(JM, AntilinearOperator)
-    assert np.allclose(JM.matrix, np.conj(M))
-    # action agrees with the nested evaluation on a random vector
-    x = np.array([0.3 + 1j, -2.0 + 0.5j])
-    assert np.allclose(apply(JM, x), np.conj(M @ x))
-    MJ = compose(M, plain_conjugation(2))
-    assert np.allclose(MJ.matrix, M)
-
-
-def test_compose_dimension_mismatch():
-    with pytest.raises(InputError):
-        compose(SWAP, plain_conjugation(3))
 
 
 def test_transport_identity():
@@ -123,14 +100,14 @@ def test_transport_rejects_non_unitary():
 def test_commutation_defect_examples():
     U = np.diag([1j, -1j])
     assert commutation_defect(SWAP, U) == 0.0
-    assert commutation_defect(plain_conjugation(3), np.eye(3)) == 0.0
+    assert commutation_defect(AntilinearOperator(np.eye(3)), np.eye(3)) == 0.0
     # J against diag(i, i): conj(U) = -U so the defect is ||2U|| = 2 sqrt(2)
-    d = commutation_defect(plain_conjugation(2), np.diag([1j, 1j]))
+    d = commutation_defect(AntilinearOperator(np.eye(2)), np.diag([1j, 1j]))
     assert d == pytest.approx(2 * np.sqrt(2))
 
 
 def test_symmetry_defect_examples():
-    assert symmetry_defect(plain_conjugation(1), np.diag([1j])) == 0.0
+    assert symmetry_defect(AntilinearOperator(np.eye(1)), np.diag([1j])) == 0.0
     # swap commutes with diag(i, -i), so its symmetric defect is ||U - U*||
     d = symmetry_defect(SWAP, np.diag([1j, -1j]))
     assert d == pytest.approx(2 * np.sqrt(2))
@@ -141,7 +118,7 @@ def test_defects_measure_non_unitary_u(rng):
     n = 4
     C = AntilinearOperator(symmetric_unitary(n, rng))
     U = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    cuc = apply_cuc_on_basis(apply, C, U)
+    cuc = apply_cuc_on_basis(C.matrix, U)
     assert commutation_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U), rel=1e-12)
     assert symmetry_defect(C, U) == pytest.approx(np.linalg.norm(cuc - U.conj().T), rel=1e-12)
 
@@ -176,11 +153,11 @@ def test_spectral_symmetric_factorization(rng):
     n = 5
     W = haar_unitary(n, rng)
     U = (W * np.exp(1j * rng.uniform(-np.pi, np.pi, n))) @ W.conj().T
-    J1 = transport(plain_conjugation(n), W)
+    J1 = transport(AntilinearOperator(np.eye(n)), W)
     assert symmetry_defect(J1, U) <= 1e-12
-    J2 = compose(J1, U)
+    J2 = AntilinearOperator(J1.matrix @ np.conj(U))  # J1 o U: antilinear, matrix A conj(U)
     assert is_conjugation(J2)[0]
-    assert np.linalg.norm(compose(J1, J2) - U) <= 1e-12
+    assert np.linalg.norm(J1.matrix @ np.conj(J2.matrix) - U) <= 1e-12  # J1 o J2, linear
 
 
 def test_commuting_iff_adjoint_commuting(rng):
@@ -205,10 +182,10 @@ def test_uc_conjugation_iff_symmetric(rng):
         W = haar_unitary(n, rng)
         U = (W * np.exp(1j * rng.uniform(-np.pi, np.pi, n))) @ W.conj().T
         if k % 2 == 0:
-            C = transport(plain_conjugation(n), W)  # symmetric for U
+            C = transport(AntilinearOperator(np.eye(n)), W)  # symmetric for U
         else:
             C = AntilinearOperator(symmetric_unitary(n, rng))
-        UC = compose(U, C)
+        UC = AntilinearOperator(U @ C.matrix)  # U o C: antilinear, matrix U A
         sym = symmetry_defect(C, U)
         assert is_conjugation(UC)[0] == (sym <= 1e-9)
 
@@ -226,5 +203,5 @@ def test_commutation_defect_matches_basis_evaluation(rng):
         C = AntilinearOperator(A)
         W = haar_unitary(2, rng)
         U = (W * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))) @ W.conj().T
-        direct = np.linalg.norm(apply_cuc_on_basis(apply, C, U) - U)
+        direct = np.linalg.norm(apply_cuc_on_basis(C.matrix, U) - U)
         assert commutation_defect(C, U) == pytest.approx(direct, abs=1e-12)

@@ -111,7 +111,15 @@ def test_non_mutual_partner_is_refused(tmp_path, command):
     (["check"], b'{"rows": 1e400, "cols": 1, "data": []}', "rows/cols must be integers"),
     (["measure", "reflect"], b'{"atoms": [{"theta": 1' + b"0" * 400 + b', "weight": 1}]}',
      "atoms[0] has non-numeric fields"),
-], ids=["not_utf8", "deep_nesting", "huge_rows", "huge_theta"])
+    # a measure file holds JSON numbers: float() alone would take "0.5" and true
+    (["measure", "reflect"], b'{"atoms": [{"theta": 1, "weight": 1}, {"theta": "x", "weight": 1}]}',
+     "atoms[1] has non-numeric fields"),
+    (["measure", "reflect"], b'{"atoms": [{"theta": 1, "weight": true}, {"theta": -1, "weight": 1}]}',
+     "atoms[0] has non-numeric fields"),
+    (["measure", "reflect"], b'{"atoms": [{"theta": 1, "weight": 1}, {"theta": -1, "weight": "1"}]}',
+     "atoms[1] has non-numeric fields"),
+], ids=["not_utf8", "deep_nesting", "huge_rows", "huge_theta", "string_theta", "boolean_weight",
+        "numeric_string_weight"])
 def test_malformed_file_is_input_error(tmp_path, command, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
@@ -487,8 +495,8 @@ def test_commands_never_import_scipy(argv):
 
 
 def test_matrix_commands_never_import_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma, a few ms of every process that calls it;
-    # the commands group clusters and pair blocks by one stable sort instead
+    # np.unique imports numpy.ma, a few ms of every process that calls it; the
+    # commands group clusters, pair blocks and measure atoms by one sort instead
     Q = haar_unitary(6, 5)
     U = (Q * np.exp(1j * np.array([0.5, -0.5, 1.2, -1.2, 0.0, np.pi]))) @ Q.conj().T
     u, c = str(tmp_path / "u.json"), str(tmp_path / "c.json")
@@ -500,6 +508,9 @@ def test_matrix_commands_never_import_numpy_ma(tmp_path):
         u, c = str(INPUTS / u), str(INPUTS / c)  # diagonal: the block engine's classes
         argvs += [["canonical", u], ["sample", u, "--seed", "3"], ["verify", u, c],
                   ["decompose", u, c]]
+    mu, mu2 = str(INPUTS / "mu.json"), str(INPUTS / "mu2.json")
+    argvs += [["measure", "reflect", mu], ["measure", "rn", mu], ["measure", "meet", mu, mu2],
+              ["measure", "join", mu, mu2]]
     code = (
         "import sys, conjugations.cli\n"
         f"codes = [conjugations.cli.run(argv) for argv in {argvs!r}]\n"

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,6 @@ from conjugations.antilinear import (
     _block_report,
     commutation_defect,
     is_conjugation,
-    plain_conjugation,
     transport,
 )
 from conjugations.errors import InputError, MembershipError, NotSelfDualError
@@ -169,7 +169,7 @@ def test_decompose_reads_phase():
 def test_decompose_rejects_anticommuting():
     # plain conjugation flips diag(i, -i) to its adjoint, so it is not a member
     with pytest.raises(MembershipError):
-        decompose(np.diag([1j, -1j]), plain_conjugation(2))
+        decompose(np.diag([1j, -1j]), AntilinearOperator(np.eye(2)))
 
 
 def test_decompose_rejects_non_conjugation():
@@ -402,16 +402,16 @@ def test_verify_membership_judgements(rng):
     U, *_ = planted_selfdual(rng, max_dim=12)
     ok, _ = verify_membership(U, canonical_conjugation(U))
     assert ok
-    assert verify_membership(np.eye(3), plain_conjugation(3))[0]
+    assert verify_membership(np.eye(3), AntilinearOperator(np.eye(3)))[0]
     W = haar_unitary(2, rng)
     V = (W * np.array([1j, -1j])) @ W.conj().T
-    ok, report = verify_membership(V, plain_conjugation(2))
+    ok, report = verify_membership(V, AntilinearOperator(np.eye(2)))
     assert not ok and report.commutation_defect > 1e-3
 
 
 def test_verify_membership_rejects_non_unitary_u():
     with pytest.raises(InputError, match=r"^U is not unitary: defect 3\.000e\+00$"):
-        verify_membership(np.diag([2.0, 1.0]), plain_conjugation(2))
+        verify_membership(np.diag([2.0, 1.0]), AntilinearOperator(np.eye(2)))
 
 
 def test_verify_membership_reads_a_dense_u_once(rng):
@@ -424,7 +424,7 @@ def test_verify_membership_reads_a_dense_u_once(rng):
             mock.patch.object(family, "_diagonal_entries", looked):
         assert verify_membership(U, C)[0]
         with pytest.raises(InputError, match=r"^U is not unitary: defect 1\.732e\+00$"):
-            verify_membership(bad, plain_conjugation(2))
+            verify_membership(bad, AntilinearOperator(np.eye(2)))
     # is_conjugation also looks at C's own matrix; count the looks at U
     on = [c.args[0] for c in looked.call_args_list]
     assert [sum(np.array_equal(A, V) for A in on) for V in (U, bad)] == [1, 1]
@@ -464,7 +464,7 @@ def planted_classes(pair_sizes, ell, kay, lone, kind, seed):
 
 def assert_dense_verdict(got, report, A, U, tol):
     dense = membership_defects_dense(A, U)
-    for value, want in zip(report.as_dict().values(), dense):
+    for value, want in zip(astuple(report), dense):
         assert abs(value - want) <= tol
     thr = membership_threshold(len(U))
     assert got == all(x <= thr for x in dense[:3])
@@ -502,7 +502,7 @@ def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind,
         i, j = off[seed % len(off)]
         A[i, j] = 1e-300
         got, report = verify_membership(U, AntilinearOperator(A))
-        assert tuple(report.as_dict().values()) == membership_defects_dense(A, U)
+        assert astuple(report) == membership_defects_dense(A, U)
         assert_dense_verdict(got, report, A, U, 0.0)
 
 
@@ -557,7 +557,7 @@ def test_block_engine_matches_the_dense_products(monkeypatch, batch, case):
     report, exact, slack = _block_report(A, *engine_inputs(d))
     assert exact == (not A[d[None, :] != np.conj(d)[:, None]].any())
     dense = membership_defects_dense(A, U)
-    got = tuple(report.as_dict().values())
+    got = astuple(report)
     if exact:
         assert slack == 0.0
         assert all(abs(x - want) <= 1e-14 * n for x, want in zip(got, dense))
@@ -566,7 +566,7 @@ def test_block_engine_matches_the_dense_products(monkeypatch, batch, case):
         assert all(x >= want - 1e-14 * n for x, want in zip(got, dense))
     verdict, checked = verify_membership(U, AntilinearOperator(A))
     assert verdict == all(x <= membership_threshold(n) for x in dense[:3])
-    assert tuple(checked.as_dict().values()) == (got if exact else dense)
+    assert astuple(checked) == (got if exact else dense)
 
 
 def uneven_large_classes(seed, big, small):
@@ -602,9 +602,9 @@ def test_block_engine_row_panels_match_the_dense_products(case):
     assert np.bincount(engine_inputs(d)[0]).max() ** 2 > antilinear._BATCH
     report, exact, slack = _block_report(A, *engine_inputs(d))
     assert exact and slack == 0.0
-    got, dense = tuple(report.as_dict().values()), membership_defects_dense(A, U)
+    got, dense = astuple(report), membership_defects_dense(A, U)
     assert all(abs(x - want) <= 1e-14 * n for x, want in zip(got, dense))
-    assert tuple(verify_membership(U, AntilinearOperator(A))[1].as_dict().values()) == got
+    assert astuple(verify_membership(U, AntilinearOperator(A))[1]) == got
 
 
 def hilbert_member(N, off):
@@ -624,7 +624,7 @@ def test_off_block_member_skips_the_block_products(off):
     assert spy.call_count == (off == 0.0)
     assert got == (off == 0.0)
     if off:
-        assert tuple(report.as_dict().values()) == membership_defects_dense(A, U)
+        assert astuple(report) == membership_defects_dense(A, U)
 
 
 def test_block_engine_scratch_stays_bounded():

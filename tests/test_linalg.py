@@ -11,7 +11,6 @@ from conjugations.linalg import (
     _unique_inverse,
     four_unitary_split,
     haar_unitary,
-    hermitian_sqrt_psd,
     operator_norm,
     symmetric_unitary,
     unitarity_defect,
@@ -67,32 +66,22 @@ def test_symmetric_unitary_properties(n, seed):
     assert unitarity_defect(q) <= 1e-12
 
 
-def test_hermitian_sqrt_identity():
-    assert np.allclose(hermitian_sqrt_psd(np.eye(4)), np.eye(4))
-
-
-def test_hermitian_sqrt_diagonal():
-    S = hermitian_sqrt_psd(np.diag([4.0, 9.0]))
-    assert np.allclose(S, np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_hermitian_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(InputError):
-        hermitian_sqrt_psd(np.diag([1.0, -1.0]))
-
-
-def test_hermitian_sqrt_rejects_non_hermitian():
-    with pytest.raises(InputError):
-        hermitian_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_sqrt_round_trip(rng):
-    z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    H = z @ z.conj().T
-    S = hermitian_sqrt_psd(H)
-    assert np.linalg.norm(S @ S - H) <= 1e-9 * (1 + np.linalg.norm(H))
-    # sqrt of a PSD square recovers the root when eigenvalues are separated
-    assert np.linalg.norm(hermitian_sqrt_psd(S @ S) - S) <= 1e-9 * (1 + np.linalg.norm(S))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sampler_trace_moments_follow_haar_and_coe(m):
+    # Haar: E tr V = 0 and E|tr V|^2 = 1; COE (S = V V^t): E|tr S|^2 = 2m/(m+1).
+    # Dropping the QR phase correction moves E tr V to about -0.6 to -1.
+    # With the measured variances of |tr V|^2 (1) and |tr S|^2 (up to 2.1 at
+    # m = 3), each bound of 0.1 on a mean of 4,000 draws sits at least 4.4
+    # standard errors out; by a normal approximation a fresh seed fails about
+    # once in 10^5 runs, the COE bound at m = 3 nearly all of it.  The seeds
+    # below are fixed, so the test itself is deterministic.
+    draws = 4000
+    rng = np.random.default_rng(20261020 + m)
+    tr_v = np.array([np.trace(haar_unitary(m, rng)) for _ in range(draws)])
+    tr_s = np.array([np.trace(symmetric_unitary(m, rng)) for _ in range(draws)])
+    assert abs(tr_v.mean()) <= 0.1
+    assert abs(np.mean(np.abs(tr_v) ** 2) - 1.0) <= 0.1
+    assert abs(np.mean(np.abs(tr_s) ** 2) - 2 * m / (m + 1)) <= 0.1
 
 
 def test_four_unitary_split_identity():
