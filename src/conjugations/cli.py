@@ -29,7 +29,8 @@ from .errors import (
     NotSelfDualError,
     ToleranceError,
 )
-from .linalg import four_unitary_split, haar_unitary, membership_threshold, unitarity_defect
+from .linalg import DEMO_TOL, SPLIT_TOL, four_unitary_split, haar_unitary, membership_threshold
+from .linalg import unitarity_defect
 from .spectral import canonical_form, check_selfdual
 
 EXIT_OK = 0
@@ -61,8 +62,17 @@ def load_json(path):
 
 
 def save_json(path, obj):
-    with open(path, "w") as fh:
-        write_json(fh, obj)
+    """Write obj to a new file beside path, then rename it over path: a write
+    that fails leaves an existing path as it was, and removes the new file."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            write_json(fh, obj)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _ARRAY_SLOT = re.compile(r'"\\u0000(\d+)"')  # json's text of the placeholder "\0<k>"
@@ -382,9 +392,7 @@ def _construct(args, builder):
         out["conjugation"] = matrix_to_dict(C.matrix)
     emit(out)
     note(f"commutation defect {report.commutation_defect:.3e}")
-    if not passed:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 def cmd_canonical(args):
@@ -442,22 +450,22 @@ def cmd_decompose(args):
 
 def cmd_fourunit(args):
     A = load_matrix(args.matrix)
-    scale, factors = four_unitary_split(A)
-    total = scale * sum(factors)
-    residual = float(np.linalg.norm(A - total))
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # A is finite: only an overflow raises
+            scale, factors = four_unitary_split(A)
+    except FloatingPointError:
+        raise InputError(f"{args.matrix}: the four-unitary split overflowed") from None
+    residual = float(np.linalg.norm(A - scale * sum(factors)))
     defects = [unitarity_defect(u) for u in factors]
-    bound = 1e-9 * (1.0 + float(np.linalg.norm(A)))
-    out = {
+    bound = SPLIT_TOL * (1.0 + float(np.linalg.norm(A)))
+    emit({
         "scale": float(scale),
         "operator_norm": float(2 * scale),
         "residual": residual,
         "unitarity_defects": defects,
-    }
-    emit(out)
+    })
     note(f"residual {residual:.3e}")
-    if residual > bound or max(defects) > 1e-9:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return EXIT_TOLERANCE if residual > bound or max(defects) > SPLIT_TOL else EXIT_OK
 
 
 def cmd_measure(args):
@@ -537,11 +545,8 @@ def _transform_demo(args, kind):
         )
     else:
         C = transforms.hilbert_conjugation(N, haar_unitary(N // 2, rng))
-    passed, report = family.verify_membership(model.matrix(), C, threshold=1e-12 * N)
-    out = _report_dict(N, passed, report, 1e-12 * N)
-    out["kind"] = kind
-    out["seed"] = int(args.seed)
-    emit(out)
+    passed, report = family.verify_membership(model.matrix(), C, threshold=DEMO_TOL * N)
+    emit({**_report_dict(N, passed, report, DEMO_TOL * N), "kind": kind, "seed": int(args.seed)})
     note(f"{kind} demo: {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_TOLERANCE
 

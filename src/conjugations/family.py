@@ -7,9 +7,11 @@ symmetric unitary block per real eigenvalue, applied in front of entrywise
 conjugation.  Construction, sampling, verification, and parameter recovery
 all round-trip through that normal form.
 
-Parameters are relative to the basis returned by canonical_form: the gauge
-freedom inside degenerate eigenspaces makes the blocks basis-dependent, while
-the operator the parameters assemble to is not.
+Parameters are relative to the basis W returned by canonical_form; one
+(W, parameters) pair assembles to one operator.  Inside a degenerate
+eigenspace W is whichever basis eigh returns, which may change with the BLAS
+thread count or a roundoff-sized change of U, so there the canonical member, a
+seeded sample and decompose's blocks belong to the family but are not functions of U.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +22,8 @@ from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, comm
 from .antilinear import is_conjugation, symmetry_defect, transport
 from .errors import InputError, MembershipError
 from .linalg import _diagonal_entries, _label_groups, _unique_inverse, as_square_matrix, haar_unitary
-from .linalg import membership_threshold, require_unitary, symmetric_unitary, threshold, unitarity_defect
+from .linalg import TIE_REL, membership_threshold, require_unitary, symmetric_unitary, threshold
+from .linalg import unitarity_defect
 from .spectral import canonical_form
 
 
@@ -194,7 +197,7 @@ def _block_slices(layout):
 def _off_structure(V, slices, npairs):
     """Frobenius norm of V outside the block structure, and the block indices
     (a, b), a <= b, of its largest off-structure block pair, the first in
-    row-major order on ties up to a relative 1e-12.
+    row-major order on ties up to a relative TIE_REL.
 
     Block (a, b) may be nonzero only for b the partner of a: the first
     2 * npairs blocks swap in pairs, the remaining (+1 and -1) blocks sit on
@@ -207,7 +210,7 @@ def _off_structure(V, slices, npairs):
     energy = np.add.reduceat(np.add.reduceat(np.abs(V) ** 2, starts, axis=0), starts, axis=1)
     energy[np.arange(len(slices)), partner] = 0.0
     folded = np.triu(energy + energy.T, 1) + np.diag(np.diag(energy))
-    tied = folded >= (1 - 1e-12) * folded.max(initial=0.0)
+    tied = folded >= (1 - TIE_REL) * folded.max(initial=0.0)
     worst = np.unravel_index(np.argmax(tied), energy.shape) if energy.size else (0, 0)
     return float(np.sqrt(energy.sum())), worst
 

@@ -5,8 +5,20 @@ import numpy as np
 
 from .errors import InputError
 
-ABS_TOL = 1e-10  # absolute slack of every input check
-REL_TOL = 1e-8   # slack per unit of the checked quantity's scale
+# The tolerance table: each entry, what it bounds, and the test that pins its value.
+ABS_TOL = 1e-10          # absolute slack of every input check; test_shift_conjugation_symbol_window
+REL_TOL = 1e-8           # input-check slack per unit of the quantity's scale; test_threshold_values
+MEMBERSHIP_TOL = 1e-8    # membership_threshold's slope per dimension; the verify goldens' threshold
+CLUSTER_TOL = 1e-7       # eigenvalue merge, +-1 snap and pairing radius; test_spectral's boundary probes
+LABEL_TOL = 1e-9         # distance within which a refusal names 1, -1, i or -i; test_cli's refusal labels
+PAIR_TOL = 1e-9          # conjugate-atom lookup radius; the measure_rn_ambiguous golden
+UNIT_CIRCLE_TOL = 1e-12  # how far a measure point may sit off the unit circle; test_threshold_values
+SPLIT_TOL = 1e-9         # fourunit's factor defects, and its residual per 1 + ||A||_F; fourunit_small
+DEMO_TOL = 1e-12         # the transform demos' membership threshold per unit of N; the demo goldens
+GRID_TOL = 1e-9          # a centered grid's uniformity and symmetry, per grid step; test_threshold_values
+DECAY_RATIO = 1e-2       # Hermite edge-to-peak ratio of a supported function; test_hermite_support_flags
+# A tie-break, not a tolerance of an answer:
+TIE_REL = 1e-12          # relative slack among family._off_structure's largest blocks; test_family's ties
 
 
 def threshold(scale=1.0):
@@ -19,7 +31,7 @@ def membership_threshold(n):
     """Largest defect a verdict on an n x n result accepts: the isometry,
     involution and commutation defects of a family member, and the
     reconstruction residuals of the spectral decomposition."""
-    return 1e-8 * max(n, 1)
+    return MEMBERSHIP_TOL * max(n, 1)
 
 
 def as_square_matrix(M, name="matrix"):

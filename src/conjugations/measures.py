@@ -20,10 +20,9 @@ import numpy as np
 
 from .antilinear import ConjugationReport
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import _unique_inverse, threshold, unitarity_defect
+from .linalg import PAIR_TOL, UNIT_CIRCLE_TOL, _unique_inverse, threshold, unitarity_defect
 
-THETA_DECIMALS = 12           # canonical angle resolution
-PAIR_TOL = 1e-9               # conjugate-partner lookup tolerance
+THETA_DECIMALS = 12  # canonical angle resolution
 
 
 def _wrap_angle(theta):
@@ -46,10 +45,10 @@ def canonical_angle(theta):
 
 
 def _unit_points(points):
-    """points as a 1-d complex array, each within 1e-12 of the unit circle."""
+    """points as a 1-d complex array, each within UNIT_CIRCLE_TOL of the unit circle."""
     points = np.atleast_1d(np.asarray(points, dtype=complex))
-    if not np.all(np.abs(np.abs(points) - 1.0) <= 1e-12):  # NaN fails too
-        raise InputError("atoms must sit on the unit circle within 1e-12")
+    if not np.all(np.abs(np.abs(points) - 1.0) <= UNIT_CIRCLE_TOL):  # NaN fails too
+        raise InputError(f"atoms must sit on the unit circle within {UNIT_CIRCLE_TOL:g}")
     return points
 
 

@@ -86,12 +86,6 @@ class UMultiplierConjugation:
         self.u = _check_symbol(u[:, None, None], self.order, 1)[:, 0, 0]
         self._rev = conjugate_indices(self.order)
 
-    def apply(self, values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape[-1] != self.order:
-            raise InputError("grid size mismatch")
-        return self.u * np.conj(values[..., self._rev])
-
     def isometry_defect(self):
         return float(np.sqrt(np.sum((np.abs(self.u) ** 2 - 1.0) ** 2)))
 

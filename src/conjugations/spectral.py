@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfDualError, ToleranceError
-from .linalg import _label_groups, membership_threshold, require_unitary
+from .linalg import CLUSTER_TOL, LABEL_TOL, _label_groups, membership_threshold, require_unitary
 from .measures import AtomicMeasure, _nearest_angle
-
-CLUSTER_TOL = 1e-7  # clustering, +-1 snapping and conjugate-pairing radius
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,10 @@ def _selfdual_from_clusters(clusters, partner):
 
 
 def _format_point(lam):
-    """1, -1, i or -i within 1e-9 of the point, else exp(<angle>i) with six
+    """1, -1, i or -i within LABEL_TOL of the point, else exp(<angle>i) with six
     significant digits, so an angle near 0 or pi does not read as +-1."""
     for value, label in ((1, "1"), (-1, "-1"), (1j, "i"), (-1j, "-i")):
-        if abs(lam - value) <= 1e-9:
+        if abs(lam - value) <= LABEL_TOL:
             return label
     return f"exp({float(np.angle(lam)):.6g}i)"
 

@@ -29,7 +29,7 @@ import numpy as np
 from .antilinear import AntilinearOperator
 from .errors import InputError
 from .family import ConjugationParams, _validate_params, layout_conjugation
-from .linalg import threshold
+from .linalg import DECAY_RATIO, GRID_TOL, threshold
 from .spectral import BlockLayout
 
 
@@ -143,9 +143,9 @@ def require_centered_grid(grid):
     if x.ndim != 1 or x.size < 2:
         raise InputError("grid must be a 1-d array with at least two points")
     dx = np.diff(x)
-    if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
+    if np.max(np.abs(dx - dx[0])) > GRID_TOL * abs(dx[0]):
         raise InputError("grid must be uniform")
-    if np.max(np.abs(x + x[::-1])) > 1e-9 * abs(dx[0]):
+    if np.max(np.abs(x + x[::-1])) > GRID_TOL * abs(dx[0]):
         raise InputError("grid must be symmetric about zero")
     return x, float(dx[0])
 
@@ -172,7 +172,7 @@ def hermite_samples(n_max, grid):
     edge = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1]))
     # two decades of decay before the boundary; oscillation spilling over the
     # edge (turning point beyond the grid) lands at ratios near one
-    supported = edge <= 1e-2 * np.where(peak > 0, peak, 1.0)
+    supported = edge <= DECAY_RATIO * np.where(peak > 0, peak, 1.0)
     return h, supported
 
 

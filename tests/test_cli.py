@@ -7,6 +7,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,38 @@ def test_fourunit_runs_one_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     code, _, _ = run_captured(["fourunit", str(INPUTS / "a_small.json")])
     assert code == EXIT_OK and len(calls) == 1
+
+
+def test_fourunit_overflow_names_the_file(tmp_path):
+    # finite entries whose split overflows (A + A* reaches 2e308): refused as
+    # input, naming the file, with no numpy warning on the way
+    path = tmp_path / "big.json"
+    save_json(path, matrix_to_dict(np.array([[1e308, -1e308], [1e308, 1e308]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["fourunit", str(path)])
+    assert code == EXIT_INPUT
+    assert json.loads(out)["error"]["message"] == f"{path}: the four-unitary split overflowed"
+    assert err == f"error: {path}: the four-unitary split overflowed\n"
+
+
+def test_save_json_replaces_the_output_whole(tmp_path, monkeypatch):
+    path = tmp_path / "C.json"
+    path.write_text("old\n")
+
+    def fails_partway(fh, obj):
+        fh.write('{\n  "rows": ')
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "write_json", fails_partway)
+        with pytest.raises(OSError, match="No space left"):
+            save_json(path, {"rows": 1})
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["C.json"]  # no temporary file left
+    save_json(path, {"rows": 1})
+    assert path.read_text() == '{\n  "rows": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["C.json"]
 
 
 def test_malformed_json_points_at_problem(tmp_path):

@@ -20,6 +20,36 @@ ALLOWED = {
 }
 
 
+# A method name that more than one class defines counts as used wherever the
+# name appears, for each of those classes alike.  So each such class names one
+# call site outside tests that reaches it: "path::function", whose body must
+# name the method.
+SHARED = {
+    "apply": {
+        "measures.FieldOperator": "src/conjugations/measures.py::invariance_probe",
+        "shifts.ModelConjugation": "src/conjugations/shifts.py::ModelConjugation.matrix",
+    },
+    "matrix": {
+        "shifts.ModelConjugation": "src/conjugations/shifts.py::ModelConjugation._report",
+        "transforms.FourBlockModel": "src/conjugations/cli.py::_transform_demo",
+        "transforms.TwoBlockModel": "src/conjugations/cli.py::_transform_demo",
+    },
+    "dim": {
+        "antilinear.AntilinearOperator": "src/conjugations/family.py::verify_membership",
+        "spectral.UnitarySpectrum": "src/conjugations/spectral.py::canonical_form",
+        "spectral.BlockLayout": "src/conjugations/spectral.py::layout_diagonal",
+    },
+    "fiber_dim": {
+        "measures.WeightedSpaceElement": "src/conjugations/measures.py::weighted_inner",
+        "measures.FieldOperator": "src/conjugations/measures.py::invariance_probe",
+    },
+    **{defect: {
+        "shifts.UMultiplierConjugation": "src/conjugations/cli.py::_grid_demo_report",  # degree 1
+        "shifts.ModelConjugation": "src/conjugations/cli.py::_grid_demo_report",  # degree 2
+    } for defect in ("isometry_defect", "involution_defect", "commutation_defect")},
+}
+
+
 def _modules():
     return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
             if p.name != "__init__.py"}
@@ -143,6 +173,41 @@ def test_allow_list_names_exist_and_are_unused():
     unused, defined = unused_names()
     assert sorted(set(ALLOWED) - defined) == [], "allow-list names that no longer exist"
     assert sorted(set(ALLOWED) - set(unused)) == [], "allow-list names that are now used"
+
+
+def shared_methods(modules):
+    """{method name: {"module.Class"}} for the public method names that more
+    than one public class defines."""
+    owners = {}
+    for mod, (_, methods) in surface(modules).items():
+        for cls, meth in methods:
+            owners.setdefault(meth, set()).add(f"{mod}.{cls}")
+    return {meth: classes for meth, classes in owners.items() if len(classes) > 1}
+
+
+def _function(tree, qualname):
+    """The def of qualname ("f" or "Class.f") at the top of tree, or None."""
+    *classes, name = qualname.split(".")
+    body = tree.body
+    for cls in classes:
+        body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == cls), [])
+    return next((n for n in body if isinstance(n, ast.FunctionDef) and n.name == name), None)
+
+
+def test_shared_method_names_have_call_sites():
+    shared = shared_methods(_modules())
+    listed = {(meth, cls) for meth, sites in SHARED.items() for cls in sites}
+    defined = {(meth, cls) for meth, classes in shared.items() for cls in classes}
+    assert sorted(defined - listed) == [], "classes sharing a method name without a call site"
+    assert sorted(listed - defined) == [], "SHARED entries whose class no longer shares the name"
+    missing = []
+    for meth, cls in sorted(listed):
+        path, _, qualname = SHARED[meth][cls].partition("::")
+        fn = _function(ast.parse((ROOT / path).read_text()), qualname) if (ROOT / path).exists() else None
+        if path.startswith("tests/") or fn is None or not any(
+                isinstance(n, ast.Attribute) and n.attr == meth for n in ast.walk(fn)):
+            missing.append(f"{cls}.{meth}: {SHARED[meth][cls]}")
+    assert not missing, f"listed call sites that do not exist or do not name the method: {missing}"
 
 
 def test_scan_sees_each_kind_of_use():
