@@ -3,7 +3,8 @@
 # tier-1 tests, clean goldens after regeneration (no diff and no untracked
 # file under tests/golden), the benchmark's self-tests.  Then smoke runs of
 # real CLI processes (scripts/time_cli.py exits nonzero unless the round
-# trip's exit codes are 0/0/0/3): at n = 16, below both size gates of the
+# trip's exit codes are 0/0/0/3 and each process's stderr is its summary
+# line alone, no warning or traceback): at n = 16, below both size gates of the
 # forked JSON codec, and at n = 104, whose conjugation file (819 KB) and
 # written matrix (21,632 floats) take both forked paths.  Last, the line
 # count of the library.  Run from anywhere: scripts/gates.sh

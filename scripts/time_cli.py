@@ -17,7 +17,9 @@ is cut into four phases, in milliseconds:
   (main()'s exit, the interpreter's finalization, closing the pipes).
 
 The line holds the median of each phase per command over --reps jobs, the
-median job time, the numpy version and the CPU count.  Stamps are
+median job time, the numpy version and the CPU count.  A command that exits
+with another code than the round trip's 0/0/0/3, or prints anything on
+stderr besides its summary line, stops the script with exit 1.  Stamps are
 time.monotonic(), one clock for every process of the host.  Compare two
 checkouts on one host by running each in turn:
 PYTHONPATH=src python3 scripts/time_cli.py [--n 256] [--reps 15]
@@ -67,13 +69,17 @@ def write_inputs(n, workdir, seed=20261019):
 
 
 def time_process(argv):
-    """Phase times (s) of one CLI process running argv."""
+    """Phase times (s) of one CLI process running argv.  Exits when the
+    process's exit code is not the expected one, or when its stderr holds
+    anything besides the one summary line and the phases line (a warning or
+    a traceback)."""
     spawned = time.monotonic()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
     ended = time.monotonic()
-    if proc.returncode != EXPECTED_CODES[argv[0]]:
+    lines = proc.stderr.splitlines()
+    if proc.returncode != EXPECTED_CODES[argv[0]] or len(lines) != 2 or lines[1][:7] != "phases ":
         raise SystemExit(f"{argv[0]} exited {proc.returncode}: {proc.stderr}")
-    stamp = proc.stderr.splitlines()[-1].split()
+    stamp = lines[1].split()
     t_main, t_import, t_run = map(float, stamp[1:])
     return t_main - spawned, t_import - t_main, t_run - t_import, ended - t_run
 

@@ -63,16 +63,20 @@ def load_json(path):
 
 def save_json(path, obj):
     """Write obj to a new file beside path, then rename it over path: a write
-    that fails leaves an existing path as it was, and removes the new file."""
+    that fails leaves an existing path as it was, removes the new file and
+    raises InputError naming path, as load_json does for a read."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w") as fh:
-            write_json(fh, obj)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w") as fh:
+                write_json(fh, obj)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from None
 
 
 _ARRAY_SLOT = re.compile(r'"\\u0000(\d+)"')  # json's text of the placeholder "\0<k>"
@@ -177,7 +181,9 @@ def _forked(produce):
     reads all of those bytes, reaps the child and returns them as one
     bytearray, or None when the child raised or died before it sent them
     all, or when os.fork is missing or fails.  wait(False), and every call
-    after the first, ends the child unread and returns None.  produce must
+    after the first, ends the child unread and returns None.  So a child
+    sends data or nothing, never an error: on None this process redoes the
+    work, and its own run raises whatever error there is.  produce must
     call no BLAS: this process's BLAS calls keep both cores and the thread
     count their bits depend on.
     """
@@ -308,11 +314,9 @@ def load_matrices(first, second):
     forked child while this process loads the first when its size lies in
     _LOAD_CHILD.
 
-    The child sends the matrix's shape and complex128 bytes, or the message
-    of its InputError.  The first file's error wins: the child is then ended
-    unread.  Where no answer comes back (no fork, a dead child, any other
-    exception), this process loads second itself, as two load_matrix calls
-    would.
+    The first file's error wins: the child is then ended unread.  Where no
+    matrix comes back (no fork, a dead child, a bad second file), this
+    process loads second itself, so every error is load_matrix's own.
     """
     wait = _forked(lambda: _matrix_bytes(second)) if _worth_a_child(second) else _no_child
     try:
@@ -324,8 +328,6 @@ def load_matrices(first, second):
     if data is None:
         return A, load_matrix(second)
     rows, cols = np.frombuffer(data, dtype=np.int64, count=2)
-    if rows < 0:
-        raise InputError(data[16:].decode())
     return A, np.frombuffer(data, dtype=complex, offset=16).reshape(rows, cols)
 
 
@@ -337,12 +339,8 @@ def _worth_a_child(path):
 
 
 def _matrix_bytes(path):
-    """load_matrix(path) as int64 rows and cols, then the complex128 entries;
-    an InputError as rows -1 and cols 0, then its UTF-8 message."""
-    try:
-        M = load_matrix(path)
-    except InputError as e:
-        return [np.array([-1, 0], dtype=np.int64).tobytes(), str(e).encode()]
+    """load_matrix(path) as int64 rows and cols, then the complex128 entries."""
+    M = load_matrix(path)
     return [np.array(M.shape, dtype=np.int64).tobytes(), M.tobytes()]
 
 
@@ -455,9 +453,9 @@ def cmd_fourunit(args):
             scale, factors = four_unitary_split(A)
     except FloatingPointError:
         raise InputError(f"{args.matrix}: the four-unitary split overflowed") from None
-    residual = float(np.linalg.norm(A - scale * sum(factors)))
+    residual = _frobenius(A - scale * sum(factors))
     defects = [unitarity_defect(u) for u in factors]
-    bound = SPLIT_TOL * (1.0 + float(np.linalg.norm(A)))
+    bound = SPLIT_TOL * (1.0 + _frobenius(A))
     emit({
         "scale": float(scale),
         "operator_norm": float(2 * scale),
@@ -466,6 +464,15 @@ def cmd_fourunit(args):
     })
     note(f"residual {residual:.3e}")
     return EXIT_TOLERANCE if residual > bound or max(defects) > SPLIT_TOL else EXIT_OK
+
+
+def _frobenius(X):
+    """np.linalg.norm(X) of X / s times s, s = 2**floor(log2(max |re|, |im|)):
+    the power of two scales exactly, so the value is norm's bit for bit
+    wherever that stays finite, and no square overflows."""
+    peak = max(np.abs(X.real).max(initial=0.0), np.abs(X.imag).max(initial=0.0))
+    s = float(2.0 ** np.floor(np.log2(peak or 1.0)))
+    return s * float(np.linalg.norm(X / s))
 
 
 def cmd_measure(args):

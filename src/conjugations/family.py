@@ -136,9 +136,9 @@ def canonical_conjugation(U):
 def sample(U, seed):
     """Draw a random member of the family, deterministically per seed.
 
-    Pair blocks are Haar unitary; real blocks are symmetric unitaries.  The
-    draw order is fixed (pairs in layout order, then the +1 block, then the
-    -1 block) so identical seeds give identical operators.
+    The law is the one invariant under U's commutant: Haar on each pair
+    block, COE (V V^t, V Haar) on each +-1 block.  The draw order is fixed
+    (pairs in layout order, then +1, then -1): one seed, one operator.
     """
     W, layout = canonical_form(U)
     rng = np.random.default_rng(seed)

@@ -167,6 +167,21 @@ def test_fourunit_overflow_names_the_file(tmp_path):
     assert err == f"error: {path}: the four-unitary split overflowed\n"
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_fourunit_check_does_not_overflow(tmp_path, scale):
+    # norm(A) squares entries past the float range from about 1e154 on; the
+    # check scales by a power of two first, so residual and bound stay finite
+    path = tmp_path / "big.json"
+    save_json(path, matrix_to_dict(np.array([[scale, -scale], [scale, scale]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["fourunit", str(path)])
+    residual = json.loads(out)["residual"]
+    assert code == EXIT_OK
+    assert np.isfinite(residual) and residual <= cli.SPLIT_TOL * (1 + 2 * scale)
+    assert err == f"residual {residual:.3e}\n"
+
+
 def test_save_json_replaces_the_output_whole(tmp_path, monkeypatch):
     path = tmp_path / "C.json"
     path.write_text("old\n")
@@ -177,7 +192,7 @@ def test_save_json_replaces_the_output_whole(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(cli, "write_json", fails_partway)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(InputError, match=f"^{path}: No space left on device$"):
             save_json(path, {"rows": 1})
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["C.json"]  # no temporary file left
@@ -574,6 +589,36 @@ def test_golden_through_the_process_entry(case):
     assert proc.stdout.replace(str(INPUTS).encode(), b"{IN}") == expected
 
 
+def test_file_errors_end_cleanly_through_the_process_entry(tmp_path):
+    # an -o target that cannot be written exits 2 naming it, and fourunit's
+    # check of huge entries passes; each prints one JSON document and one
+    # stderr line, no traceback or warning, and leaves no temporary file
+    big = tmp_path / "big.json"
+    save_json(big, matrix_to_dict(np.array([[1e300, -1e300], [1e300, 1e300]])))
+    u, c, missing = str(INPUTS / "u_pair.json"), str(INPUTS / "c_swap.json"), tmp_path / "no" / "x.json"
+    cases = [
+        (["canonical", u, "-o", str(missing)], EXIT_INPUT, f"{missing}: No such file or directory"),
+        (["sample", u, "--seed", "3", "-o", str(tmp_path)], EXIT_INPUT, f"{tmp_path}: Is a directory"),
+        (["decompose", u, c, "-o", str(missing)], EXIT_INPUT, f"{missing}: No such file or directory"),
+        (["fourunit", str(big)], EXIT_OK, None),
+    ]
+    for argv, code, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conjugations.cli", *argv], env=_src_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        if message is None:
+            assert np.isfinite(doc["residual"])
+        else:
+            assert doc == {"error": {"code": EXIT_INPUT, "message": message}}
+            assert proc.stderr == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["big.json"]
+
+
 def test_main_runs_without_the_cyclic_collector():
     # main() owns its process: the collector is off for the command and
     # everything alive at its end is frozen, so the exit collection skips it
@@ -698,6 +743,16 @@ def test_two_file_errors_keep_their_order(monkeypatch, tmp_path, command, kind):
         assert outs[0] == outs[1]
         assert outs[0][0] == EXIT_INPUT
         assert json.loads(outs[0][1]) == {"error": {"code": EXIT_INPUT, "message": message}}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_child_that_raises_sends_nothing():
+    # a child sends data or nothing: its error is this process's to redo
+    def fails():
+        raise InputError("bad file")
+
+    assert cli._forked(fails)() is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
