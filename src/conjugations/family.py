@@ -21,9 +21,9 @@ import numpy as np
 from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, commutation_defect
 from .antilinear import is_conjugation, symmetry_defect, transport
 from .errors import InputError, MembershipError
-from .linalg import _diagonal_entries, _label_groups, _unique_inverse, as_square_matrix, haar_unitary
-from .linalg import TIE_REL, membership_threshold, require_unitary, symmetric_unitary, threshold
-from .linalg import unitarity_defect
+from .linalg import TIE_REL, _diagonal_entries, _gram_residual, _label_groups, _unique_inverse
+from .linalg import as_square_matrix, haar_unitary, membership_threshold, require_unitary
+from .linalg import symmetric_unitary, threshold
 from .spectral import canonical_form
 
 
@@ -57,46 +57,32 @@ def identity_params(layout):
 
 
 def _validate_params(layout, params):
+    """Raise InputError at the first fault of the named blocks, in the order
+    pair blocks, q_plus, q_minus: a wrong shape, a non-finite entry, a
+    defect from unitarity above threshold(sqrt(m)), or for q_plus and
+    q_minus an asymmetry above it.  The square blocks of one size m are
+    checked in one stacked product; a lone block is stacked as a view."""
     if len(params.v_blocks) != len(layout.pairs):
         raise InputError(
             f"expected {len(layout.pairs)} pair blocks, got {len(params.v_blocks)}"
         )
-    shaped = next((j for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks))
-                   if v.shape != (m, m)), len(layout.pairs))  # blocks before the first misshapen one
-    _check_pair_blocks(params.v_blocks[:shaped])
-    if shaped < len(layout.pairs):
-        m = layout.pairs[shaped][1]
-        raise InputError(f"pair block {shaped} must be {m}x{m}, got {params.v_blocks[shaped].shape}")
-    for name, q, size in (("q_plus", params.q_plus, layout.ell), ("q_minus", params.q_minus, layout.kay)):
-        if q.shape != (size, size):
-            raise InputError(f"{name} must be {size}x{size}, got {q.shape}")
-        if size == 0:
-            continue
-        if unitarity_defect(q) > threshold(np.sqrt(size)):
-            raise InputError(f"{name} is not unitary")
-        if np.linalg.norm(q - q.T) > threshold(np.sqrt(size)):
-            raise InputError(f"{name} is not symmetric")
-
-
-def _check_pair_blocks(blocks):
-    """Raise InputError at the first square block that has non-finite
-    entries or is not unitary within threshold(sqrt(m)).  The blocks of one
-    size m are checked in one stacked product; a lone block is stacked as a
-    view, not a copy."""
-    sizes = np.array([len(v) for v in blocks], dtype=int)
-    failed = np.zeros(len(blocks), dtype=bool)
+    named = [(f"pair block {j}", v, m)
+             for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks))]
+    named += [("q_plus", params.q_plus, layout.ell), ("q_minus", params.q_minus, layout.kay)]
+    sizes = np.array([m if q.shape == (m, m) else 0 for _, q, m in named], dtype=int)
+    defects = np.zeros(len(named))
     for idx in _label_groups(sizes):
-        m = sizes[idx[0]]
-        S = blocks[idx[0]][None] if len(idx) == 1 else np.stack([blocks[j] for j in idx])
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block fails below
-            G = S.conj().transpose(0, 2, 1) @ S
-        G[:, np.arange(m), np.arange(m)] -= 1
-        failed[idx] = ~(np.linalg.norm(G, axis=(1, 2)) <= threshold(np.sqrt(m)))
-    if failed.any():
-        j = np.argmax(failed)
-        if not np.isfinite(blocks[j]).all():
-            raise InputError("matrix contains non-finite entries")
-        raise InputError(f"pair block {j} is not unitary")
+        if sizes[idx[0]]:
+            S = named[idx[0]][1][None] if len(idx) == 1 else np.stack([named[j][1] for j in idx])
+            defects[idx] = np.linalg.norm(_gram_residual(S), axis=(1, 2))
+    for j, (name, q, m) in enumerate(named):
+        if q.shape != (m, m):
+            raise InputError(f"{name} must be {m}x{m}, got {q.shape}")
+        if not defects[j] <= threshold(np.sqrt(m)):
+            raise InputError("matrix contains non-finite entries" if not np.isfinite(q).all()
+                             else f"{name} is not unitary")
+        if j >= len(layout.pairs) and np.linalg.norm(q - q.T) > threshold(np.sqrt(m)):
+            raise InputError(f"{name} is not symmetric")
 
 
 def layout_conjugation(layout, params):

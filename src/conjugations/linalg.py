@@ -80,6 +80,17 @@ def _unique_inverse(x):
     return ranked[first], inverse
 
 
+def _gram_residual(S):
+    """S*S - I for a square matrix S, or for each matrix of a stack on the
+    last two axes.  A non-finite S gives a non-finite residual, without a
+    warning, so a check `not (defect <= bound)` refuses it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        G = np.swapaxes(S.conj(), -1, -2) @ S
+    i = np.arange(S.shape[-1])
+    G[..., i, i] -= 1
+    return G
+
+
 _UNREAD = object()  # the d of a matrix not yet read and looked at for its diagonal
 
 
@@ -93,7 +104,7 @@ def unitarity_defect(M, d=_UNREAD):
         d = _diagonal_entries(M)
     if d is not None:
         return float(np.linalg.norm(np.conj(d) * d - 1))
-    return float(np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0])))
+    return float(np.linalg.norm(_gram_residual(M)))
 
 
 def require_unitary(M, name="matrix", d=_UNREAD):
@@ -104,7 +115,7 @@ def require_unitary(M, name="matrix", d=_UNREAD):
         M = as_square_matrix(M, name)
         d = _diagonal_entries(M)
     defect = unitarity_defect(M, d)
-    if defect > threshold(np.sqrt(max(M.shape[0], 1))):
+    if not defect <= threshold(np.sqrt(max(M.shape[0], 1))):
         raise InputError(f"{name} is not unitary: defect {defect:.3e}")
     return M
 

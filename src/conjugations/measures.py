@@ -20,9 +20,10 @@ import numpy as np
 
 from .antilinear import ConjugationReport
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import PAIR_TOL, UNIT_CIRCLE_TOL, _unique_inverse, threshold, unitarity_defect
+from .linalg import PAIR_TOL, UNIT_CIRCLE_TOL, _gram_residual, _unique_inverse, threshold, unitarity_defect
 
 THETA_DECIMALS = 12  # canonical angle resolution
+_TINY = np.finfo(float).tiny  # smallest normal float: q and 1/q are normal for q in [_TINY, 1/_TINY]
 
 
 def _wrap_angle(theta):
@@ -165,30 +166,22 @@ def conjugate_pairing(mu):
 
 
 def _reciprocal_pair(x):
-    """(x', y) within a couple of ulps of (x, 1/x) with fl(x' * y) == 1 exactly.
+    """(x', y) within three ulps of (x, 1/x) with fl(x' * y) == 1 exactly, or None.
 
     A correctly rounded quotient pair can miss 1.0 by one ulp; nudging either
-    factor by at most three ulps always lands the product on 1.0 exactly.
+    factor by at most three ulps lands the product on 1.0 exactly for every
+    normal x > 0 with a normal reciprocal.  Each factor's candidates are its
+    value, then 1, 2 and 3 ulps above and below it: a positive float's ulps
+    count in its bits.
     """
-    cands = [x]
-    up = down = x
-    for _ in range(3):
-        up = np.nextafter(up, np.inf)
-        down = np.nextafter(down, -np.inf)
-        cands.extend((up, down))
-    for xc in cands:
-        y = 1.0 / xc
-        if xc * y == 1.0:
-            return float(xc), float(y)
-        y_up = y_down = y
-        for _ in range(3):
-            y_up = np.nextafter(y_up, np.inf)
-            if xc * y_up == 1.0:
-                return float(xc), float(y_up)
-            y_down = np.nextafter(y_down, -np.inf)
-            if xc * y_down == 1.0:
-                return float(xc), float(y_down)
-    return float(x), float(1.0 / x)
+    def near(v):
+        return (np.float64(v).view(np.int64) + np.array([0, 1, -1, 2, -2, 3, -3])).view(np.float64)
+
+    for xc in near(x):
+        for y in near(1.0 / xc):
+            if xc * y == 1.0:
+                return float(xc), float(y)
+    return None
 
 
 def _reciprocal_ratios(mu, ratio):
@@ -196,7 +189,9 @@ def _reciprocal_ratios(mu, ratio):
 
     For each pair k < sigma(k) the factors are ratio(w_sigma(k) / w_k) and
     its reciprocal, nudged by _reciprocal_pair; atoms at +-1 get 1.  Raises
-    AbsoluteContinuityError when a non-real atom lacks a partner.
+    AbsoluteContinuityError when a non-real atom lacks a partner, and
+    InputError when the raw weight ratio leaves [_TINY, 1/_TINY]: the square
+    root of a subnormal ratio is normal, yet _orthonormal_matrix overflows.
     """
     sigma, unpaired = conjugate_pairing(mu)
     if unpaired:
@@ -206,7 +201,13 @@ def _reciprocal_ratios(mu, ratio):
         )
     r = np.ones(mu.size)
     for k in np.nonzero(sigma > np.arange(mu.size))[0]:
-        r[k], r[sigma[k]] = _reciprocal_pair(ratio(mu.weights[sigma[k]] / mu.weights[k]))
+        with np.errstate(over="ignore", under="ignore"):
+            q = mu.weights[sigma[k]] / mu.weights[k]
+        pair = _reciprocal_pair(ratio(q)) if _TINY <= q <= 1 / _TINY else None
+        if pair is None:
+            raise InputError(f"atom at angle {mu.thetas[k]:.12g}: the weight ratio to its "
+                             f"conjugate partner leaves the float range")
+        r[k], r[sigma[k]] = pair
     return sigma, r
 
 
@@ -345,12 +346,9 @@ def is_reflection_symmetric(field):
         raise InputError("expected a pointwise linear multiplication field")
     r = field.fiber_dim
     mats = field.matrices
-    gram = np.einsum("kji,kjl->kil", np.conj(mats), mats)
-    not_unitary = np.nonzero(
-        np.linalg.norm(gram - np.eye(r), axis=(1, 2)) > threshold(np.sqrt(r))
-    )[0]
-    if not_unitary.size:
-        raise InputError(f"field is not unitary valued at atom {not_unitary[0]}")
+    not_unitary = ~(np.linalg.norm(_gram_residual(mats), axis=(1, 2)) <= threshold(np.sqrt(r)))
+    if not_unitary.any():
+        raise InputError(f"field is not unitary valued at atom {np.argmax(not_unitary)}")
     sigma, unpaired = conjugate_pairing(field.measure)
     if unpaired:
         raise AbsoluteContinuityError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .antilinear import _block_report
 from .errors import InputError
-from .linalg import ABS_TOL
+from .linalg import ABS_TOL, _gram_residual
 
 _BLOCK_BYTES = 1 << 19  # bytes of identity rows per apply call in ModelConjugation.matrix
 
@@ -121,8 +121,10 @@ class SymbolParams:
         L = arrays["s"].shape[0]
         if any(a.shape[0] != L for a in arrays.values()):
             raise InputError("parameter arrays must share one length")
-        if L and (arrays["s"].min() < 0.0 or arrays["s"].max() > 1.0):
+        if L and not (arrays["s"].min() >= 0.0 and arrays["s"].max() <= 1.0):  # NaN fails too
             raise InputError("s must take values in [0, 1]")
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            raise InputError("alpha, beta and gamma must be finite")
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
 
@@ -173,13 +175,10 @@ def _check_symbol(phi, order, block):
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (order, block, block):
         raise InputError(f"symbol must have shape ({order}, {block}, {block})")
-    rev = conjugate_indices(order)
-    sym = float(np.max(np.abs(phi.transpose(0, 2, 1) - phi[rev])))
-    eye = np.eye(block)
-    unit = float(
-        np.max(np.abs(np.einsum("kji,kjl->kil", np.conj(phi), phi) - eye[None, :, :]))
-    )
-    if sym > ABS_TOL or unit > ABS_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite symbol fails below
+        sym = float(np.max(np.abs(phi.transpose(0, 2, 1) - phi[conjugate_indices(order)])))
+    unit = float(np.max(np.abs(_gram_residual(phi))))
+    if not (sym <= ABS_TOL and unit <= ABS_TOL):
         raise InputError(
             f"symbol is not a reflection-compatible unitary field "
             f"(transpose symmetry {sym:.3e}, unitarity {unit:.3e})"

@@ -50,10 +50,11 @@ def golden_cases():
 @pytest.mark.parametrize("case", golden_cases(), ids=lambda c: c["name"])
 def test_golden(case):
     argv = [a.replace("{IN}", str(INPUTS)) for a in case["argv"]]
-    code, out, _ = run_captured(argv)
+    code, out, err = run_captured(argv)
     expected = (GOLDEN / "expected" / f"{case['name']}.out").read_text()
     assert code == case["exit_code"]
     assert out.replace(str(INPUTS), "{IN}") == expected
+    assert len(err.splitlines()) == 1, err  # the summary line, no warning
 
 
 def test_byte_determinism():
@@ -318,6 +319,20 @@ def test_measure_refusal_exit_code():
     code, out, _ = run_captured(["measure", "rn", str(INPUTS / "mu_unpaired.json")])
     assert code == EXIT_REFUSED
     assert "absolutely continuous" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("weights", [[1e300, 1e-300], [5e-324, 1.0]])
+def test_measure_rn_refuses_a_weight_ratio_outside_the_float_range(tmp_path, weights):
+    # h_k * h_sigma(k) = 1 has no float answer: exit 2 naming the atom, and
+    # no overflow warning on stderr
+    path = tmp_path / "m.json"
+    save_json(path, {"atoms": [{"theta": 0.5, "weight": weights[0]},
+                               {"theta": -0.5, "weight": weights[1]}]})
+    code, out, err = run_captured(["measure", "rn", str(path)])
+    assert code == EXIT_INPUT
+    message = "atom at angle 0.5: the weight ratio to its conjugate partner leaves the float range"
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("action,files,message", [

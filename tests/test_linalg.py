@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjugations.errors import InputError
+from conjugations.family import ConjugationParams, layout_conjugation
 from conjugations.linalg import (
     _diagonal_entries,
+    _gram_residual,
     _unique_inverse,
     four_unitary_split,
     haar_unitary,
@@ -15,6 +18,9 @@ from conjugations.linalg import (
     symmetric_unitary,
     unitarity_defect,
 )
+from conjugations.measures import AtomicMeasure, FieldOperator, assemble_model, is_reflection_symmetric
+from conjugations.shifts import SymbolParams, UMultiplierConjugation, squared_shift_conjugation
+from conjugations.spectral import BlockLayout, MultiplicityModel
 
 from _oracles import four_unitary_split_kept
 
@@ -159,3 +165,53 @@ def test_unique_inverse_is_np_unique(kind, rng):
         want_values, want_inverse = np.unique(x, return_inverse=True)
         assert values.tobytes() == want_values.tobytes()
         assert np.array_equal(inverse, want_inverse) and inverse.dtype == np.intp
+
+
+def test_gram_residual_is_the_dense_formula_per_matrix(rng):
+    # unitarity_defect's goldens print this residual's norm: bit for bit the
+    # dense S*S - I, for one matrix and for each matrix of a stack
+    S = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    stacked = _gram_residual(S)
+    for k in range(3):
+        want = S[k].conj().T @ S[k] - np.eye(5)
+        assert _gram_residual(S[k]).tobytes() == want.tobytes()
+        assert np.allclose(stacked[k], want, rtol=0, atol=1e-12)
+
+
+def _with_bad(shape, bad, where=0):
+    a = np.ones(shape, dtype=complex)
+    a.flat[where] = bad
+    return a
+
+
+def _symbol(bad, name):
+    fields = {"s": np.full(4, 0.5), "alpha": np.zeros(4), "beta": np.zeros(4), "gamma": np.zeros(4)}
+    fields[name] = _with_bad(4, bad, 1).real
+    return squared_shift_conjugation(SymbolParams(**fields), 8).isometry_defect()
+
+
+_MU = AtomicMeasure(np.array([0.5, -0.5]), np.array([1.0, 2.0]))
+NONFINITE_CASES = {
+    "pair block": lambda bad: layout_conjugation(BlockLayout(((1j, 1),), 1, 0), ConjugationParams(
+        (_with_bad((1, 1), bad),), np.eye(1), np.zeros((0, 0)))),
+    "q_plus": lambda bad: layout_conjugation(BlockLayout(((1j, 1),), 2, 0), ConjugationParams(
+        (np.eye(1),), _with_bad((2, 2), bad, 3), np.zeros((0, 0)))),
+    "measure field": lambda bad: is_reflection_symmetric(
+        FieldOperator(_MU, _with_bad((2, 1, 1), bad, 1))),
+    "assembled field": lambda bad: assemble_model(MultiplicityModel(((_MU, 1),)),
+                                                  [FieldOperator(_MU, _with_bad((2, 1, 1), bad))]),
+    "grid multiplier": lambda bad: UMultiplierConjugation(_with_bad(8, bad, 3)),
+    "symbol s": lambda bad: _symbol(bad, "s"),
+    "symbol alpha": lambda bad: _symbol(bad, "alpha"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", NONFINITE_CASES)
+def test_every_unitarity_check_refuses_nonfinite_blocks(case, bad):
+    # each check compares not (defect <= bound), so a NaN or inf block is
+    # an input error: not accepted, not a LinAlgError, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            NONFINITE_CASES[case](bad)

@@ -150,6 +150,17 @@ def test_radon_nikodym_exact_reciprocals(seed):
     assert np.max(np.abs(h / true - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("weights", [[1e300, 1e-300], [5e-324, 1.0], [1.0, 1e-310]])
+def test_weight_ratio_outside_the_normal_floats_is_refused(weights):
+    # the rule reads the raw ratio: 1e-310 is subnormal, its square root is
+    # not, and reflection_conjugation's weights would still overflow
+    mu = AtomicMeasure(np.array([0.5, -0.5]), np.array(weights))
+    for build in (radon_nikodym, lambda m: reflection_conjugation(m, 1),
+                  lambda m: assemble_model(MultiplicityModel(((m, 1),))).report()):
+        with pytest.raises(InputError, match="^atom at angle 0.5: the weight ratio"):
+            build(mu)
+
+
 def test_lattice_examples():
     assert lattice_meet(delta(0.0), delta(np.pi)).size == 0
     j = lattice_join(delta(0.0, 1.0), delta(0.0, 2.0))
