@@ -449,10 +449,9 @@ def cmd_decompose(args):
 def cmd_fourunit(args):
     A = load_matrix(args.matrix)
     try:
-        with np.errstate(over="raise", invalid="raise"):  # A is finite: only an overflow raises
-            scale, factors = four_unitary_split(A)
-    except FloatingPointError:
-        raise InputError(f"{args.matrix}: the four-unitary split overflowed") from None
+        scale, factors = four_unitary_split(A)
+    except InputError as e:  # A loaded square and finite: only ||A||_2 overflowing is left
+        raise InputError(f"{args.matrix}: {e}") from None
     residual = _frobenius(A - scale * sum(factors))
     defects = [unitarity_defect(u) for u in factors]
     bound = SPLIT_TOL * (1.0 + _frobenius(A))
@@ -485,7 +484,10 @@ def cmd_measure(args):
         emit(measures.reflect(mu).to_dict())
     elif args.action == "rn":
         mu = load_measure(args.files[0])
-        h = measures.radon_nikodym(mu)
+        try:
+            h = measures.radon_nikodym(mu)
+        except InputError as e:  # the ambiguous pairing, or a weight ratio out of range
+            raise InputError(f"{args.files[0]}: {e}") from None
         emit({"h": [float(v) for v in h]})
     else:
         mu, nu = load_measure(args.files[0]), load_measure(args.files[1])

@@ -120,14 +120,6 @@ def require_unitary(M, name="matrix", d=_UNREAD):
     return M
 
 
-def operator_norm(M):
-    """Largest singular value."""
-    A = np.asarray(M, dtype=complex)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
 def haar_unitary(n, seed):
     """Haar-distributed n x n unitary, deterministic per seed.
 
@@ -155,34 +147,27 @@ def symmetric_unitary(n, seed):
     return (q + q.T) / 2
 
 
-def _unitary_pair(M, rotate):
-    """Unitary pair from a Hermitian contraction M.
-
-    rotate=True gives M +- i sqrt(I - M^2); rotate=False gives
-    iM +- sqrt(I - M^2).  Both are V d V* for d on the eigenvalues, unitary up
-    to one Hermitian diagonalization; V is scaled to V d2 in place after V d1 V*.
-    """
-    w, V = np.linalg.eigh(M)
-    del M  # the caller passes H or K as a temporary: frees it before the products
-    w = np.clip(w, -1.0, 1.0)
-    s = np.sqrt(1.0 - w * w)
-    d1, d2 = (w + 1j * s, w - 1j * s) if rotate else (1j * w + s, 1j * w - s)
-    W = V.conj().T
-    return (V * d1) @ W, np.multiply(V, d2, out=V) @ W
-
-
 def four_unitary_split(A):
     """Write A = scale * (U1 + U2 + U3 + U4) with every factor unitary.
 
-    scale is ||A||/2 in operator norm.  H = (A + A*)/(2||A||) and
-    K = (A - A*)/(2i||A||) are Hermitian contractions, and the factors are
-    U_{1,2} = H +- i sqrt(I - H^2) and U_{3,4} = iK +- sqrt(I - K^2), K formed
-    after the first pair.  The zero matrix gets scale 0 with (I, I, I, -I).
+    From one SVD A = X diag(s) Y*: scale = s_1/2 = ||A||_2/2, and with
+    t = s/s_1, cos a = (1 + t)/2 and cos b = (t - 1)/2, the factors are
+    U_{1,2} = X diag(e^{+-ia}) Y* and U_{3,4} = X diag(e^{+-ib}) Y*, so
+    U1 + U2 + U3 + U4 = X diag(2t) Y* = 2A/s_1.  The zero and empty matrices
+    get scale 0 with (I, I, I, -I).  Raises InputError when ||A||_2 is not a
+    finite float.  The first three factors share one scratch array; the last
+    scales X's columns in place.
     """
     A = as_square_matrix(A)
-    norm = operator_norm(A)
-    if norm == 0.0:
-        return 0.0, tuple(s * np.eye(len(A)) for s in (1.0, 1.0, 1.0, -1.0))
-    # Hermitian in value: entry (j, i) is computed as the conjugate of (i, j)
-    return norm / 2, (*_unitary_pair((A + A.conj().T) / (2 * norm), rotate=True),
-                      *_unitary_pair((A - A.conj().T) / (2j * norm), rotate=False))
+    X, s, Yh = np.linalg.svd(A)
+    if not s.size or s[0] == 0:
+        return 0.0, tuple(c * np.eye(len(A)) for c in (1.0, 1.0, 1.0, -1.0))
+    if not np.isfinite(s[0]):
+        raise InputError("the four-unitary split overflowed")
+    t = s / s[0]
+    phases = [c + sign * np.sqrt(1 - c * c) for c in ((1 + t) / 2, (t - 1) / 2) for sign in (1j, -1j)]
+    scratch = np.empty_like(X)
+    factors = [np.multiply(X, d, out=scratch) @ Yh for d in phases[:3]]
+    del scratch
+    factors.append(np.multiply(X, phases[3], out=X) @ Yh)
+    return float(s[0]) / 2, tuple(factors)

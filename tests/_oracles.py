@@ -12,8 +12,8 @@ are the dense matrix products they are defined by, the squared-shift fiber
 certificate is read off a masked copy of the dense action, the Fourier model is
 scattered into class order entry by entry, and the measure lattice and the
 reflection conjugation are per-atom loops, atoms are paired through a dense
-distance matrix, and four_unitary_split_kept is the
-four-unitary construction as first written, each factor from fresh copies.
+distance matrix, and four_unitary_split_svd is the
+four-unitary construction from one SVD, each factor from a fresh copy.
 """
 
 import numpy as np
@@ -280,22 +280,18 @@ def membership_defects_dense(A, U):
     return (unitarity_defect_dense(A), involution, *cuc_defects_dense(A, U))
 
 
-def four_unitary_split_kept(A):
-    """scale and (U1, U2, U3, U4) of the four-unitary split as first written:
-    H and K both formed up front, every factor (V * d) @ V.conj().T on fresh
-    copies.  The library's in-place version must return the same bits."""
-    A = np.asarray(A, dtype=complex)
-    norm = float(np.linalg.svd(A, compute_uv=False)[0])
-    H = (A + A.conj().T) / (2 * norm)
-    K = (A - A.conj().T) / (2j * norm)
+def four_unitary_split_svd(A):
+    """scale and (U1, U2, U3, U4) of the four-unitary split from one SVD
+    A = X diag(s) Yh, each factor (X * d) @ Yh on a fresh copy, d the phases
+    c +- i sqrt(1 - c^2) for c = (1 + t)/2, then c = (t - 1)/2, t = s/s[0].
+    The library's in-place version must return the same bits."""
+    X, s, Yh = np.linalg.svd(np.asarray(A, dtype=complex))
+    t = s / s[0]
     factors = []
-    for M, rotate in ((H, True), (K, False)):
-        w, V = np.linalg.eigh(M)
-        w = np.clip(w, -1.0, 1.0)
-        s = np.sqrt(1.0 - w * w)
-        d1, d2 = (w + 1j * s, w - 1j * s) if rotate else (1j * w + s, 1j * w - s)
-        factors += [(V * d1) @ V.conj().T, (V * d2) @ V.conj().T]
-    return norm / 2, tuple(factors)
+    for c in ((1 + t) / 2, (t - 1) / 2):
+        sine = np.sqrt(1 - c * c)
+        factors += [(X * (c + 1j * sine)) @ Yh, (X * (c - 1j * sine)) @ Yh]
+    return float(s[0]) / 2, tuple(factors)
 
 
 def fourier_scatter(O1, O2, Ui):

@@ -27,7 +27,7 @@ from conjugations.cli import (
 )
 from conjugations.errors import InputError
 from conjugations.family import sample
-from conjugations.linalg import haar_unitary, operator_norm
+from conjugations.linalg import haar_unitary
 from conjugations.measures import AtomicMeasure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -131,7 +131,8 @@ def test_malformed_file_is_input_error(tmp_path, command, content, message):
 
 
 def test_fourunit_operator_norm_is_linalg_operator_norm(tmp_path, rng):
-    # fourunit doubles the split's scale instead of running a second SVD
+    # fourunit doubles the split's scale, sigma_1 of the split's own SVD,
+    # instead of running a second one
     path = tmp_path / "a.json"
     for A in [np.zeros((3, 3))] + [
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(1, 9)
@@ -139,7 +140,7 @@ def test_fourunit_operator_norm_is_linalg_operator_norm(tmp_path, rng):
         save_json(path, matrix_to_dict(A))
         code, out, _ = run_captured(["fourunit", str(path)])
         assert code == EXIT_OK
-        assert json.loads(out)["operator_norm"] == operator_norm(A)
+        assert json.loads(out)["operator_norm"] == np.linalg.svd(A)[1][0]
 
 
 def test_fourunit_runs_one_svd(monkeypatch):
@@ -156,16 +157,33 @@ def test_fourunit_runs_one_svd(monkeypatch):
 
 
 def test_fourunit_overflow_names_the_file(tmp_path):
-    # finite entries whose split overflows (A + A* reaches 2e308): refused as
-    # input, naming the file, with no numpy warning on the way
+    # finite entries whose ||A||_2 (3e308) is not a float: refused as input,
+    # naming the file, with no numpy warning on the way
     path = tmp_path / "big.json"
-    save_json(path, matrix_to_dict(np.array([[1e308, -1e308], [1e308, 1e308]])))
+    save_json(path, matrix_to_dict(np.full((2, 2), 1.5e308)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_captured(["fourunit", str(path)])
     assert code == EXIT_INPUT
     assert json.loads(out)["error"]["message"] == f"{path}: the four-unitary split overflowed"
     assert err == f"error: {path}: the four-unitary split overflowed\n"
+
+
+def test_fourunit_of_a_matrix_whose_hermitian_part_overflows(tmp_path):
+    # A + A* reaches 2e308, yet ||A||_2 is 1.41e308: the split never forms
+    # A + A*, so the file is split with a finite residual inside its bound
+    A = np.array([[1e308, -1e308], [1e308, 1e308]])
+    path = tmp_path / "big.json"
+    save_json(path, matrix_to_dict(A))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["fourunit", str(path)])
+    doc = json.loads(out)
+    assert code == EXIT_OK
+    assert doc["operator_norm"] == np.linalg.svd(A)[1][0]
+    assert np.isfinite(doc["residual"]) and doc["residual"] <= 2 * cli.SPLIT_TOL * 1e308
+    assert max(doc["unitarity_defects"]) <= cli.SPLIT_TOL
+    assert err == f"residual {doc['residual']:.3e}\n"
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
@@ -323,14 +341,14 @@ def test_measure_refusal_exit_code():
 
 @pytest.mark.parametrize("weights", [[1e300, 1e-300], [5e-324, 1.0]])
 def test_measure_rn_refuses_a_weight_ratio_outside_the_float_range(tmp_path, weights):
-    # h_k * h_sigma(k) = 1 has no float answer: exit 2 naming the atom, and
-    # no overflow warning on stderr
+    # h_k * h_sigma(k) = 1 has no float answer: exit 2 naming the file and
+    # the atom, and no overflow warning on stderr
     path = tmp_path / "m.json"
     save_json(path, {"atoms": [{"theta": 0.5, "weight": weights[0]},
                                {"theta": -0.5, "weight": weights[1]}]})
     code, out, err = run_captured(["measure", "rn", str(path)])
     assert code == EXIT_INPUT
-    message = "atom at angle 0.5: the weight ratio to its conjugate partner leaves the float range"
+    message = f"{path}: atom at angle 0.5: the weight ratio to its conjugate partner leaves the float range"
     assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
     assert err == f"error: {message}\n"
 

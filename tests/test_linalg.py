@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from conjugations.errors import InputError
 from conjugations.family import ConjugationParams, layout_conjugation
 from conjugations.linalg import (
+    SPLIT_TOL,
     _diagonal_entries,
     _gram_residual,
     _unique_inverse,
     four_unitary_split,
     haar_unitary,
-    operator_norm,
     symmetric_unitary,
     unitarity_defect,
 )
@@ -22,7 +22,7 @@ from conjugations.measures import AtomicMeasure, FieldOperator, assemble_model, 
 from conjugations.shifts import SymbolParams, UMultiplierConjugation, squared_shift_conjugation
 from conjugations.spectral import BlockLayout, MultiplicityModel
 
-from _oracles import four_unitary_split_kept
+from _oracles import four_unitary_split_svd
 
 
 def test_unitarity_defect_identity():
@@ -94,7 +94,7 @@ def test_four_unitary_split_identity():
     scale, (u1, u2, u3, u4) = four_unitary_split(np.eye(3))
     assert scale == pytest.approx(0.5)
     assert np.allclose(u1, np.eye(3)) and np.allclose(u2, np.eye(3))
-    assert np.allclose(u3, 1j * 0 + np.eye(3)) and np.allclose(u4, -np.eye(3))
+    assert np.allclose(u3, 1j * np.eye(3)) and np.allclose(u4, -1j * np.eye(3))
 
 
 def test_four_unitary_split_zero():
@@ -108,7 +108,7 @@ def test_four_unitary_split_random(rng):
         n = int(rng.integers(1, 17))
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         scale, factors = four_unitary_split(A)
-        assert scale == pytest.approx(operator_norm(A) / 2)
+        assert scale == pytest.approx(np.linalg.norm(A, 2) / 2)
         resid = np.linalg.norm(A - scale * sum(factors))
         assert resid <= 1e-9 * (1 + np.linalg.norm(A))
         for u in factors:
@@ -119,10 +119,48 @@ def test_four_unitary_split_random(rng):
 def test_four_unitary_split_keeps_the_bits_of_the_construction(n):
     A = np.random.default_rng(n).standard_normal((n, n, 2)) @ [1, 1j]
     scale, factors = four_unitary_split(A)
-    want_scale, want = four_unitary_split_kept(A)
+    want_scale, want = four_unitary_split_svd(A)
     assert scale == want_scale
     for got, kept in zip(factors, want):
         assert got.tobytes() == kept.tobytes()
+
+
+def _structured_inputs():
+    rng = np.random.default_rng(29)
+    G = rng.standard_normal((6, 6, 2)) @ [1, 1j]
+    v = rng.standard_normal((5, 2)) @ [1, 1j]
+    w = rng.standard_normal((5, 2)) @ [1, 1j]
+    return {
+        "hermitian": G + G.conj().T,
+        "unitary": haar_unitary(6, 29),  # t = 1: U1 = U2
+        "rank_1": np.outer(v, w.conj()),  # t = 0 beyond the first value
+        "tiny_diagonal": 1e-300 * np.diag([3.0, -1.0, 0.5j, 2.0]),
+        "n_1": np.array([[2.0 - 3.0j]]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_structured_inputs()))
+def test_four_unitary_split_structured_inputs(kind):
+    A = _structured_inputs()[kind]
+    n = len(A)
+    scale, factors = four_unitary_split(A)
+    assert scale == np.linalg.svd(A)[1][0] / 2
+    assert np.linalg.norm(A - scale * sum(factors)) <= SPLIT_TOL * (1 + np.linalg.norm(A))
+    for u in factors:
+        assert unitarity_defect(u) <= SPLIT_TOL
+    # the factors sum to 2A/sigma_1, whatever the scale of A
+    assert np.linalg.norm(sum(factors) - A / scale) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("A", [np.full((2, 2), 1.5e308), np.full((5, 5), 1.5e308),
+                               np.full((2, 2), 1.5e308 + 1.5e308j)], ids=["n2", "n5", "complex"])
+def test_four_unitary_split_refuses_an_overflowing_norm(A):
+    # finite entries whose ||A||_2 is not a finite float: refused, with no
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^the four-unitary split overflowed$"):
+            four_unitary_split(A)
 
 
 def test_four_unitary_split_scratch_stays_bounded():
