@@ -3,13 +3,15 @@ transport, and the commuting/symmetric defects against a unitary.
 
 Storing only the matrix A of the linear part keeps every identity in plain
 matrix algebra: the composite C U C acts as A conj(U) conj(A), so defects are
-Frobenius norms of small matrix expressions.  Against a diagonal U they are
-read from the blocks pairing each eigenvalue class with its conjugate's,
-stacked by block shape (_block_report).
+Frobenius norms of small matrix expressions.  A member commutes with U, so it
+maps each eigenspace of U onto the conjugate one: against a diagonal U, an A on
+the blocks pairing each eigenvalue class with its conjugate's is measured from
+those blocks, stacked by block shape (_block_report); any other A, and any
+other U, by the dense products (_dense_report).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,27 +81,23 @@ def _cuc_distance(C, U, adjoint, caller):
     return float(np.linalg.norm(A @ np.conj(U) @ np.conj(A) - (U.conj().T if adjoint else U)))
 
 
-def _gather_blocks(A, classes, partner, lam):
-    """(exact, *blocks): _block_report's gather-and-count step, before _block_defects."""
+def _block_report(A, classes, partner, lam):
+    """The ConjugationReport of x -> A conj(x) against U = diag(lam[classes]) from the
+    blocks B_a = A[I_a, I_p(a)], I_a = {i : classes[i] = a}, p = partner the class of
+    conj(lam[a]) or -1, or None when a nonzero of A lies off them.  On the blocks,
+    A*A, A conj(A), A conj(U) conj(A) have blocks K*K, M = B_a conj(K), conj(lam_p(a)) M,
+    K = B_p(a), stacked by shape up to _BATCH entries a product (a larger class: row
+    panels of up to 2 _BATCH)."""
     counts = np.bincount(classes, minlength=len(lam))
     order, starts = np.argsort(classes, kind="stable"), np.cumsum(counts) - counts
     width = np.where(partner >= 0, counts[partner], 0)
     group = _unique_inverse(counts * (len(A) + 1) + width)[1]
     groups = [np.flatnonzero(group == g) for g in range(group.max(initial=-1) + 1)]
-    at = [(order[starts[c][:, None] + np.arange(counts[c[0]])][:, :, None],
-           order[starts[partner[c]][:, None] + np.arange(width[c[0]])][:, None, :]) for c in groups]
-    stacks = [A[ix] for ix in at]
-    return sum(map(_nonzeros, stacks)) == _nonzeros(A), A, partner, lam, group, groups, at, stacks
-
-
-def _block_defects(exact, A, partner, lam, group, groups, at, stacks):
-    slack = 0.0
-    if not exact:
-        off = A.copy()
-        for ix in at:
-            off[ix] = 0.0
-        eps = float(np.linalg.norm(off))
-        slack = eps * (2 * max(np.linalg.norm(B, 2, axis=(1, 2)).max() for B in stacks) + eps)
+    stacks = [A[order[starts[c][:, None] + np.arange(counts[c[0]])][:, :, None],
+                order[starts[partner[c]][:, None] + np.arange(width[c[0]])][:, None, :]]
+              for c in groups]
+    if sum(map(_nonzeros, stacks)) != _nonzeros(A):
+        return None
     sq, targets = np.zeros((len(lam), 4)), np.stack([lam**0, lam**0, np.conj(lam), lam])
     for cls, B in zip(groups, stacks):
         k, m, w = B.shape
@@ -120,17 +118,7 @@ def _block_defects(exact, A, partner, lam, group, groups, at, stacks):
                 acc += np.vecdot(P, P).real.T  # 0.0 + x is x: one panel keeps its bits
             sq[c] = acc
             del K, R, P  # before the next chunk allocates its own
-    return ConjugationReport(*map(float, np.sqrt(sq.sum(axis=0)) + slack)), exact, slack
-
-
-def _block_report(A, classes, partner, lam):
-    """(report, exact, slack) for x -> A conj(x) against U = diag(lam[classes]) from
-    the blocks B_a = A[I_a, I_p(a)], I_a = {i : classes[i] = a}, p = partner the class
-    of conj(lam[a]) or -1.  If exact, no nonzero of A is off them and A*A, A conj(A),
-    A conj(U) conj(A) have blocks K*K, M = B_a conj(K), conj(lam_p(a)) M, K = B_p(a),
-    stacked by shape up to _BATCH entries a product (a larger class: row panels of up
-    to 2 _BATCH).  Else each defect gains e(2b + e), e = |A off them|_F, b = max |B_a|_2."""
-    return _block_defects(*_gather_blocks(A, classes, partner, lam))
+    return ConjugationReport(*map(float, np.sqrt(sq.sum(axis=0))))
 
 
 def commutation_defect(C, U):
@@ -145,3 +133,10 @@ def symmetry_defect(C, U):
 
     Measures any square U; verify_membership checks U's unitarity first."""
     return _cuc_distance(C, U, True, "symmetry_defect")
+
+
+def _dense_report(C, U):
+    """is_conjugation's report with the dense commutation and symmetry defects
+    against U: what a matrix off _block_report's blocks is measured by."""
+    return replace(is_conjugation(C)[1], commutation_defect=commutation_defect(C, U),
+                   symmetry_defect=symmetry_defect(C, U))

@@ -454,7 +454,7 @@ def cmd_fourunit(args):
         raise InputError(f"{args.matrix}: {e}") from None
     residual = _frobenius(A - scale * sum(factors))
     defects = [unitarity_defect(u) for u in factors]
-    bound = SPLIT_TOL * (1.0 + _frobenius(A))
+    bound = SPLIT_TOL + _frobenius(SPLIT_TOL * A)  # finite however large ||A||_F
     emit({
         "scale": float(scale),
         "operator_norm": float(2 * scale),

@@ -14,12 +14,11 @@ thread count or a roundoff-sized change of U, so there the canonical member, a
 seeded sample and decompose's blocks belong to the family but are not functions of U.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearOperator, _block_defects, _gather_blocks, commutation_defect
-from .antilinear import is_conjugation, symmetry_defect, transport
+from .antilinear import AntilinearOperator, _block_report, _dense_report, is_conjugation, transport
 from .errors import InputError, MembershipError
 from .linalg import TIE_REL, _diagonal_entries, _gram_residual, _label_groups, _unique_inverse
 from .linalg import as_square_matrix, haar_unitary, membership_threshold, require_unitary
@@ -137,10 +136,9 @@ def sample(U, seed):
 def verify_membership(U, C, threshold=None):
     """Defect report for C against U with a boolean verdict.
 
-    For a diagonal U, the report is antilinear._block_report's when its count
-    finds C's matrix on the blocks pairing each eigenvalue class with its
-    conjugate's.  Otherwise no block product runs, and the report is
-    is_conjugation's with the dense commutation and symmetry defects added.
+    For a diagonal U, the report is antilinear._block_report's when C's matrix
+    lies on the blocks pairing each eigenvalue class with its conjugate's;
+    otherwise it is antilinear._dense_report's, the dense products.
     The verdict requires the isometry, involution, and commutation defects to
     sit below the threshold (membership_threshold(n) = 1e-8 * n by default).
     """
@@ -150,17 +148,14 @@ def verify_membership(U, C, threshold=None):
     d = _diagonal_entries(U)
     require_unitary(U, "U", d)
     thr = membership_threshold(U.shape[0]) if threshold is None else threshold
+    report = None
     if d is not None:
         values, classes = _unique_inverse(d)
         at = np.minimum(np.searchsorted(values, np.conj(values)), len(values) - 1)
         partner = np.where(values[at] == np.conj(values), at, -1)
-        exact, *blocks = _gather_blocks(C.matrix, classes, partner, values)
-        if exact:
-            report = _block_defects(exact, *blocks)[0]
-        del blocks  # before the dense products below allocate theirs
-    if d is None or not exact:
-        report = replace(is_conjugation(C)[1], commutation_defect=commutation_defect(C, U),
-                         symmetry_defect=symmetry_defect(C, U))
+        report = _block_report(C.matrix, classes, partner, values)
+    if report is None:
+        report = _dense_report(C, U)
     passed = (
         report.isometry_defect <= thr
         and report.involution_defect <= thr

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import _block_report
+from .antilinear import AntilinearOperator, _block_report, _dense_report
 from .errors import InputError
 from .linalg import ABS_TOL, _gram_residual
 
@@ -195,14 +195,12 @@ class ModelConjugation:
     psi the coordinate square and h_k the wandering basis 1, xi.
     """
 
-    def __init__(self, phi, order):
-        if order < 1:
+    def __init__(self, phi):
+        half = len(phi) if np.ndim(phi) else 0
+        if half < 1:
             raise InputError("grid order must be at least 1")
-        if order % 2 != 0:
-            raise InputError("grid order must be even for the squared-shift model")
-        self.order = order
-        self.phi = _check_symbol(phi, order // 2, 2)
-        half = order // 2
+        self.order = order = 2 * half
+        self.phi = _check_symbol(phi, half, 2)
         self._rev_half = conjugate_indices(half)
         self._gather = np.concatenate((self._rev_half, half + self._rev_half))
         p = np.arange(half)
@@ -265,11 +263,16 @@ class ModelConjugation:
 
     def _report(self):
         """_block_report of matrix(), built once and released, on the fibers (p, p + M/2)
-        paired with their reflections and carrying xi^2; only the report is kept."""
+        paired with their reflections and carrying xi^2, or _dense_report against
+        diag(xi^2) when a nonzero lies off those blocks, which apply never writes;
+        only the report is kept."""
         if self._defects is None:
             half = self.order // 2
             fiber, w = np.arange(self.order) % half, grid_points(half)  # xi^2 on each fiber
-            self._defects = _block_report(self.matrix(), fiber, self._rev_half, w)[0]
+            A = self.matrix()
+            self._defects = _block_report(A, fiber, self._rev_half, w)
+            if self._defects is None:
+                self._defects = _dense_report(AntilinearOperator(A), np.diag(w[fiber]))
         return self._defects
 
     def isometry_defect(self):
@@ -295,7 +298,7 @@ def squared_shift_conjugation(params, order):
             f"parameter arrays must live on the half grid: expected length "
             f"{order // 2}, got {params.order}"
         )
-    return ModelConjugation(symbol_field(params), order)
+    return ModelConjugation(symbol_field(params))
 
 
 def extract_symbol(apply_fn, order):

@@ -8,8 +8,7 @@ unitaries, the transform pairing rule is evaluated straight from its
 defining inner products, the spectrum is clustered and paired, one
 eigenvalue at a time, from scipy's complex Schur form, the unitarity,
 involution and commutation defects, the squared-shift defects and the spectral residuals
-are the dense matrix products they are defined by, the squared-shift fiber
-certificate is read off a masked copy of the dense action, the Fourier model is
+are the dense matrix products they are defined by, the Fourier model is
 scattered into class order entry by entry, and the measure lattice and the
 reflection conjugation are per-atom loops, atoms are paired through a dense
 distance matrix, and four_unitary_split_svd is the
@@ -324,21 +323,6 @@ def shift_defects_dense(A, M):
         float(np.linalg.norm(A @ np.conj(A) - eye)),
         float(np.linalg.norm((A * np.conj(d)[None, :]) @ np.conj(A) - np.diag(d))),
     )
-
-
-def shift_fiber_certificate(A, M):
-    """The fiber blocks B_p = A[fiber(rev p), fiber(p)], fiber(p) = (p, p + M/2),
-    of an order-M grid conjugation with matrix A, and the slack e(2b + e):
-    e is the Frobenius norm of a copy of A with the blocks masked to zero and
-    b the largest spectral norm of a block."""
-    half = M // 2
-    p = np.arange(half)
-    fiber = np.stack([p, p + half], axis=1)
-    at = (fiber[(-p) % half][:, :, None], fiber[:, None, :])
-    off = A.copy()
-    off[at] = 0.0
-    eps, blocks = float(np.linalg.norm(off)), A[at]
-    return blocks, eps * (2 * np.linalg.norm(blocks, 2, axis=(1, 2)).max() + eps)
 
 
 def shift_apply_fft(phi, values):

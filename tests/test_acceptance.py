@@ -258,7 +258,7 @@ def test_criterion_06_grid_families():
     rev = conjugate_indices(M // 2)
     sym = float(np.max(np.abs(phi.transpose(0, 2, 1) - phi[rev])))
     unit = float(np.max(np.abs(np.einsum("kji,kjl->kil", np.conj(phi), phi) - np.eye(2))))
-    rebuild = float(np.max(np.abs(ModelConjugation(phi, M).matrix() - member.matrix)))
+    rebuild = float(np.max(np.abs(ModelConjugation(phi).matrix() - member.matrix)))
     extract_ok = sym <= 1e-8 and unit <= 1e-8 and rebuild <= 1e-8
     ok = defects_ok and extract_ok
     _report(6, "grid families defect suites <= 1e-11 and symbol extraction <= 1e-8", ok,

@@ -186,6 +186,27 @@ def test_fourunit_of_a_matrix_whose_hermitian_part_overflows(tmp_path):
     assert err == f"residual {doc['residual']:.3e}\n"
 
 
+def test_fourunit_refuses_a_wrong_split_when_the_frobenius_norm_overflows(tmp_path, monkeypatch):
+    # ||A||_F = 2e308 leaves the float range while ||A||_2 = 1.41e308 does
+    # not: the bound stays finite, so a split whose last factor is negated
+    # (each factor still unitary) fails the residual check
+    split = cli.four_unitary_split
+
+    def negated(A):
+        scale, factors = split(A)
+        return scale, (*factors[:3], -factors[3])
+
+    monkeypatch.setattr(cli, "four_unitary_split", negated)
+    path = tmp_path / "big.json"
+    save_json(path, matrix_to_dict(np.array([[1e308, -1e308], [1e308, 1e308]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["fourunit", str(path)])
+    assert code == EXIT_TOLERANCE
+    assert max(json.loads(out)["unitarity_defects"]) <= cli.SPLIT_TOL
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
 def test_fourunit_check_does_not_overflow(tmp_path, scale):
     # norm(A) squares entries past the float range from about 1e154 on; the

@@ -21,7 +21,7 @@ from conjugations.shifts import (
     synthesize,
 )
 
-from _oracles import shift_apply_fft, shift_defects_dense, shift_fiber_certificate
+from _oracles import membership_defects_dense, shift_apply_fft, shift_defects_dense
 
 
 def random_grid(rng, M):
@@ -197,7 +197,7 @@ def _defects(C):
 
 
 def fiber_report(A, M):
-    """The block engine's (report, exact, slack) for an order-M grid
+    """The block engine's report, or None off its blocks, for an order-M grid
     conjugation with matrix A: the fibers (p, p + M/2) of xi -> xi^2 as
     classes, each paired with its reflection and carrying xi^2."""
     half = M // 2
@@ -222,8 +222,9 @@ def test_squared_shift_defects_match_dense_oracle(rng, M):
         rows = conjugate_indices(M // 2)
         for p in range(M // 2):
             off[np.ix_([rows[p], rows[p] + M // 2], [p, p + M // 2])] = 0.0
-        _, exact, slack = fiber_report(C.matrix(), M)
-        assert not off.any() and exact and slack == 0.0
+        report = fiber_report(C.matrix(), M)
+        assert not off.any() and report is not None
+        assert astuple(report)[:3] == tuple(_defects(C))
 
 
 @pytest.mark.parametrize("M", [2, 4, 6, 16, 1024])
@@ -268,7 +269,7 @@ class LeakyConjugation(ModelConjugation):
 
 @pytest.mark.parametrize("M", [8, 64, 1028])
 def test_off_fiber_leak_raises_every_defect(rng, M):
-    C = LeakyConjugation(symbol_field(random_params(rng, M // 2)), M)
+    C = LeakyConjugation(symbol_field(random_params(rng, M // 2)))
     exact = shift_defects_dense(C.matrix(), M)
     got = _defects(C)
     assert np.all(got >= np.array(exact) * (1 - 1e-12)) and np.all(got > 1e-7), (got, exact)
@@ -283,18 +284,20 @@ def test_off_fiber_leak_raises_every_defect(rng, M):
     (LeakyConjugation, 1030),
 ])
 def test_blocked_matrix_matches_unblocked_apply(rng, cls, M):
-    C = cls(symbol_field(random_params(rng, M // 2)), M)
+    C = cls(symbol_field(random_params(rng, M // 2)))
     dense = C.apply(np.eye(M, dtype=complex)).T
-    _, slack = shift_fiber_certificate(dense, M)
     assert np.array_equal(C.matrix(), dense)
-    report, exact, got = fiber_report(dense, M)
-    assert got == slack and exact == (cls is ModelConjugation)
-    assert tuple(_defects(C)) == astuple(report)[:3]
-    assert (slack > 0) == (cls is LeakyConjugation)
+    report = fiber_report(dense, M)
+    assert (report is None) == (cls is LeakyConjugation)
+    if report is None:  # off the fibers: the dense products against diag(xi^2), bit for bit
+        D = np.diag(grid_points(M // 2)[np.arange(M) % (M // 2)])
+        assert tuple(_defects(C)) == membership_defects_dense(dense, D)[:3]
+    else:
+        assert tuple(_defects(C)) == astuple(report)[:3]
 
 
 def test_defects_release_the_dense_action(rng):
-    # the defects build A once and keep only its M/2 fiber blocks and the slack
+    # the defects build A once and keep only the report
     M = 1024
     C = squared_shift_conjugation(random_params(rng, M // 2), M)
     tracemalloc.start()
@@ -349,6 +352,15 @@ def test_squared_shift_parity_errors():
         squared_shift_conjugation(SymbolParams(*(np.zeros(3),) * 4), 8)
 
 
+def test_model_conjugation_reads_its_order_from_the_symbol(rng):
+    phi = symbol_field(random_params(rng, 5))
+    assert ModelConjugation(phi).order == 10
+    with pytest.raises(InputError, match="grid order must be at least 1"):
+        ModelConjugation(np.zeros((0, 2, 2)))
+    with pytest.raises(InputError, match=r"symbol must have shape \(5, 2, 2\)"):
+        ModelConjugation(phi[:, :1])
+
+
 def test_extract_symbol_completeness(rng):
     # a random member of the commuting family of the squared shift, produced
     # by the matrix-family sampler, carries a pointwise 2x2 symbol that is
@@ -360,7 +372,7 @@ def test_extract_symbol_completeness(rng):
         rev = conjugate_indices(M // 2)
         assert np.max(np.abs(phi.transpose(0, 2, 1) - phi[rev])) <= 1e-8
         assert np.max(np.abs(np.einsum("kji,kjl->kil", np.conj(phi), phi) - np.eye(2))) <= 1e-8
-        rebuilt = ModelConjugation(phi, M)
+        rebuilt = ModelConjugation(phi)
         assert np.max(np.abs(rebuilt.matrix() - member.matrix)) <= 1e-8
 
 
