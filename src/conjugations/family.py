@@ -5,7 +5,9 @@ conjugate carry the same multiplicity.  In the conjugate-pair basis the whole
 family is parametrized by one unitary block per conjugate pair and one
 symmetric unitary block per real eigenvalue, applied in front of entrywise
 conjugation.  Construction, sampling, verification, and parameter recovery
-all round-trip through that normal form.
+all round-trip through that normal form.  One rule decides membership:
+verify_membership's verdict, which decompose takes before it projects a
+member onto its parameters.
 
 Parameters are relative to the basis W returned by canonical_form; one
 (W, parameters) pair assembles to one operator.  Inside a degenerate
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearOperator, _block_report, _dense_report, is_conjugation, transport
+from .antilinear import AntilinearOperator, _block_report, _dense_report, transport
 from .errors import InputError, MembershipError
-from .linalg import TIE_REL, _diagonal_entries, _gram_residual, _label_groups, _unique_inverse
+from .linalg import _diagonal_entries, _gram_residual, _label_groups, _unique_inverse
 from .linalg import as_square_matrix, haar_unitary, membership_threshold, require_unitary
 from .linalg import symmetric_unitary, threshold
 from .spectral import canonical_form
@@ -164,74 +166,43 @@ def verify_membership(U, C, threshold=None):
     return passed, report
 
 
-def _block_slices(layout):
-    """The nonempty blocks of layout.blocks and their labels."""
-    slices, labels = [], []
-    for k, (block, lam) in enumerate(layout.blocks):
-        if block.stop > block.start:
-            slices.append(block)
-            labels.append(f"{lam:+g} block" if k >= 2 * len(layout.pairs)
-                          else f"pair {k // 2} " + (f"({lam:.6g})" if k % 2 == 0 else "(conj)"))
-    return slices, labels
-
-
-def _off_structure(V, slices, npairs):
-    """Frobenius norm of V outside the block structure, and the block indices
-    (a, b), a <= b, of its largest off-structure block pair, the first in
-    row-major order on ties up to a relative TIE_REL.
-
-    Block (a, b) may be nonzero only for b the partner of a: the first
-    2 * npairs blocks swap in pairs, the remaining (+1 and -1) blocks sit on
-    the diagonal.  V is symmetric, so E(a, b) + E(b, a) is weighed on a < b;
-    the slack settles exact ties such as E(0, 0) = E(1, 1) for a lone pair.
-    """
-    partner = np.arange(len(slices))
-    partner[: 2 * npairs] ^= 1
-    starts = [s.start for s in slices]
-    energy = np.add.reduceat(np.add.reduceat(np.abs(V) ** 2, starts, axis=0), starts, axis=1)
-    energy[np.arange(len(slices)), partner] = 0.0
-    folded = np.triu(energy + energy.T, 1) + np.diag(np.diag(energy))
-    tied = folded >= (1 - TIE_REL) * folded.max(initial=0.0)
-    worst = np.unravel_index(np.argmax(tied), energy.shape) if energy.size else (0, 0)
-    return float(np.sqrt(energy.sum())), worst
-
-
 def decompose(U, C):
     """Recover the block parameters of a member of the family.
 
-    Transports C to the canonical basis, checks that the matrix of the
-    transported operator has the pair/real block structure (everything off
-    structure below the membership threshold), reads the blocks off and
-    refuses them unless from_params' own parameter check accepts them.  The
-    parameters are relative to the same basis canonical_form returns, so
-    from_params with that basis rebuilds C.
+    C is a member exactly when verify_membership(U, C) passes at
+    membership_threshold(n): an isometry or involution defect above it is an
+    InputError (C is not a conjugation), a commutation defect above it a
+    MembershipError.  A member's V = W* A conj(W) in the canonical basis is
+    projected onto the parameters: each pair's is the unitary polar factor
+    of (B + B'^t)/2, B and B' its upper and lower blocks, and each real
+    block's the polar factor of its symmetric part, symmetrized exactly.
+    The polar factors come from one stacked SVD per block size.  The
+    parameters are relative to the basis canonical_form returns, so
+    from_params with that basis rebuilds a member near C.
     """
     U = as_square_matrix(U, "U")  # canonical_form checks its unitarity
     if U.shape[0] != C.dim:
         raise InputError("operator dimensions do not match")
-    thr = membership_threshold(U.shape[0])
-    # V = W* A conj(W) has A's symmetry defect up to W's roundoff, so a pair's
-    # lower block is its upper block's transpose within is_conjugation's bound
-    ok, _ = is_conjugation(C)
-    if not ok:
-        raise InputError("C is not a conjugation")
     W, layout = canonical_form(U)
-    V = W.conj().T @ C.matrix @ np.conj(W)
-
-    npairs = len(layout.pairs)
-    slices, labels = _block_slices(layout)
-    off_energy, (a, b) = _off_structure(V, slices, npairs)
-    if off_energy > thr:
+    thr = membership_threshold(U.shape[0])
+    passed, report = verify_membership(U, C)
+    if not passed:
+        if not (report.isometry_defect <= thr and report.involution_defect <= thr):
+            raise InputError("C is not a conjugation")
         raise MembershipError(
-            f"C does not commute with U: off-structure energy {off_energy:.3e} "
-            f"(first violated structural zero: rows {labels[a]}, cols {labels[b]})"
+            f"C does not commute with U: commutation defect {report.commutation_defect:.3e} "
+            f"exceeds {thr:.3e}"
         )
-
+    V = W.conj().T @ C.matrix @ np.conj(W)
     s = [block for block, _ in layout.blocks]
-    v_blocks = tuple(V[s[2 * j], s[2 * j + 1]].copy() for j in range(npairs))
-    params = ConjugationParams(v_blocks, V[s[-2], s[-2]].copy(), V[s[-1], s[-1]].copy())
-    try:
-        _validate_params(layout, params)
-    except InputError as e:
-        raise MembershipError(f"C's blocks are not family parameters: {e}") from None
-    return params
+    npairs = len(layout.pairs)
+    blocks = [(V[s[2 * j], s[2 * j + 1]] + V[s[2 * j + 1], s[2 * j]].T) / 2 for j in range(npairs)]
+    blocks += [(V[b, b] + V[b, b].T) / 2 for b in s[-2:]]
+    sizes = np.array([len(q) for q in blocks], dtype=int)
+    for idx in _label_groups(sizes):
+        if sizes[idx[0]]:
+            X, _, Yh = np.linalg.svd(np.stack([blocks[j] for j in idx]))
+            for j, polar in zip(idx, X @ Yh):
+                blocks[j] = polar
+    q_plus, q_minus = ((q + q.T) / 2 for q in blocks[npairs:])
+    return ConjugationParams(tuple(blocks[:npairs]), q_plus, q_minus)

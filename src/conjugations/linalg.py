@@ -17,8 +17,6 @@ SPLIT_TOL = 1e-9         # fourunit's factor defects, and its residual per 1 + |
 DEMO_TOL = 1e-12         # the transform demos' membership threshold per unit of N; the demo goldens
 GRID_TOL = 1e-9          # a centered grid's uniformity and symmetry, per grid step; test_threshold_values
 DECAY_RATIO = 1e-2       # Hermite edge-to-peak ratio of a supported function; test_hermite_support_flags
-# A tie-break, not a tolerance of an answer:
-TIE_REL = 1e-12          # relative slack among family._off_structure's largest blocks; test_family's ties
 
 
 def threshold(scale=1.0):

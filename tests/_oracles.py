@@ -11,8 +11,9 @@ involution and commutation defects, the squared-shift defects and the spectral r
 are the dense matrix products they are defined by, the Fourier model is
 scattered into class order entry by entry, and the measure lattice and the
 reflection conjugation are per-atom loops, atoms are paired through a dense
-distance matrix, and four_unitary_split_svd is the
-four-unitary construction from one SVD, each factor from a fresh copy.
+distance matrix, four_unitary_split_svd is the
+four-unitary construction from one SVD, each factor from a fresh copy, and
+decompose's projection takes each block's polar factor from its own SVD.
 """
 
 import numpy as np
@@ -118,47 +119,6 @@ def apply_cuc_on_basis(A, U):
         e[k] = 1.0
         cols.append(A @ np.conj(U @ (A @ np.conj(e))))
     return np.stack(cols, axis=1)
-
-
-def off_structure_loop(V, pair_sizes, ell, kay):
-    """Norm of V outside the conjugate-pair block structure, entry by entry.
-
-    Blocks run: for each pair size m a block of m and its conjugate block of
-    m, then the +1 block (ell) and the -1 block (kay) when nonzero.  Only
-    (pair, its conjugate), (conjugate, its pair) and the real diagonal blocks
-    may be nonzero.  Returns (energy, (a, b)) with (a, b), a <= b, the block
-    indices of the largest off-structure block pair, weighing blocks (a, b)
-    and (b, a) together, the first in row-major order on ties up to a
-    relative 1e-12.
-    """
-    sizes = [m for m in pair_sizes for _ in range(2)] + [s for s in (ell, kay) if s]
-    bounds = np.cumsum([0] + sizes)
-    npair_blocks = 2 * len(pair_sizes)
-    total, blocks = 0.0, {}
-    for a in range(len(sizes)):
-        for b in range(len(sizes)):
-            if a < npair_blocks and b == (a + 1 if a % 2 == 0 else a - 1):
-                continue
-            if a >= npair_blocks and a == b:
-                continue
-            block = 0.0
-            for i in range(bounds[a], bounds[a + 1]):
-                for j in range(bounds[b], bounds[b + 1]):
-                    block += abs(V[i, j]) ** 2
-            total += block
-            blocks[a, b] = block
-    folded = {}
-    for a in range(len(sizes)):
-        for b in range(a, len(sizes)):
-            if (a, b) in blocks:
-                folded[a, b] = blocks[a, b] + (blocks[b, a] if a != b else 0.0)
-    worst = max(folded.values(), default=0.0)
-    where = None
-    for (a, b), pair in folded.items():  # row-major order
-        if pair >= (1 - 1e-12) * worst:
-            where = (a, b)
-            break
-    return float(np.sqrt(total)), where
 
 
 def pair_clusters_loop(values, tol):
@@ -362,56 +322,54 @@ def canonical_residual_dense(U, W, diag):
 
 
 def decompose_loop(U, C, canonical_form):
-    """decompose with every block checked on its own.
+    """decompose from dense products and one block at a time.
 
-    U is checked for unitarity before canonical_form checks it again; after
-    the whole-matrix off-structure and symmetric-unitary checks, each pair's
-    lower block is checked to be the transpose of its upper block, each
-    upper block to be unitary and each real block to be symmetric unitary,
-    the blocks of size m within from_params' bound 1e-10 + 1e-8 sqrt(m).
-    Returns (v_blocks, q_plus, q_minus), or the name of the library error,
-    "InputError" or "MembershipError", where those checks fail.  Only
-    canonical_form, the basis the parameters are read in, comes from the
-    library, as an argument.
+    U is checked for unitarity within 1e-10 + 1e-8 sqrt(n); C is refused as
+    "InputError" when its isometry or involution defect exceeds
+    thr = 1e-8 n, else as "MembershipError" when its commutation defect
+    does, each defect the dense product it is defined by.  A member's
+    V = W* A conj(W) is read block by block: each pair's parameter is the
+    polar factor X Y* of (B + B'^t)/2 from that block's own SVD, each real
+    block's the polar factor of its symmetric part, symmetrized.  Returns
+    (v_blocks, q_plus, q_minus) or the error name.  Only canonical_form, the
+    basis the parameters are read in, comes from the library, as an argument.
     """
 
-    def defect(M):
-        return np.linalg.norm(M.conj().T @ M - np.eye(len(M)))
+    def polar(M):
+        if not len(M):
+            return M
+        X, _, Yh = np.linalg.svd(M)
+        return X @ Yh
 
     U = np.asarray(U, dtype=complex)
     A = np.asarray(C.matrix, dtype=complex)
     n = len(U)
-    if defect(U) > 1e-10 + 1e-8 * np.sqrt(n):
-        return "InputError"  # U is not unitary
     if len(A) != n:
         return "InputError"  # operator dimensions do not match
-    if defect(A) > 1e-10 + 1e-8 * np.sqrt(n) or np.linalg.norm(A - A.T) > 1e-10 + 1e-8 * np.sqrt(n):
-        return "InputError"  # C is not a conjugation
-    thr = 1e-8 * max(n, 1)
+    if np.linalg.norm(U.conj().T @ U - np.eye(n)) > 1e-10 + 1e-8 * np.sqrt(n):
+        return "InputError"  # U is not unitary
     W, layout = canonical_form(U)
-    V = W.conj().T @ A @ np.conj(W)
-    sizes = [m for _, m in layout.pairs]
-    if off_structure_loop(V, sizes, layout.ell, layout.kay)[0] > thr:
+    thr = 1e-8 * max(n, 1)
+    iso = np.linalg.norm(A.conj().T @ A - np.eye(n))
+    inv = np.linalg.norm(A @ np.conj(A) - np.eye(n))
+    if iso > thr or inv > thr:
+        return "InputError"  # C is not a conjugation
+    if np.linalg.norm(A @ np.conj(U) @ np.conj(A) - U) > thr:
         return "MembershipError"  # C does not commute with U
-    if defect(V) > thr or np.linalg.norm(V - V.T) > thr:
-        return "MembershipError"  # transported matrix is not symmetric unitary
+    V = W.conj().T @ A @ np.conj(W)
     v_blocks, pos = [], 0
-    for m in sizes:
-        block = V[pos : pos + m, pos + m : pos + 2 * m]
-        if np.linalg.norm(V[pos + m : pos + 2 * m, pos : pos + m] - block.T) > thr:
-            return "MembershipError"  # lower block is not the transpose of the upper
-        if defect(block) > 1e-10 + 1e-8 * np.sqrt(m):
-            return "MembershipError"  # pair block is not unitary
-        v_blocks.append(block.copy())
+    for _, m in layout.pairs:
+        upper = V[pos : pos + m, pos + m : pos + 2 * m]
+        lower = V[pos + m : pos + 2 * m, pos : pos + m]
+        v_blocks.append(polar((upper + lower.T) / 2))
         pos += 2 * m
-    q_plus = V[pos : pos + layout.ell, pos : pos + layout.ell].copy()
-    q_minus = V[pos + layout.ell :, pos + layout.ell :].copy()
-    for q in (q_plus, q_minus):
-        bound = 1e-10 + 1e-8 * np.sqrt(len(q))
-        if len(q) and (defect(q) > bound or np.linalg.norm(q - q.T) > bound):
-            return "MembershipError"  # real block is not symmetric unitary
-    return v_blocks, q_plus, q_minus
-
+    real = []
+    for size in (layout.ell, layout.kay):
+        q = V[pos : pos + size, pos : pos + size]
+        q = polar((q + q.T) / 2)
+        real.append((q + q.T) / 2)
+        pos += size
+    return v_blocks, real[0], real[1]
 
 def lattice_join_loop(mu, nu):
     """(thetas, weights) of the atomwise weight sum, one dict entry per angle."""

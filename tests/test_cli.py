@@ -336,6 +336,61 @@ def test_decompose_refuses_outsider():
     assert "does not commute" in json.loads(out)["error"]["message"]
 
 
+def _symmetric_noise(rng, n, norm):
+    N = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    N += N.T
+    return N * (norm / np.linalg.norm(N))
+
+
+def test_verify_and_decompose_exit_0_together(tmp_path):
+    # one membership rule: decompose returns exactly when verify passes at its
+    # default threshold.  The first C is sample(U, 3) plus symmetric noise of
+    # norm 3e-8, which verify passed and decompose refused as "not a
+    # conjugation"; the rest are seeded members under symmetric noise, or
+    # transported by exp(i eps H), with norms 10^-9.5 n to 10^-6.5 n
+    U = np.diag(np.exp(1j * np.array([0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 0.0, np.pi])))
+    n = len(U)
+    rng = np.random.default_rng(27)
+    u = tmp_path / "u.json"
+    save_json(u, matrix_to_dict(U))
+    members = [sample(U, 3).matrix + _symmetric_noise(rng, n, 3e-8)]
+    for k in range(40):
+        eps = 10 ** rng.uniform(-9.5, -6.5) * n
+        if k % 2:
+            w, Q = np.linalg.eigh(_symmetric_noise(rng, n, 1.0).real)
+            R = (Q * np.exp(1j * eps * w)) @ Q.T
+            members.append(R @ sample(U, k).matrix @ R.T)
+        else:
+            members.append(sample(U, k).matrix + _symmetric_noise(rng, n, eps))
+    codes = []
+    for k, A in enumerate(members):
+        c = tmp_path / f"c{k}.json"
+        save_json(c, matrix_to_dict(A))
+        verified = run_captured(["verify", str(u), str(c)])[0]
+        decomposed = run_captured(["decompose", str(u), str(c)])[0]
+        assert (verified == EXIT_OK) == (decomposed == EXIT_OK), k
+        codes.append((verified, decomposed))
+    assert codes[0] == (EXIT_OK, EXIT_OK)
+    assert set(codes) == {(EXIT_OK, EXIT_OK), (EXIT_TOLERANCE, EXIT_INPUT),
+                          (EXIT_TOLERANCE, EXIT_REFUSED)}
+
+
+@pytest.mark.parametrize("u,c,code,message", [
+    ("u_pair", "c_antisymmetric", EXIT_INPUT, "C is not a conjugation"),
+    ("u_pair", "c_plain", EXIT_REFUSED, "C does not commute with U: commutation defect 2.828e+00"),
+    # canonical_form runs before C is looked at: a non-self-dual U is refused
+    # first, also against a C that is not a conjugation
+    ("u_bad", "c_antisymmetric", EXIT_REFUSED, "C_c(U) is empty"),
+])
+def test_decompose_refusals_follow_verify(tmp_path, u, c, code, message):
+    path = tmp_path / "c_antisymmetric.json"
+    save_json(path, matrix_to_dict(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    c_path = path if c == "c_antisymmetric" else INPUTS / f"{c}.json"
+    got, out, _ = run_captured(["decompose", str(INPUTS / f"{u}.json"), str(c_path)])
+    assert got == code
+    assert json.loads(out)["error"]["message"].startswith(message)
+
+
 def test_decompose_dimension_mismatch_is_input_error():
     code, out, _ = run_captured(
         ["decompose", str(INPUTS / "u_mixed.json"), str(INPUTS / "c_swap.json")]

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -177,6 +181,30 @@ def test_four_unitary_split_scratch_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2**20
+
+
+def test_four_unitary_split_resident_rise_stays_bounded():
+    # what tracemalloc misses: the rise of the process's resident high-water
+    # mark over one split at n = 256, gesdd's workspace included, in a fresh
+    # process after a warm-up split at n = 8 has loaded LAPACK.  It read
+    # 5.5-6.3 MiB on a 2-core x86-64 host under one and two OpenBLAS
+    # threads; 8 MiB leaves 1.7 MiB of headroom for the allocator's page reuse
+    code = (
+        "import resource, numpy as np\n"
+        "from conjugations.linalg import four_unitary_split\n"
+        "rng = np.random.default_rng(256)\n"
+        "four_unitary_split(rng.standard_normal((8, 8)) + 0j)\n"
+        "A = rng.standard_normal((256, 256, 2)) @ [1, 1j]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "four_unitary_split(A)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 <= 8 * 2**20  # ru_maxrss is in KiB on Linux
 
 
 def test_diagonal_entries_counts_nonzero_parts():
