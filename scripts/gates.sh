@@ -8,8 +8,11 @@
 # forked JSON codec, and at n = 104, whose conjugation file (819 KB) and
 # written matrix (21,632 floats) take both forked paths.  Then `fourunit` on a
 # seeded 256 x 256 complex Ginibre matrix, the benchmark's split size: exit 0,
-# and stderr the one `residual ...` line.  Last, the line count of the
-# library.  Run from anywhere: scripts/gates.sh
+# and stderr the one `residual ...` line.  Then `canonical` on a seeded
+# 256 x 256 self-dual unitary whose angles are evenly spaced in (0, 1e-3),
+# so every cos theta chains into one run and spectral.schur takes its
+# whole-matrix Cayley step: exit 0, and stderr one line.  Last, the line
+# count of the library.  Run from anywhere: scripts/gates.sh
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -33,6 +36,17 @@ if ! python3 -m conjugations.cli fourunit "$tmp/a.json" >/dev/null 2>"$tmp/err" 
     || [ "$(wc -l <"$tmp/err")" -ne 1 ] || ! grep -Eqx 'residual [0-9]\.[0-9]{3}e[-+][0-9]+' "$tmp/err"; then
     cat "$tmp/err" >&2
     echo "fourunit at n = 256: exit code not 0, or stderr not the one residual line" >&2
+    exit 1
+fi
+python3 -c 'import sys, numpy as np; from conjugations.cli import matrix_to_dict, save_json
+from conjugations.linalg import haar_unitary
+half = np.linspace(0, 1e-3, 130)[1:-1]
+W = haar_unitary(256, 256)
+save_json(sys.argv[1], matrix_to_dict((W * np.exp(1j * np.concatenate([half, -half]))) @ W.conj().T))' "$tmp/u.json"
+if ! python3 -m conjugations.cli canonical "$tmp/u.json" >/dev/null 2>"$tmp/err" \
+    || [ "$(wc -l <"$tmp/err")" -ne 1 ]; then
+    cat "$tmp/err" >&2
+    echo "canonical on a one-run spectrum at n = 256: exit code not 0, or stderr not one line" >&2
     exit 1
 fi
 wc -l src/conjugations/*.py

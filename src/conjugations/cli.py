@@ -425,7 +425,7 @@ def cmd_decompose(args):
     U, A = load_matrices(args.unitary, args.conjugation)
     C = AntilinearOperator(A)
     params = family.decompose(U, C)
-    _, layout = canonical_form(U)
+    W, layout = canonical_form(U)
     out = {
         "pairs": [
             {"eigenvalue": [float(xi.real), float(xi.imag)], "size": int(m)}
@@ -442,7 +442,9 @@ def cmd_decompose(args):
         emit({k: out[k] for k in ("pairs", "ell", "kay")})
     else:
         emit(out)
-    note(f"{len(params.v_blocks)} pair blocks, ell={layout.ell}, kay={layout.kay}")
+    rebuilt = np.linalg.norm(family.from_params(layout, W, params).matrix - A)
+    note(f"{len(params.v_blocks)} pair blocks, ell={layout.ell}, kay={layout.kay}, "
+         f"rebuilt member {rebuilt:.3e} from C")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ ABS_TOL = 1e-10          # absolute slack of every input check; test_shift_conju
 REL_TOL = 1e-8           # input-check slack per unit of the quantity's scale; test_threshold_values
 MEMBERSHIP_TOL = 1e-8    # membership_threshold's slope per dimension; the verify goldens' threshold
 CLUSTER_TOL = 1e-7       # eigenvalue merge, +-1 snap and pairing radius; test_spectral's boundary probes
+CUT_TOL = 1e-6           # gap of cos theta that splits Schur runs: subspace error ~ roundoff/gap; test_schur_cut_gap
 LABEL_TOL = 1e-9         # distance within which a refusal names 1, -1, i or -i; test_cli's refusal labels
 PAIR_TOL = 1e-9          # conjugate-atom lookup radius; the measure_rn_ambiguous golden
 UNIT_CIRCLE_TOL = 1e-12  # how far a measure point may sit off the unit circle; test_threshold_values

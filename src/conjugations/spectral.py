@@ -1,19 +1,17 @@
 """Spectral analysis of unitary matrices: eigenvalue clustering, self-duality,
 the conjugate-pair canonical form, and the atomic multiplicity model.
 
-Diagonalization is numpy only.  For z = e^{i phi} off the spectrum, the
-Cayley transform A = i(z + U)(z - U)^-1 of the normal matrix U is Hermitian
-with U's eigenvectors and maps e^{i theta} to cot((phi - theta)/2): one
-monotone map of the circle, so distinct eigenvalues stay distinct.  z is the
-midpoint of the largest circular gap of the angles +-arccos of the
-eigenvalues of (U + U*)/2, a superset of the spectrum's angles, so it sits at
-least 2 sin(pi/4n) from every eigenvalue and the solve is well conditioned.
-Within a cluster the eigh basis columns are ordered by the row of their
-largest entry, so a diagonal input gives the standard basis in index order.
+Diagonalization is numpy only: one eigh of H = (U + U*)/2, which commutes
+with U and maps e^{i theta} to cos theta, so its eigenspace at cos theta is
+ker(U - e^{i theta}) + ker(U - e^{-i theta}), the pair subspace the
+canonical form is built on.  Within each run of H's eigenvalues chained
+within CUT_TOL, U's compression is diagonalized through its Cayley transform.
+Within a cluster the basis columns are ordered by the row of their largest
+entry, so a diagonal input gives the standard basis in index order.
 
-T = Q*UQ is read in full.  Q is unitary, so the residual of a diagonal
-target in a permutation of Q's columns is the hypotenuse of T's off-diagonal
-norm and an O(n) distance on its diagonal: no residual forms an n x n product.
+The residual of a diagonal target in a permutation of the unitary Q's
+columns is the hypotenuse of schur's off-diagonal norm and an O(n) distance
+on its diagonal: no residual forms an n x n product.
 """
 
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSelfDualError, ToleranceError
-from .linalg import CLUSTER_TOL, LABEL_TOL, _label_groups, membership_threshold, require_unitary
+from .linalg import CLUSTER_TOL, CUT_TOL, LABEL_TOL, _label_groups, membership_threshold, require_unitary
 from .measures import AtomicMeasure, _nearest_angle
 
 
@@ -31,7 +29,7 @@ class UnitarySpectrum:
 
     clusters is a tuple of (eigenvalue, multiplicity) sorted by argument in
     (-pi, pi]; the columns of basis are grouped in the same order.
-    eigenvalues is T's diagonal in basis column order, off_diagonal ||T - diag T||_F.
+    eigenvalues is schur's t in basis column order, off_diagonal its off.
     """
 
     clusters: tuple
@@ -49,7 +47,7 @@ class UnitarySpectrum:
 
     def residual(self, cols, target):
         """||W*UW - diag(target)||_F for W = basis[:, cols], cols a
-        permutation of the columns, read from T instead of multiplied out."""
+        permutation of the columns, read from t and off, not multiplied out."""
         return float(np.hypot(self.off_diagonal, np.linalg.norm(self.eigenvalues[cols] - target)))
 
 
@@ -84,20 +82,29 @@ class MultiplicityModel:
 
 
 def schur(U):
-    """Schur form (T, Q) of a unitary U, with U = Q T Q*: Q is the
-    eigenbasis of U's Cayley transform at the largest gap of its spectrum,
-    and T = Q*UQ, diagonal up to its off-diagonal norm, is read in full."""
-    n = U.shape[0]
-    if n == 0:
-        return U.copy(), np.eye(0, dtype=complex)
-    half = np.arccos(np.clip(np.linalg.eigvalsh((U + U.conj().T) / 2), -1.0, 1.0))
-    angles = np.sort(np.concatenate([half, -half]))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    k = np.argmax(gaps)
-    z = np.exp(1j * (angles[k] + gaps[k] / 2))
-    A = 1j * np.linalg.solve(z * np.eye(n) - U, z * np.eye(n) + U)
-    _, Q = np.linalg.eigh((A + A.conj().T) / 2)
-    return Q.conj().T @ U @ Q, Q
+    """(t, Q, off) of a unitary U: Q unitary, t = diag(Q*UQ) and off =
+    ||UQ - Q diag t||_F.  Q is the eigenbasis of H = (U + U*)/2, each run of
+    H's eigenvalues chained within CUT_TOL rotated by the eigenbasis of the
+    Cayley transform i(z + S)(z - S)^-1 of S = Q*UQ on the run: Hermitian,
+    with S's eigenvectors, monotone on the circle, z = +-1 at least sqrt(2)
+    from the run's eigenvalues.  A run's subspace is off by roundoff over its
+    cut gap (Davis-Kahan), so off may reach n eps / CUT_TOL.  Worst case, all
+    cos theta chain into one run (all angles in (0, 1e-3), say): a whole-matrix
+    solve and eigh on top of eigh(H).  A diagonal U gives Q entries exactly 1:
+    eigh of a diagonal matrix returns standard basis vectors, S is diagonal."""
+    c, Q = np.linalg.eigh((U + U.conj().T) / 2)
+    UQ = U @ Q
+    runs = np.split(np.arange(len(c)), np.flatnonzero(np.diff(c) > CUT_TOL) + 1)
+    for m in {len(b) for b in runs} - {1}:  # runs of one size as one stack
+        b = np.array([b for b in runs if len(b) == m])
+        Qb, UQb = Q[:, b].transpose(1, 0, 2), UQ[:, b].transpose(1, 0, 2)
+        S = Qb.conj().mT @ UQb
+        z = np.where(c[b[:, :1, None]] < 0, 1.0, -1.0) * np.eye(m)  # |z - lam| >= sqrt(2)
+        A = 1j * np.linalg.solve(z - S, z + S)
+        R = np.linalg.eigh((A + A.conj().mT) / 2)[1]
+        Q[:, b], UQ[:, b] = (Qb @ R).transpose(1, 0, 2), (UQb @ R).transpose(1, 0, 2)
+    t = np.einsum("ij,ij->j", Q.conj(), UQ)
+    return t, Q, float(np.linalg.norm(UQ - Q * t))
 
 
 def _snap(rep):
@@ -128,16 +135,12 @@ def diagonalize_unitary(U):
     ordered by the row of each column's largest entry; the cluster value is
     the normalized mean direction, snapped to +-1 when within CLUSTER_TOL so
     the real blocks of the canonical form are exactly real; clusters that
-    snap to the same +-1 merge into one.  Raises
-    ToleranceError when the clustered spectrum misses U by more than
-    membership_threshold(n).
+    snap to the same +-1 merge into one.  Raises ToleranceError when the
+    clustered spectrum misses U by more than membership_threshold(n).
     """
     U = require_unitary(U, "U")
-    n = U.shape[0]
-    T, Q = schur(U)
-    vals = np.diagonal(T).copy()
-    np.fill_diagonal(T, 0.0)  # T is ours: what is left is its off-diagonal part
-    lead = np.argmax(np.abs(Q), axis=0) if n else []  # row of each column's largest entry
+    vals, Q, off = schur(U)
+    lead = np.argmax(np.abs(Q), axis=0) if len(U) else []  # row of each column's largest entry
 
     groups = {}
     for idxs in _cluster_indices(vals):
@@ -148,14 +151,10 @@ def diagonalize_unitary(U):
                for k in np.argsort(np.angle(reps), kind="stable")]
 
     cols = [i for _, idxs in entries for i in idxs]
-    spectrum = UnitarySpectrum(
-        clusters=tuple((rep, len(idxs)) for rep, idxs in entries),
-        basis=Q[:, cols],
-        eigenvalues=vals[cols],
-        off_diagonal=float(np.linalg.norm(T)),
-    )
+    spectrum = UnitarySpectrum(clusters=tuple((rep, len(idxs)) for rep, idxs in entries),
+                               basis=Q[:, cols], eigenvalues=vals[cols], off_diagonal=off)
     resid = spectrum.residual(slice(None), spectrum.eigenvalue_diagonal())
-    thr = membership_threshold(n)
+    thr = membership_threshold(len(U))
     if resid > thr:
         raise ToleranceError(
             f"spectral reconstruction residual {resid:.3e} exceeds {thr:.1e}; "

@@ -216,6 +216,11 @@ def schur_spectrum(U, tol, residual_tol):
     return "ok", clusters, selfdual
 
 
+def schur_eigenvalues(U):
+    """The diagonal of scipy's complex Schur factor of U, unclustered."""
+    return np.diagonal(schur(U, output="complex")[0])
+
+
 def unitarity_defect_dense(A):
     """||A*A - I||_F, the full product however A is structured."""
     A = np.asarray(A, dtype=complex)

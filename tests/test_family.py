@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import pathlib
 import tracemalloc
 from dataclasses import astuple
@@ -16,6 +19,7 @@ from conjugations.antilinear import (
     is_conjugation,
     transport,
 )
+from conjugations.cli import matrix_from_dict, matrix_to_dict, run, save_json
 from conjugations.errors import InputError, MembershipError, NotSelfDualError
 from conjugations.family import (
     ConjugationParams,
@@ -286,6 +290,34 @@ def test_noisy_members_decompose_as_the_loop_oracle_and_rebuild(rng):
             distance = np.linalg.norm(rebuilt.matrix - C.matrix)
             assert distance <= 2 * defects / _conjugate_gap(layout) + 1e-14 * n
     assert seen == {"ok", "InputError", "MembershipError"}
+
+
+def test_decompose_note_reports_the_rebuilt_distance(rng, tmp_path):
+    # the sweep's member whose rebuild lies farthest from C, more than twice
+    # thr (n = 8, a pair 0.12 from -1): decompose's one stderr line ends with
+    # ||from_params(layout, W, params) - C||_F, and stdout holds the parameters
+    farthest = (0.0, None)
+    for eps in (1e-9, 1e-8, 3e-8, 1e-7):
+        for U, C in _noisy_members(rng, eps):
+            if isinstance(params := _outcome(decompose, U, C), str):
+                continue
+            W, layout = canonical_form(U)
+            distance = np.linalg.norm(from_params(layout, W, params).matrix - C.matrix)
+            farthest = max(farthest, (distance / membership_threshold(len(U)), (U, C, distance)),
+                           key=lambda f: f[0])
+    ratio, (U, C, distance) = farthest
+    assert ratio > 2
+    u, c = tmp_path / "u.json", tmp_path / "c.json"
+    save_json(u, matrix_to_dict(U))
+    save_json(c, matrix_to_dict(C.matrix))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert run(["decompose", str(u), str(c)]) == 0
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().endswith(f", rebuilt member {distance:.3e} from C\n")
+    params = decompose(U, C)
+    got = [matrix_from_dict(v, "v") for v in json.loads(out.getvalue())["v_blocks"]]
+    assert len(got) == len(params.v_blocks) and all(map(np.array_equal, got, params.v_blocks))
 
 
 def test_decompose_takes_verify_verdict_on_a_noisy_sweep():

@@ -3,7 +3,7 @@ import pytest
 
 from conjugations import measures, spectral
 from conjugations.errors import InputError, NotSelfDualError, ToleranceError
-from conjugations.linalg import haar_unitary, membership_threshold, unitarity_defect
+from conjugations.linalg import CUT_TOL, haar_unitary, membership_threshold, unitarity_defect
 from conjugations.measures import AtomicMeasure, _nearest_angle, assemble_model
 from conjugations.measures import conjugate_pairing, invariance_probe, radon_nikodym
 from conjugations.spectral import (
@@ -25,6 +25,7 @@ from _oracles import (
     cluster_loop,
     pair_clusters_loop,
     reconstruction_residual_dense,
+    schur_eigenvalues,
     schur_spectrum,
 )
 
@@ -261,13 +262,14 @@ def _library_spectrum(U):
     return "ok", clusters, check_selfdual(U)[0]
 
 
-@pytest.mark.parametrize("make", [c[1] for c in AGREEMENT_CASES], ids=[c[0] for c in AGREEMENT_CASES])
-def test_diagonalization_agrees_with_schur_oracle(make):
-    U = make()
+def _assert_agrees_with_oracle(U, off_bound):
+    # schur's (t, Q, off) rebuilds U to within off, Q is unitary, and the
+    # clusters and verdicts are those of scipy's complex Schur form
     n = U.shape[0]
-    T, Q = schur(U)
-    assert np.linalg.norm(U - Q @ T @ Q.conj().T) <= 1e-12 * n
+    t, Q, off = schur(U)
+    assert np.linalg.norm(Q * t @ Q.conj().T - U) <= off + 1e-12 * n
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12 * n
+    assert off <= off_bound
     outcome, clusters, selfdual = _library_spectrum(U)
     want_outcome, want_clusters, want_selfdual = schur_spectrum(U, CLUSTER_TOL, membership_threshold(n))
     assert outcome == want_outcome
@@ -275,6 +277,71 @@ def test_diagonalization_agrees_with_schur_oracle(make):
         assert [m for _, m in clusters] == [m for _, m in want_clusters]
         assert np.allclose([lam for lam, _ in clusters], [lam for lam, _ in want_clusters], atol=1e-9)
         assert selfdual == want_selfdual
+    return t
+
+
+@pytest.mark.parametrize("make", [c[1] for c in AGREEMENT_CASES], ids=[c[0] for c in AGREEMENT_CASES])
+def test_diagonalization_agrees_with_schur_oracle(make):
+    U = make()
+    _assert_agrees_with_oracle(U, 1e-12 * U.shape[0])
+
+
+def _one_run(n, seed):
+    """A self-dual spectrum whose cos theta all chain within CUT_TOL: n/2
+    conjugate pairs at angles evenly spaced in (0, 1e-3)."""
+    half = np.linspace(0, 1e-3, n // 2 + 2)[1:-1]
+    return _rotated(np.concatenate([half, -half]), seed)
+
+
+ADVERSARIAL_CASES = (
+    [("near-plus-and-minus-one", lambda: _rotated([3e-5, -3e-5, 1e-4, -1e-4, np.pi - 7e-5,
+                                                   -np.pi + 7e-5, 1.0, -1.0], 11))]
+    + [(f"non-pair-{eps:g}", lambda eps=eps: _rotated([0.7, -0.7 + eps, 1.2, -1.2, 2.5, -2.5], 12))
+       for eps in (1e-7, 1e-5, 1e-3)]
+    + [("one-run-64", lambda: _one_run(64, 13)), ("one-run-256", lambda: _one_run(256, 14))]
+    + [("empty", lambda: np.eye(0, dtype=complex)), ("one", lambda: np.array([[np.exp(0.3j)]]))]
+)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in ADVERSARIAL_CASES], ids=[c[0] for c in ADVERSARIAL_CASES])
+def test_schur_agrees_with_the_oracle_on_adversarial_spectra(make):
+    # near-conjugate non-pairs whose cos theta differ by more than CUT_TOL sit
+    # in two runs: H's eigenvectors mix them by roundoff over the gap (Davis
+    # and Kahan), so off is bounded by n eps / CUT_TOL, not by 1e-12 n
+    U = make()
+    n = U.shape[0]
+    t = _assert_agrees_with_oracle(U, 1e-12 * n + n * np.finfo(float).eps / CUT_TOL)
+    want = schur_eigenvalues(U)
+    gaps = np.abs(t[:, None] - want[None, :])
+    assert max(gaps.min(axis=0, initial=np.inf), default=0) <= 1e-12 * n
+    assert max(gaps.min(axis=1, initial=np.inf), default=0) <= 1e-12 * n
+
+
+def test_schur_of_a_diagonal_input_is_the_standard_basis():
+    # eigh of a diagonal matrix returns standard basis vectors with entries
+    # exactly 1, and every run's compression is diagonal
+    angles = np.array([0.5, -0.5, 0.5, 0.0, np.pi, 0.0, -0.5, 2.0, 1e-4, -1e-4])
+    U = np.diag(np.exp(1j * angles))
+    t, Q, off = schur(U)
+    lead = np.argmax(np.abs(Q), axis=0)
+    assert np.array_equal(Q, np.eye(len(U))[:, lead]) and off == 0.0
+    spectrum = diagonalize_unitary(U)
+    rows = np.argmax(np.abs(spectrum.basis), axis=0)
+    assert np.array_equal(spectrum.basis, np.eye(len(U))[:, rows])
+    ends = np.cumsum([m for _, m in spectrum.clusters])
+    for block in np.split(rows, ends[:-1]):  # lead-row order inside each cluster
+        assert list(block) == sorted(block)
+
+
+@pytest.mark.parametrize("gap,runs", [(0.9 * CUT_TOL, [2]), (1.1 * CUT_TOL, [])])
+def test_schur_cut_gap(monkeypatch, gap, runs):
+    # two eigenvalues whose cos theta differ by 0.9 CUT_TOL share a run, and
+    # its Cayley solve; at 1.1 CUT_TOL each is a run of its own, and no solve runs
+    sizes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(a.shape[-1]) or solve(a, b))
+    schur(np.diag(np.exp(1j * np.arccos([0.3, 0.3 - gap]))))
+    assert sizes == runs
 
 
 def _off_normal(eps, seed):

@@ -95,7 +95,7 @@ def test_linalg_literals_sit_in_the_table():
 
 TABLE = {
     "ABS_TOL": 1e-10, "REL_TOL": 1e-8, "MEMBERSHIP_TOL": 1e-8, "CLUSTER_TOL": 1e-7,
-    "LABEL_TOL": 1e-9, "PAIR_TOL": 1e-9, "UNIT_CIRCLE_TOL": 1e-12, "SPLIT_TOL": 1e-9,
+    "CUT_TOL": 1e-6, "LABEL_TOL": 1e-9, "PAIR_TOL": 1e-9, "UNIT_CIRCLE_TOL": 1e-12, "SPLIT_TOL": 1e-9,
     "DEMO_TOL": 1e-12, "GRID_TOL": 1e-9, "DECAY_RATIO": 1e-2,
 }
 
