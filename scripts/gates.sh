@@ -11,8 +11,12 @@
 # and stderr the one `residual ...` line.  Then `canonical` on a seeded
 # 256 x 256 self-dual unitary whose angles are evenly spaced in (0, 1e-3),
 # so every cos theta chains into one run and spectral.schur takes its
-# whole-matrix Cayley step: exit 0, and stderr one line.  Last, the line
-# count of the library.  Run from anywhere: scripts/gates.sh
+# whole-matrix Cayley step: exit 0, and stderr one line.  Then `check`,
+# `canonical` and `sample --seed 1` on two diagonal probes at the clustering
+# radius: an exact pair 1e-7 apart (split-one: exits 0/0/0, selfdual true)
+# and a pair near 1 of multiplicities 1 and 2 (snapped-17: exits 0/3/3,
+# selfdual false), each process with one stderr line.  Last, the line count
+# of the library.  Run from anywhere: scripts/gates.sh
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -49,4 +53,28 @@ if ! python3 -m conjugations.cli canonical "$tmp/u.json" >/dev/null 2>"$tmp/err"
     echo "canonical on a one-run spectrum at n = 256: exit code not 0, or stderr not one line" >&2
     exit 1
 fi
+python3 -c 'import sys, numpy as np; from conjugations.cli import matrix_to_dict, save_json
+for path, angles in zip(sys.argv[1:], ([5e-8, -5e-8], [9e-8, -9e-8, -9e-8] + [0.5, -0.5] * 7)):
+    save_json(path, matrix_to_dict(np.diag(np.exp(1j * np.array(angles)))))' "$tmp/split-one.json" "$tmp/snapped-17.json"
+for probe in "split-one 0/0/0 true" "snapped-17 0/3/3 false"; do
+    set -- $probe
+    codes=""
+    for command in check canonical "sample --seed 1"; do
+        code=0
+        python3 -m conjugations.cli $command "$tmp/$1.json" >"$tmp/out" 2>"$tmp/err" || code=$?
+        codes="$codes/$code"
+        if [ "$command" = check ]; then
+            selfdual="$(sed -n 's/^  "selfdual": \([a-z]*\),*$/\1/p' "$tmp/out")"
+        fi
+        if [ "$(wc -l <"$tmp/err")" -ne 1 ]; then
+            cat "$tmp/err" >&2
+            echo "$command on the $1 probe: stderr not one line" >&2
+            exit 1
+        fi
+    done
+    if [ "${codes#/}" != "$2" ] || [ "$selfdual" != "$3" ]; then
+        echo "the $1 probe: exit codes ${codes#/} and selfdual '$selfdual', not $2 and $3" >&2
+        exit 1
+    fi
+done
 wc -l src/conjugations/*.py

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import DEMO_TOL, SPLIT_TOL, four_unitary_split, haar_unitary, membership_threshold
 from .linalg import unitarity_defect
-from .spectral import canonical_form, check_selfdual
+from .spectral import canonical_form, diagonalize_unitary
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,9 +48,12 @@ def note(msg):
 
 
 def load_json(path):
+    """(text, value) of the JSON file at path; a read error is an InputError
+    naming path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        return text, json.loads(text)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
@@ -242,11 +245,13 @@ def _forked(produce):
     return wait
 
 
-def matrix_from_dict(obj, where):
-    """Complex matrix from its JSON form, "data" nested lists of [re, im] pairs.
+def matrix_from_dict(obj, where, walk=False):
+    """Complex matrix from its JSON form, "data" nested lists of [re, im] pairs,
+    each entry a JSON number.
 
     One np.asarray call parses the whole payload.  Only a payload that fails
-    to parse is walked, to name its first misfit entry in the error.  An
+    to parse, parses to a shape or dtype other than numbers', or comes with
+    walk=True is walked, to name its first misfit entry in the error.  An
     axis of length 0 ends the nesting: a 0-row matrix is just [].
     """
     if not isinstance(obj, dict):
@@ -264,11 +269,15 @@ def matrix_from_dict(obj, where):
     full = (rows, cols, 2)
     nested = full[: full.index(0) + 1] if 0 in full else full
     try:
-        pairs = np.asarray(obj["data"], dtype=float)
+        pairs = np.asarray(obj["data"])
+        walk = walk or pairs.dtype.kind not in "iuf"  # strings, booleans, null, huge ints
+        pairs = pairs.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.shape != nested:
-        raise InputError(f"{where}: {_misfit(obj['data'], full, 'data') or 'data is malformed'}")
+        pairs, walk = None, True
+    if walk or pairs.shape != nested:
+        misfit = _misfit(obj["data"], full, "data")
+        if misfit or pairs is None or pairs.shape != nested:
+            raise InputError(f"{where}: {misfit or 'data is malformed'}")
     if not np.all(np.isfinite(pairs)):
         raise InputError(f"{where}: data entries must be finite")
     pairs = pairs.reshape(full)
@@ -278,11 +287,13 @@ def matrix_from_dict(obj, where):
 def _misfit(data, shape, name):
     """What the first entry of data breaking the nested-list shape must be."""
     if not shape:
+        if data is None:  # null reads as NaN, refused as not finite
+            return None
         try:
-            float(data)
+            float(data)  # an int past the float range overflows
         except (TypeError, ValueError, OverflowError):
             return f"{name} must be a number"
-        return None
+        return None if type(data) in (int, float) else f"{name} must be a number"  # not "1" or true
     if not isinstance(data, list) or len(data) != shape[0]:
         if len(shape) == 1:
             return f"{name} must be a [re, im] pair"
@@ -306,7 +317,11 @@ def matrix_to_dict(M):
 
 
 def load_matrix(path):
-    return matrix_from_dict(load_json(path), path)
+    """The matrix in the file at path.  numpy reads a boolean among floats as
+    a float, so a file whose text holds a u or an f (true, false, null, an
+    escape or Infinity; no accepted key or number has one) is walked."""
+    text, obj = load_json(path)
+    return matrix_from_dict(obj, path, walk="u" in text or "f" in text)
 
 
 def load_matrices(first, second):
@@ -345,7 +360,7 @@ def _matrix_bytes(path):
 
 
 def load_measure(path):
-    return measures.AtomicMeasure.from_dict(load_json(path), path)
+    return measures.AtomicMeasure.from_dict(load_json(path)[1], path)
 
 
 def _mismatch_entries(mismatches):
@@ -372,9 +387,11 @@ def _report_dict(n, passed, report, threshold):
 
 def cmd_check(args):
     U = load_matrix(args.unitary)
-    ok, mismatches = check_selfdual(U)
-    emit({"selfdual": bool(ok), "mismatches": _mismatch_entries(mismatches)})
-    note(f"self-dual: {'yes' if ok else 'no'}")
+    spectrum = diagonalize_unitary(U)
+    mismatches = spectrum.mismatches()
+    emit({"selfdual": not mismatches, "mismatches": _mismatch_entries(mismatches)})
+    note(f"self-dual: {'no' if mismatches else 'yes'}, residual {spectrum.residual:.1e} "
+         f"of {membership_threshold(len(U)) / 2:.1e}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from .errors import InputError
 ABS_TOL = 1e-10          # absolute slack of every input check; test_shift_conjugation_symbol_window
 REL_TOL = 1e-8           # input-check slack per unit of the quantity's scale; test_threshold_values
 MEMBERSHIP_TOL = 1e-8    # membership_threshold's slope per dimension; the verify goldens' threshold
-CLUSTER_TOL = 1e-7       # eigenvalue merge, +-1 snap and pairing radius; test_spectral's boundary probes
+CLUSTER_TOL = 1e-7       # cap of the spectral clustering and pairing radius; test_spectral's probes
 CUT_TOL = 1e-6           # gap of cos theta that splits Schur runs: subspace error ~ roundoff/gap; test_schur_cut_gap
 LABEL_TOL = 1e-9         # distance within which a refusal names 1, -1, i or -i; test_cli's refusal labels
 PAIR_TOL = 1e-9          # conjugate-atom lookup radius; the measure_rn_ambiguous golden
@@ -28,8 +28,8 @@ def threshold(scale=1.0):
 
 def membership_threshold(n):
     """Largest defect a verdict on an n x n result accepts: the isometry,
-    involution and commutation defects of a family member, and the
-    reconstruction residuals of the spectral decomposition."""
+    involution and commutation defects of a family member; the spectral
+    decision's residual is held to half of it."""
     return MEMBERSHIP_TOL * max(n, 1)
 
 

@@ -1,5 +1,5 @@
-"""Spectral analysis of unitary matrices: eigenvalue clustering, self-duality,
-the conjugate-pair canonical form, and the atomic multiplicity model.
+"""Spectral analysis of unitary matrices: one self-duality decision, the
+conjugate-pair canonical form, and the atomic multiplicity model.
 
 Diagonalization is numpy only: one eigh of H = (U + U*)/2, which commutes
 with U and maps e^{i theta} to cos theta, so its eigenspace at cos theta is
@@ -9,9 +9,14 @@ within CUT_TOL, U's compression is diagonalized through its Cayley transform.
 Within a cluster the basis columns are ordered by the row of their largest
 entry, so a diagonal input gives the standard basis in index order.
 
-The residual of a diagonal target in a permutation of the unitary Q's
-columns is the hypotenuse of schur's off-diagonal norm and an O(n) distance
-on its diagonal: no residual forms an n x n product.
+diagonalize_unitary decides in one pass, at one radius, which clusters
+pair and where every cluster's value sits; check_selfdual, canonical_form
+and multiplicity_model all read that decision.  Its one residual is
+||U - V||_F for V = Q diag(values) Q*, held to half of
+membership_threshold(n): for C in C_c(V), ||CUC - U|| <= 2 ||U - V||, so
+every member built on the decision commutes with U within the threshold.
+The residual is the hypotenuse of schur's off-diagonal norm and an O(n)
+distance on its diagonal: no residual forms an n x n product.
 """
 
 from dataclasses import dataclass
@@ -25,30 +30,25 @@ from .measures import AtomicMeasure, _nearest_angle
 
 @dataclass(frozen=True)
 class UnitarySpectrum:
-    """Clustered eigenvalues with an orthonormal eigenbasis grouped to match.
+    """The spectral decision on a unitary U: U = V + (U - V) with
+    V = basis diag(values) basis*.
 
-    clusters is a tuple of (eigenvalue, multiplicity) sorted by argument in
-    (-pi, pi]; the columns of basis are grouped in the same order.
-    eigenvalues is schur's t in basis column order, off_diagonal its off.
+    clusters is a tuple of (value, multiplicity) sorted by the argument of
+    the value in (-pi, pi]; the columns of basis are grouped in the same
+    order.  partner[i] is the index of cluster i's conjugate partner, i
+    itself for a cluster at exactly +-1, or -1.  residual is ||U - V||_F.
     """
 
     clusters: tuple
+    partner: tuple
     basis: np.ndarray
-    eigenvalues: np.ndarray
-    off_diagonal: float
+    residual: float
 
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def eigenvalue_diagonal(self):
-        lams = np.array([lam for lam, _ in self.clusters], dtype=complex)
-        return np.repeat(lams, [m for _, m in self.clusters])
-
-    def residual(self, cols, target):
-        """||W*UW - diag(target)||_F for W = basis[:, cols], cols a
-        permutation of the columns, read from t and off, not multiplied out."""
-        return float(np.hypot(self.off_diagonal, np.linalg.norm(self.eigenvalues[cols] - target)))
+    def mismatches(self):
+        """(value, multiplicity, conjugate multiplicity) of each cluster whose
+        partner carries another multiplicity, 0 when it has no partner."""
+        conj = [self.clusters[j][1] if j >= 0 else 0 for j in self.partner]
+        return [(lam, m, c) for (lam, m), c in zip(self.clusters, conj) if m != c]
 
 
 @dataclass(frozen=True)
@@ -107,69 +107,67 @@ def schur(U):
     return t, Q, float(np.linalg.norm(UQ - Q * t))
 
 
-def _snap(rep):
-    if abs(rep - 1.0) <= CLUSTER_TOL:
-        return 1.0 + 0.0j
-    if abs(rep + 1.0) <= CLUSTER_TOL:
-        return -1.0 + 0.0j
-    return rep
-
-
-def _cluster_indices(vals):
-    """Connected components of eigenvalues under distance <= CLUSTER_TOL,
-    chained along the circle: sorted by argument, angular neighbours link,
-    and so does the wrap-around pair."""
+def _cluster_indices(vals, radius):
+    """Connected components of eigenvalues under distance <= radius, chained
+    along the circle: sorted by argument, angular neighbours link, and so
+    does the wrap-around pair."""
     order = np.argsort(np.angle(vals), kind="stable")
-    split = np.abs(np.diff(vals[order])) > CLUSTER_TOL
+    split = np.abs(np.diff(vals[order])) > radius
     labels = np.empty(len(vals), dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(split)])[: len(vals)]
-    if split.any() and abs(vals[order[0]] - vals[order[-1]]) <= CLUSTER_TOL:
+    if split.any() and abs(vals[order[0]] - vals[order[-1]]) <= radius:
         labels[labels == labels.max()] = 0
     return _label_groups(labels)
 
 
-def diagonalize_unitary(U):
-    """Cluster the spectrum of a unitary matrix and return basis + clusters.
+def _partners(angles, radius):
+    """Index of each cluster's conjugate partner, or -1: the cluster nearest
+    to its conjugate within radius (measures._nearest_angle), kept only when
+    the partners are mutual.  A cluster may be its own partner."""
+    near = _nearest_angle(angles, -angles, radius)
+    return np.where(near[near] == np.arange(len(near)), near, -1)
 
-    Eigenvalues closer than CLUSTER_TOL are merged, their basis columns
-    ordered by the row of each column's largest entry; the cluster value is
-    the normalized mean direction, snapped to +-1 when within CLUSTER_TOL so
-    the real blocks of the canonical form are exactly real; clusters that
-    snap to the same +-1 merge into one.  Raises ToleranceError when the
-    clustered spectrum misses U by more than membership_threshold(n).
+
+def diagonalize_unitary(U):
+    """The spectral decision on a unitary U, as a UnitarySpectrum.
+
+    With r = min(CLUSTER_TOL, membership_threshold(n)/2), eigenvalues
+    chained within r form the clusters, and the clusters' normalized means
+    are paired once, at r (_partners).  The pairing sets each value: a
+    cluster that is its own partner, within r/2 of +-1, is exactly +-1; of
+    two partners the lower sits at the exact conjugate of the upper; an
+    unpaired cluster keeps its mean.  Clusters are sorted by the argument of
+    their value.  Raises ToleranceError when the residual ||U - V||_F
+    exceeds membership_threshold(n)/2.
     """
     U = require_unitary(U, "U")
     vals, Q, off = schur(U)
+    budget = membership_threshold(len(U)) / 2
+    radius = min(CLUSTER_TOL, budget)
+    groups = _cluster_indices(vals, radius)
+    means = np.array([np.mean(vals[g]) for g in groups], dtype=complex)
+    means /= np.abs(means)
+    partner = _partners(np.angle(means), radius)
+    own = partner == np.arange(len(means))
+    lower = (partner >= 0) & ~own & (means.imag < 0)
+    values = np.where(lower, np.conj(means[partner]), means)
+    values[own] = np.sign(means[own].real)
+
+    order = np.argsort(np.angle(values), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    partner = np.where(partner[order] >= 0, rank[partner[order]], -1)
     lead = np.argmax(np.abs(Q), axis=0) if len(U) else []  # row of each column's largest entry
-
-    groups = {}
-    for idxs in _cluster_indices(vals):
-        rep = vals[idxs[0]] if len(idxs) == 1 else np.mean(vals[idxs])
-        groups.setdefault(_snap(rep / abs(rep)), []).extend(idxs)
-    reps = list(groups)
-    entries = [(reps[k], tuple(sorted(groups[reps[k]], key=lead.__getitem__)))
-               for k in np.argsort(np.angle(reps), kind="stable")]
-
-    cols = [i for _, idxs in entries for i in idxs]
-    spectrum = UnitarySpectrum(clusters=tuple((rep, len(idxs)) for rep, idxs in entries),
-                               basis=Q[:, cols], eigenvalues=vals[cols], off_diagonal=off)
-    resid = spectrum.residual(slice(None), spectrum.eigenvalue_diagonal())
-    thr = membership_threshold(len(U))
-    if resid > thr:
+    cols = [i for k in order for i in sorted(groups[k], key=lead.__getitem__)]
+    mults = [len(groups[k]) for k in order]
+    residual = float(np.hypot(off, np.linalg.norm(vals[cols] - np.repeat(values[order], mults))))
+    if not residual <= budget:
         raise ToleranceError(
-            f"spectral reconstruction residual {resid:.3e} exceeds {thr:.1e}; "
+            f"spectral residual {residual:.3e} exceeds {budget:.1e}; "
             "eigenvalue clusters are too spread for the requested tolerance"
         )
-    return spectrum
-
-
-def _partners(clusters):
-    """Index of each cluster's conjugate partner, or -1: the cluster nearest
-    to its conjugate within CLUSTER_TOL (measures._nearest_angle), kept only
-    when the partners are mutual."""
-    angles = np.angle([lam for lam, _ in clusters])
-    near = _nearest_angle(angles, -angles, CLUSTER_TOL)
-    return np.where(near[near] == np.arange(len(near)), near, -1).tolist()
+    return UnitarySpectrum(clusters=tuple(zip(values[order].tolist(), mults)),
+                           partner=tuple(partner.tolist()), basis=Q[:, cols], residual=residual)
 
 
 def check_selfdual(U):
@@ -178,16 +176,7 @@ def check_selfdual(U):
     Returns (verdict, mismatches) where each mismatch is a triple
     (eigenvalue, multiplicity, conjugate_multiplicity).
     """
-    clusters = diagonalize_unitary(U).clusters
-    return _selfdual_from_clusters(clusters, _partners(clusters))
-
-
-def _selfdual_from_clusters(clusters, partner):
-    mismatches = []
-    for (lam, mult), j in zip(clusters, partner):
-        conj_mult = clusters[j][1] if j >= 0 else 0
-        if conj_mult != mult:
-            mismatches.append((lam, mult, conj_mult))
+    mismatches = diagonalize_unitary(U).mismatches()
     return not mismatches, mismatches
 
 
@@ -204,15 +193,14 @@ def canonical_form(U):
     """Basis W and block layout with W* U W block diagonal.
 
     The target form is diag(xi_j I, conj(xi_j) I) over the conjugate pairs
-    sorted by increasing Arg xi_j in (0, pi), followed by I_ell and -I_kay.
-    Raises NotSelfDualError, worded as the CLI prints it, when the pairing
-    fails.
+    sorted by increasing Arg xi_j in (0, pi), followed by I_ell and -I_kay:
+    the clusters' own values, so W* U W misses it by diagonalize_unitary's
+    residual.  Raises NotSelfDualError, worded as the CLI prints it, when a
+    cluster's multiplicity differs from its partner's.
     """
     spectrum = diagonalize_unitary(U)
-    n = spectrum.dim
-    partner = _partners(spectrum.clusters)
-    ok, mismatches = _selfdual_from_clusters(spectrum.clusters, partner)
-    if not ok:
+    mismatches = spectrum.mismatches()
+    if mismatches:
         lam, mult, conj_mult = mismatches[0]
         raise NotSelfDualError(
             f"C_c(U) is empty: eigenvalue {_format_point(lam)} multiplicity {mult}, "
@@ -230,17 +218,9 @@ def canonical_form(U):
             minus_cols = block[i]
         elif lam.imag > 0:
             pairs.append((lam, mult))
-            cols += block[i] + block[partner[i]]
+            cols += block[i] + block[spectrum.partner[i]]
     cols += plus_cols + minus_cols
-
-    W = spectrum.basis[:, cols]
-    layout = BlockLayout(tuple(pairs), len(plus_cols), len(minus_cols))
-
-    resid = spectrum.residual(cols, layout_diagonal(layout))
-    thr = membership_threshold(n)
-    if resid > thr:
-        raise ToleranceError(f"canonical form residual {resid:.3e} exceeds {thr:.1e}")
-    return W, layout
+    return spectrum.basis[:, cols], BlockLayout(tuple(pairs), len(plus_cols), len(minus_cols))
 
 
 def layout_diagonal(layout):
@@ -256,16 +236,13 @@ def multiplicity_model(U):
 
     Each multiplicity value k occurring in the spectrum contributes one
     component (mu_k, k) with mu_k the unit-weight sum of point masses at the
-    clusters of multiplicity exactly k.  Components are mutually singular by
-    construction.  Of two mutual conjugate partners the cluster below the
-    real axis sits at the exact conjugate of the other, so the measure layer
-    pairs atoms exactly where check_selfdual pairs clusters.
+    clusters' values of multiplicity exactly k.  Components are mutually
+    singular by construction.  The values are diagonalize_unitary's, where
+    the lower of two partners sits at the exact conjugate of the upper, so
+    the measure layer pairs atoms exactly where check_selfdual pairs clusters.
     """
-    clusters = diagonalize_unitary(U).clusters
     by_mult = {}
-    for (lam, mult), j in zip(clusters, _partners(clusters)):
-        if lam.imag < 0 and j >= 0:
-            lam = np.conj(clusters[j][0])
+    for lam, mult in diagonalize_unitary(U).clusters:
         by_mult.setdefault(mult, []).append(lam)
     components = []
     for mult in sorted(by_mult):

@@ -176,43 +176,49 @@ def cluster_loop(vals, tol):
 
 
 def schur_spectrum(U, tol, residual_tol):
-    """Clustered spectrum of a unitary U through scipy's complex Schur form.
+    """The spectral decision on a unitary U through scipy's complex Schur form.
 
     The eigenvalues are the diagonal of the Schur factor, clustered by
-    cluster_loop.  A cluster's value is the normalized mean, snapped to +-1
-    within tol, and clusters snapped to the same +-1 merge.  Returns
-    ("ToleranceError", None, None) when the clustered spectrum misses U by
-    more than residual_tol in Frobenius norm, else ("ok", clusters, selfdual) with clusters the (value, multiplicity) pairs
-    sorted by angle and selfdual whether every cluster's multiplicity equals
-    that of its partner under pair_clusters_loop, a partner that does not
-    take the cluster back counting as multiplicity 0.
+    cluster_loop at tol.  Each cluster's normalized mean is paired by
+    pair_clusters_loop at tol, and a partner counts only when it takes the
+    cluster back.  A cluster that is its own partner takes the value +1 or
+    -1, whichever its mean is nearer; the lower of two partners takes the
+    conjugate of the upper's mean; any other cluster keeps its mean.
+    Returns ("ToleranceError", None, None) when U misses
+    Q diag(values) Q* by more than residual_tol in Frobenius norm, else
+    ("ok", clusters, selfdual) with clusters the (value, multiplicity)
+    pairs sorted by the value's angle and selfdual whether every cluster's
+    multiplicity equals that of its partner, 0 when it has none.
     """
     T, Q = schur(U, output="complex")
     vals = np.diagonal(T)
-    clusters, cols, diag = [], [], []
-    for group in cluster_loop(vals, tol):
+    groups = cluster_loop(vals, tol)
+    means = []
+    for group in groups:
         rep = sum(vals[i] for i in group) / len(group)
-        rep = rep / abs(rep)
-        for real in (1.0, -1.0):
-            if abs(rep - real) <= tol:
-                rep = complex(real)
-        clusters.append((rep, len(group)))
+        means.append(rep / abs(rep))
+    partner = pair_clusters_loop(means, tol)
+    mutual = [p if p >= 0 and partner[p] == i else -1 for i, p in enumerate(partner)]
+    values = []
+    for i, (mean, p) in enumerate(zip(means, mutual)):
+        if p == i:
+            values.append(complex(1.0 if mean.real > 0 else -1.0))
+        elif p >= 0 and mean.imag < 0:
+            values.append(np.conj(means[p]))
+        else:
+            values.append(mean)
+    cols, diag = [], []
+    for group, value in zip(groups, values):
         cols.extend(group)
-        diag.extend([rep] * len(group))
-    for real in (1.0, -1.0):  # clusters that snap to the same +-1 are one cluster
-        snapped = [m for lam, m in clusters if lam == real]
-        if len(snapped) > 1:
-            clusters = [c for c in clusters if c[0] != real] + [(complex(real), sum(snapped))]
+        diag.extend([value] * len(group))
     basis = Q[:, cols]
     resid = np.linalg.norm(U - basis @ np.diag(diag) @ basis.conj().T)
     if resid > residual_tol:
         return "ToleranceError", None, None
-    clusters.sort(key=lambda c: np.angle(c[0]))
-    partner = pair_clusters_loop([lam for lam, _ in clusters], tol)
     selfdual = all(
-        (clusters[p][1] if p >= 0 and partner[p] == i else 0) == m
-        for i, ((_, m), p) in enumerate(zip(clusters, partner))
+        (len(groups[p]) if p >= 0 else 0) == len(group) for group, p in zip(groups, mutual)
     )
+    clusters = sorted(zip(values, map(len, groups)), key=lambda c: np.angle(c[0]))
     return "ok", clusters, selfdual
 
 

@@ -618,6 +618,31 @@ def test_matrix_parser_rejects_misfits():
     assert matrix_from_dict({"rows": 2.0, "cols": 0.0, "data": [[], []]}, "m").shape == (2, 0)
 
 
+# 2 x 2 identities whose entries are not all JSON numbers: numpy reads "1.0",
+# true and false as numbers, the last even among floats
+NON_NUMBER_DATA = {
+    "strings": ('[[["1.0", "0"], ["0", "0"]], [["0", "0"], ["1.0", "0"]]]', "data[0][0][0]"),
+    "booleans": ("[[[true, false], [false, false]], [[false, false], [true, false]]]", "data[0][0][0]"),
+    "one_false": ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, false], [1.0, 0.0]]]", "data[1][0][1]"),
+}
+
+
+@pytest.mark.parametrize("kind", list(NON_NUMBER_DATA))
+def test_matrix_entries_must_be_json_numbers(monkeypatch, tmp_path, kind):
+    # refused with exit 2, naming the first such entry, here and in the
+    # forked loader's child, which runs the same load_matrix
+    data, entry = NON_NUMBER_DATA[kind]
+    path = tmp_path / "c.json"
+    path.write_text('{"rows": 2, "cols": 2, "data": %s}' % data)
+    refusal = (EXIT_INPUT, {"error": {"code": EXIT_INPUT, "message": f"{path}: {entry} must be a number"}})
+    code, out, _ = run_captured(["check", str(path)])
+    assert (code, json.loads(out)) == refusal
+    monkeypatch.setattr(cli, "_LOAD_CHILD", (0, float("inf")))
+    answers = _spy_forks(monkeypatch)
+    code, out, _ = run_captured(["verify", str(INPUTS / "u_pair.json"), str(path)])
+    assert (code, json.loads(out)) == refusal and answers == [False]
+
+
 def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

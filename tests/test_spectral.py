@@ -1,8 +1,14 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from conjugations import measures, spectral
+from conjugations.cli import matrix_to_dict, run, save_json
 from conjugations.errors import InputError, NotSelfDualError, ToleranceError
+from conjugations.family import canonical_conjugation, sample, verify_membership
 from conjugations.linalg import CUT_TOL, haar_unitary, membership_threshold, unitarity_defect
 from conjugations.measures import AtomicMeasure, _nearest_angle, assemble_model
 from conjugations.measures import conjugate_pairing, invariance_probe, radon_nikodym
@@ -34,6 +40,16 @@ def _cluster_multiset(spectrum):
     return sorted((round(np.angle(lam), 6), m) for lam, m in spectrum.clusters)
 
 
+def _diagonal(spectrum):
+    """V's diagonal in the spectrum's basis: each cluster's value, once per column."""
+    return np.repeat([complex(lam) for lam, _ in spectrum.clusters], [m for _, m in spectrum.clusters])
+
+
+def _radius(n):
+    """The clustering and pairing radius of an n x n spectrum."""
+    return min(CLUSTER_TOL, membership_threshold(n) / 2)
+
+
 def test_diagonalize_identity():
     spectrum = diagonalize_unitary(np.eye(3))
     assert spectrum.clusters == ((1.0 + 0.0j, 3),)
@@ -60,7 +76,7 @@ def test_diagonalize_conjugation_invariant(rng):
     expect = sorted((round(np.angle(v), 6), 1) for v in [np.exp(0.3j), -1.0])
     expect.append((round(np.pi / 2, 6), 2))
     assert _cluster_multiset(spectrum) == sorted(expect)
-    D = spectrum.eigenvalue_diagonal()
+    D = _diagonal(spectrum)
     assert np.linalg.norm(U - (spectrum.basis * D) @ spectrum.basis.conj().T) <= 1e-8 * 4
 
 
@@ -219,25 +235,48 @@ def _pair_at(theta, seed):
     return _rotated([theta, -theta, 1.0, -1.0, 0.0, np.pi], seed)
 
 
-# the three cluster-boundary probes: an exactly self-dual pair 1e-7 apart, two
-# exactly self-dual pairs 9e-8 apart, and a pair 5e-8 off self-dual
+def _diag(angles):
+    return np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+
+
+# the three cluster-boundary probes, each with its exact answer: an exactly
+# self-dual pair 1e-7 apart, two exactly self-dual pairs 9e-8 apart, and a
+# pair 5e-8 off self-dual
 BOUNDARY_PROBES = [
-    ("probe-split-one", np.diag(np.exp([5e-8j, -5e-8j])), "ToleranceError"),
-    ("probe-split-two", np.diag(np.exp(1j * np.array([0.5, -0.5, 0.5 + 9e-8, -0.5 - 9e-8]))),
-     "ToleranceError"),
-    ("probe-off-pair", np.diag(np.exp([0.5j, -(0.5 + 5e-8) * 1j])), "ok"),
+    ("probe-split-one", _diag([5e-8, -5e-8]), True),
+    ("probe-split-two", _diag([0.5, -0.5, 0.5 + 9e-8, -0.5 - 9e-8]), True),
+    ("probe-off-pair", _diag([0.5, -(0.5 + 5e-8)]), False),
 ]
 
-# two clusters 1.2e-7 apart near exp(-0.5i) that both take exp(0.5i) as their
-# conjugate partner, which takes only one of them back
-NON_MUTUAL = np.diag(np.exp(1j * np.array([0.5, -(0.5 + 6e-8), -(0.5 - 6e-8), 1, -1, 2, -2])))
+# three clusters, exp(0.5i) and two 1.2e-7 apart near exp(-0.5i), each 6e-8
+# from its conjugate: at n = 7, r = 3.5e-8 and none pairs; at n = 21, r =
+# CLUSTER_TOL and both near exp(-0.5i) take exp(0.5i) as their partner, which
+# takes only one of them back
+NON_MUTUAL = _diag([0.5, -(0.5 + 6e-8), -(0.5 - 6e-8), 1, -1, 2, -2])
+NON_MUTUAL_21 = _diag(np.angle(np.diag(NON_MUTUAL)).tolist() + [0.25, -0.25, 0.75, -0.75, 1.25, -1.25,
+                                                                1.75, -1.75, 2.25, -2.25, 2.75, -2.75, 3, -3])
 
-# two clusters near 1, 1.8e-7 apart, that both snap to exactly 1: at n = 14
-# they are a conjugate pair, at n = 17 their multiplicities are 1 and 2
+# two clusters near 1, 1.8e-7 apart, more than r at every n here: at even n
+# they are a conjugate pair, at odd n their multiplicities are 1 and 2
 SNAPPED_TWICE = {
-    14: np.diag(np.exp(1j * np.array([9e-8, -9e-8] + [0.5, -0.5] * 6))),
-    17: np.diag(np.exp(1j * np.array([9e-8, -9e-8, -9e-8] + [0.5, -0.5] * 7))),
+    14: _diag([9e-8, -9e-8] + [0.5, -0.5] * 6),
+    17: _diag([9e-8, -9e-8, -9e-8] + [0.5, -0.5] * 7),
+    24: _diag([9e-8, -9e-8] + [0.5, -0.5] * 11),
+    27: _diag([9e-8, -9e-8, -9e-8] + [0.5, -0.5] * 12),
 }
+
+# five pairs, each conjugate 4.9e-8 off, within r = 5e-8 of its partner:
+# pairing moves each by 4.9e-8, a residual of 1.1e-7 against 5e-8
+ACCUMULATED = _diag([a for k in range(5) for a in (0.3 + 0.5 * k, -(0.3 + 0.5 * k + 4.9e-8))])
+
+# every probe with its exit codes of check, canonical and sample, check's
+# verdict after its 0: the exact answers, and 4 where the decision's
+# residual exceeds membership_threshold(n)/2
+PROBES = (
+    [(name, U, "0 T/0/0" if selfdual else "0 F/3/3") for name, U, selfdual in BOUNDARY_PROBES]
+    + [(f"snapped-twice-{n}", U, "0 F/3/3" if n % 2 else "0 T/0/0") for n, U in SNAPPED_TWICE.items()]
+    + [("non-mutual", NON_MUTUAL, "0 F/3/3"), ("accumulated-10", ACCUMULATED, "4/4/4")]
+)
 
 AGREEMENT_CASES = (
     [(f"haar-{n}", lambda n=n: haar_unitary(n, np.random.default_rng(n))) for n in (1, 2, 3, 8, 64, 256)]
@@ -247,10 +286,12 @@ AGREEMENT_CASES = (
        for m in (2, 3) for eps in (1e-9, 1e-8, 3e-8)]
     + [(f"pair-{t:.6g}", lambda t=t: _pair_at(t, 8)) for t in (1e-4, 1e-6, np.pi - 1e-5)]
     + [("identity", lambda: np.eye(5, dtype=complex)), ("minus-identity", lambda: -np.eye(5, dtype=complex))]
-    + [(name, lambda U=U: U) for name, U, _ in BOUNDARY_PROBES]
+    + [(name, lambda U=U: U) for name, U, _ in PROBES]
     + [(name + "-rotated", lambda U=U: _rotated(np.angle(np.diag(U)), 9)) for name, U, _ in BOUNDARY_PROBES]
-    + [(f"snapped-twice-{n}", lambda U=U: U) for n, U in SNAPPED_TWICE.items()]
-    + [("non-mutual", lambda: NON_MUTUAL), ("non-mutual-rotated", lambda: _rotated(np.angle(np.diag(NON_MUTUAL)), 9))]
+    + [("non-mutual-rotated", lambda: _rotated(np.angle(np.diag(NON_MUTUAL)), 9)),
+       ("non-mutual-21", lambda: NON_MUTUAL_21)]
+    # a -1 cluster whose mean lies just below the cut at pi: its value -1 sorts last
+    + [("minus-one-below-the-cut", lambda: _diag([-np.pi + 2e-9, np.pi - 1e-9, 0.5, -0.5]))]
 )
 
 
@@ -271,7 +312,7 @@ def _assert_agrees_with_oracle(U, off_bound):
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(n)) <= 1e-12 * n
     assert off <= off_bound
     outcome, clusters, selfdual = _library_spectrum(U)
-    want_outcome, want_clusters, want_selfdual = schur_spectrum(U, CLUSTER_TOL, membership_threshold(n))
+    want_outcome, want_clusters, want_selfdual = schur_spectrum(U, _radius(n), membership_threshold(n) / 2)
     assert outcome == want_outcome
     if outcome == "ok":
         assert [m for _, m in clusters] == [m for _, m in want_clusters]
@@ -358,55 +399,132 @@ RESIDUAL_CASES = AGREEMENT_CASES + [("off-normal-1e-9", lambda: _off_normal(1e-9
 
 @pytest.mark.parametrize("make", [c[1] for c in RESIDUAL_CASES], ids=[c[0] for c in RESIDUAL_CASES])
 def test_residuals_read_from_t_match_dense_products(make, monkeypatch):
-    # with the contract lifted every case yields both residuals; they differ
-    # from the multiplied-out ones by Q's own unitarity defect at most
+    # with the contract lifted every case yields its residual; it differs
+    # from the multiplied-out reconstruction and canonical-form residuals by
+    # Q's own unitarity defect at most
     monkeypatch.setattr(spectral, "membership_threshold", lambda n: np.inf)
     U = make()
     n = U.shape[0]
     spectrum = diagonalize_unitary(U)
-    D = spectrum.eigenvalue_diagonal()
-    got = spectrum.residual(slice(None), D)
-    assert abs(got - reconstruction_residual_dense(U, spectrum.basis, D)) <= 1e-12 * n
+    got = spectrum.residual
+    assert abs(got - reconstruction_residual_dense(U, spectrum.basis, _diagonal(spectrum))) <= 1e-12 * n
     try:
         W, layout = canonical_form(U)
     except NotSelfDualError:
         return
     cols = np.argmax(np.abs(spectrum.basis.conj().T @ W), axis=0)
     assert np.array_equal(W, spectrum.basis[:, cols])
-    target = layout_diagonal(layout)
-    got = spectrum.residual(cols, target)
-    assert abs(got - canonical_residual_dense(U, W, target)) <= 1e-12 * n
+    assert abs(got - canonical_residual_dense(U, W, layout_diagonal(layout))) <= 1e-12 * n
 
 
-@pytest.mark.parametrize("U,outcome", [p[1:] for p in BOUNDARY_PROBES], ids=[p[0] for p in BOUNDARY_PROBES])
-def test_boundary_probes_keep_their_outcome(U, outcome):
-    # probes that sit at CLUSTER_TOL: refused with exit 4, or called
-    # self-dual although the conjugate misses by 5e-8
-    got, _, selfdual = _library_spectrum(U)
-    assert got == outcome
-    if got == "ok":
-        assert selfdual
+@pytest.mark.parametrize("U,selfdual", [p[1:] for p in BOUNDARY_PROBES], ids=[p[0] for p in BOUNDARY_PROBES])
+def test_boundary_probes_keep_their_outcome(U, selfdual):
+    # probes that sit at CLUSTER_TOL get their exact answers at r(n)
+    assert _library_spectrum(U)[::2] == ("ok", selfdual)
 
 
-def test_clusters_snapped_to_one_merge():
-    # both clusters near 1 become the one +1 block, so W stays square
+def _run_exit_codes(tmp_path, U):
+    """'check/canonical/sample' exit codes through run(), check's verdict
+    after its 0, with the stderr line count of each command."""
+    path = tmp_path / "u.json"
+    save_json(path, matrix_to_dict(U))
+    codes, lines = [], []
+    for argv in (["check", str(path)], ["canonical", str(path)], ["sample", str(path), "--seed", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        if argv[0] == "check" and code == 0:
+            code = f"0 {'T' if json.loads(out.getvalue())['selfdual'] else 'F'}"
+        codes.append(str(code))
+        lines.append(len(err.getvalue().splitlines()))
+    return "/".join(codes), lines
+
+
+@pytest.mark.parametrize("U,codes", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_probes_through_run_agree(tmp_path, U, codes):
+    # check says self-dual exactly when canonical and sample build a member
+    assert _run_exit_codes(tmp_path, U) == (codes, [1, 1, 1])
+
+
+def _sweep_unitary(rng, family):
+    """An n x n unitary, 4 <= n <= 24, diagonal or in a Haar basis, whose
+    spectrum sits at the radius r(n): one or two conjugates off by 0.3 to
+    3 r (family 0), pairs within 3 r of +-1 (family 1), or multiplicities 2
+    and 3 planted under noise up to r (family 2)."""
+    n = int(rng.integers(4, 25))
+    r, m = _radius(n), n // 2
+    centres = rng.uniform(0.2, np.pi - 0.2, m)
+    if family == 0:
+        off = np.zeros(m)
+        off[: rng.integers(1, 3)] = rng.uniform(0.3, 3) * r * rng.choice([-1, 1])
+        angles = np.concatenate([centres, -(centres + off)])
+    elif family == 1:
+        k = int(rng.integers(1, min(3, m) + 1))
+        near = rng.choice([0.0, np.pi], k)[:, None] + rng.uniform(-3, 3, (k, 2)) * r
+        angles = np.concatenate([near.ravel(), centres[k:], -centres[k:]])
+    else:
+        half = np.repeat(centres, rng.integers(2, 4, m))[:m]
+        eps = rng.uniform(0.1, 1.0) * r
+        angles = np.concatenate([half, -half]) + rng.uniform(-eps, eps, 2 * m)
+    angles = np.concatenate([angles, rng.choice([0.0, np.pi], n - 2 * m)])
+    return _diag(angles) if rng.random() < 0.5 else _rotated(angles, rng)
+
+
+def _decision(call):
+    try:
+        return call()
+    except NotSelfDualError:
+        return False
+    except ToleranceError:
+        return "ToleranceError"
+
+
+def test_check_and_canonical_agree_on_a_seeded_sweep():
+    # check_selfdual says yes exactly when canonical_form returns, the two
+    # miss the residual contract together, and every member built on a yes
+    # passes verify_membership
+    rng = np.random.default_rng(7)
+    seen = set()
+    for k in range(300):
+        U = _sweep_unitary(rng, k % 3)
+        verdict = _decision(lambda: check_selfdual(U)[0])
+        assert _decision(lambda: bool(canonical_form(U))) == verdict, k
+        seen.add(verdict)
+        if verdict is True:
+            for C in (canonical_conjugation(U), sample(U, k)):
+                assert verify_membership(U, C)[0], k
+    assert seen == {True, False, "ToleranceError"}
+
+
+def test_clusters_near_one_stay_a_pair():
+    # the two clusters near 1 are a conjugate pair: one pair block, W square
     W, layout = canonical_form(SNAPPED_TWICE[14])
-    assert W.shape == (14, 14) and layout.ell == 2 and layout.kay == 0
-    assert diagonalize_unitary(SNAPPED_TWICE[17]).clusters[1] == (1.0 + 0.0j, 3)
+    assert W.shape == (14, 14) and layout.ell == 0 and layout.kay == 0
+    assert [m for _, m in layout.pairs] == [1, 6] and abs(layout.pairs[0][0] - np.exp(9e-8j)) <= 1e-15
     ok, mismatches = check_selfdual(SNAPPED_TWICE[17])
-    assert ok and not any(lam == 1.0 for lam, _, _ in mismatches)
+    assert not ok and [(m, c) for _, m, c in mismatches] == [(2, 1), (1, 2)]
 
 
-def test_partners_must_be_mutual():
-    # one of the two clusters near exp(-0.5i) is left without a partner
-    ok, mismatches = check_selfdual(NON_MUTUAL)
+def _assert_refused_unpaired(U, mismatches):
+    ok, got = check_selfdual(U)
     assert not ok
-    assert [(round(float(np.angle(lam)), 6), m, c) for lam, m, c in mismatches] == [(-0.5, 1, 0)]
+    assert [(round(float(np.angle(lam)), 6), m, c) for lam, m, c in got] == mismatches
     with pytest.raises(NotSelfDualError) as err:
-        canonical_form(NON_MUTUAL)
+        canonical_form(U)
     assert str(err.value) == (
         "C_c(U) is empty: eigenvalue exp(-0.5i) multiplicity 1, conjugate multiplicity 0"
     )
+
+
+def test_partners_must_be_mutual():
+    # at n = 7, r = 3.5e-8: no cluster is within r of another's conjugate
+    _assert_refused_unpaired(NON_MUTUAL, [(-0.5, 1, 0), (-0.5, 1, 0), (0.5, 1, 0)])
+
+
+def test_partners_must_be_mutual_at_cluster_tol():
+    # at n = 21, r = CLUSTER_TOL: one of the two clusters near exp(-0.5i) is
+    # left without a partner
+    _assert_refused_unpaired(NON_MUTUAL_21, [(-0.5, 1, 0)])
 
 
 def _off_conjugate(eps):
@@ -414,10 +532,10 @@ def _off_conjugate(eps):
 
 
 ASSEMBLY_CASES = (
-    [(f"off-conjugate-{eps:g}", lambda eps=eps: _off_conjugate(eps), eps < 1e-7)
+    [(f"off-conjugate-{eps:g}", lambda eps=eps: _off_conjugate(eps), eps <= _radius(4))
      for eps in (5e-10, 5e-9, 5e-8, 2e-7)]
     + [(f"off-conjugate-{eps:g}-rotated", lambda eps=eps: _rotated(np.angle(np.diag(_off_conjugate(eps))), 3),
-        eps < 1e-7) for eps in (5e-9, 5e-8)]
+        eps <= _radius(4)) for eps in (5e-9, 5e-8)]
     + [("non-mutual", lambda: NON_MUTUAL, False)]
     + [(f"planted-{seed}", lambda seed=seed: planted_selfdual(np.random.default_rng(seed), max_dim=12)[0], True)
        for seed in range(4)]
@@ -428,7 +546,7 @@ ASSEMBLY_CASES = (
 @pytest.mark.parametrize("make,selfdual", [c[1:] for c in ASSEMBLY_CASES], ids=[c[0] for c in ASSEMBLY_CASES])
 def test_assembly_refused_iff_not_selfdual(make, selfdual):
     # the measure layer pairs atoms at 1e-9; the model puts mutual partners
-    # at exact conjugates so that the 1e-7 cluster pairing decides
+    # at exact conjugates so that the cluster pairing at r(n) decides
     U = make()
     assert check_selfdual(U)[0] == selfdual
     try:
@@ -480,8 +598,9 @@ def test_pair_clusters_near_ties():
     # conj(t) takes the later of the two equal t, so the first t has no
     # mutual partner
     assert _cluster_lookup(np.array([np.conj(t), t, t])) == [2, 0, 0]
-    assert _partners(((np.conj(t), 1), (t, 1), (t, 2))) == [2, -1, 0]
-    assert _partners(((np.conj(t), 1), (t * np.exp(1.0000001j * CLUSTER_TOL), 1))) == [-1, -1]
+    assert _partners(np.angle([np.conj(t), t, t]), CLUSTER_TOL).tolist() == [2, -1, 0]
+    too_far = np.angle([np.conj(t), t * np.exp(1.0000001j * CLUSTER_TOL)])
+    assert _partners(too_far, CLUSTER_TOL).tolist() == [-1, -1]
 
 
 @pytest.mark.parametrize("call", [
@@ -513,5 +632,5 @@ def test_cluster_indices_matches_loop_oracle(rng):
         steps = rng.choice([0.3, 0.9, 1.1, 5.0], size=k) * CLUSTER_TOL
         start = rng.choice([np.pi - 3 * CLUSTER_TOL, rng.uniform(-np.pi, np.pi)])
         vals = rng.permutation(np.exp(1j * (start + np.cumsum(steps))))
-        got = {tuple(int(i) for i in g) for g in _cluster_indices(vals)}
+        got = {tuple(int(i) for i in g) for g in _cluster_indices(vals, CLUSTER_TOL)}
         assert got == {tuple(sorted(g)) for g in cluster_loop(vals, CLUSTER_TOL)}

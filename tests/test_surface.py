@@ -36,7 +36,6 @@ SHARED = {
     },
     "dim": {
         "antilinear.AntilinearOperator": "src/conjugations/family.py::verify_membership",
-        "spectral.UnitarySpectrum": "src/conjugations/spectral.py::canonical_form",
         "spectral.BlockLayout": "src/conjugations/spectral.py::layout_diagonal",
     },
     "fiber_dim": {
