@@ -48,6 +48,10 @@ def write_inputs():
     )
     with open(INPUTS / "malformed.json", "w") as fh:
         fh.write("{nope\n")
+    save_json(  # the identity with JSON strings for numbers
+        INPUTS / "u_strings.json",
+        {"rows": 2, "cols": 2, "data": [[["1.0", "0"], ["0", "0"]], [["0", "0"], ["1.0", "0"]]]},
+    )
 
 
 CASES = [
@@ -77,6 +81,7 @@ CASES = [
     ("fourier_demo", ["fourier-demo", "--size", "16", "--seed", "1"], 0),
     ("hilbert_demo", ["hilbert-demo", "--size", "10", "--seed", "1"], 0),
     ("malformed_input", ["check", "{IN}/malformed.json"], 2),
+    ("check_string_entries", ["check", "{IN}/u_strings.json"], 2),
 ]
 
 
