@@ -6,9 +6,10 @@
 # trip's exit codes are 0/0/0/3 and each process's stderr is its summary
 # line alone, no warning or traceback): at n = 16, below both size gates of the
 # forked JSON codec, and at n = 104, whose conjugation file (819 KB) and
-# written matrix (21,632 floats) take both forked paths.  Then `fourunit` on a
-# seeded 256 x 256 complex Ginibre matrix, the benchmark's split size: exit 0,
-# and stderr the one `residual ...` line.  Then `canonical` on a seeded
+# written matrix (21,632 floats) take both forked paths; each prints its
+# commands' own peak_mb, with no threshold, as it depends on the host.
+# Then `fourunit` on a seeded 256 x 256 complex Ginibre matrix, the
+# benchmark's split size: exit 0, and stderr the one `residual ...` line.  Then `canonical` on a seeded
 # 256 x 256 self-dual unitary whose angles are evenly spaced in (0, 1e-3),
 # so every cos theta chains into one run and spectral.schur takes its
 # whole-matrix Cayley step: exit 0, and stderr one line.  Then `check`,

@@ -16,10 +16,16 @@ is cut into four phases, in milliseconds:
 - exit: from run() returning to the spawner seeing the process end
   (main()'s exit, the interpreter's finalization, closing the pipes).
 
-The line holds the median of each phase per command over --reps jobs, the
-median job time, the numpy version and the CPU count.  A command that exits
-with another code than the round trip's 0/0/0/3, or prints anything on
-stderr besides its summary line, stops the script with exit 1.  Stamps are
+Each process also reports its own peak resident size once run() returns:
+getrusage(RUSAGE_SELF).ru_maxrss, read as KiB (Linux) and printed in MiB as
+peak_mb.  It counts the command's process alone, not a child it forks for
+the JSON codec.
+
+The line holds the median of each phase and of peak_mb per command over
+--reps jobs, the median job time, the numpy version and the CPU count.  A
+command that exits with another code than the round trip's 0/0/0/3, or
+prints anything on stderr besides its summary line, stops the script with
+exit 1.  Stamps are
 time.monotonic(), one clock for every process of the host.  Compare two
 checkouts on one host by running each in turn:
 PYTHONPATH=src python3 scripts/time_cli.py [--n 256] [--reps 15]
@@ -41,14 +47,16 @@ from conjugations.cli import matrix_to_dict, save_json
 from conjugations.linalg import haar_unitary
 
 CHILD = """\
-import sys, time
+import resource, sys, time
 t_main = time.monotonic()
 import conjugations.cli as cli
 t_import = time.monotonic()
 run = cli.run
 def timed(argv):
     code = run(argv)
-    print("phases", t_main, t_import, time.monotonic(), file=sys.stderr)
+    t_run = time.monotonic()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print("phases", t_main, t_import, t_run, peak, file=sys.stderr)
     return code
 cli.run = timed
 cli.main()
@@ -69,10 +77,10 @@ def write_inputs(n, workdir, seed=20261019):
 
 
 def time_process(argv):
-    """Phase times (s) of one CLI process running argv.  Exits when the
-    process's exit code is not the expected one, or when its stderr holds
-    anything besides the one summary line and the phases line (a warning or
-    a traceback)."""
+    """Phase times (s) and peak resident size (MiB) of one CLI process
+    running argv.  Exits when the process's exit code is not the expected
+    one, or when its stderr holds anything besides the one summary line and
+    the phases line (a warning or a traceback)."""
     spawned = time.monotonic()
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True)
     ended = time.monotonic()
@@ -80,8 +88,8 @@ def time_process(argv):
     if proc.returncode != EXPECTED_CODES[argv[0]] or len(lines) != 2 or lines[1][:7] != "phases ":
         raise SystemExit(f"{argv[0]} exited {proc.returncode}: {proc.stderr}")
     stamp = lines[1].split()
-    t_main, t_import, t_run = map(float, stamp[1:])
-    return t_main - spawned, t_import - t_main, t_run - t_import, ended - t_run
+    t_main, t_import, t_run = map(float, stamp[1:4])
+    return t_main - spawned, t_import - t_main, t_run - t_import, ended - t_run, int(stamp[4]) / 1024
 
 
 def main():
@@ -113,7 +121,8 @@ def main():
     print(json.dumps({
         "n": args.n,
         "reps": args.reps,
-        "commands": {cmd: {phase: ms([t[k] for t in ts]) for k, phase in enumerate(PHASES)}
+        "commands": {cmd: {**{phase: ms([t[k] for t in ts]) for k, phase in enumerate(PHASES)},
+                           "peak_mb": round(statistics.median(t[4] for t in ts), 1)}
                      for cmd, ts in times.items()},
         "job_ms": ms(jobs),
         "numpy": np.__version__,

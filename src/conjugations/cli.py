@@ -1,8 +1,10 @@
 """Command line front end: JSON in, JSON out.
 
 Matrices travel as {"rows": n, "cols": n, "data": [[[re, im], ...], ...]},
-measures as {"atoms": [{"theta": t, "weight": w}, ...]}.  Machine-readable
-JSON goes to stdout, a one-line human summary to stderr.
+measures as {"atoms": [{"theta": t, "weight": w}, ...]}.  This module alone
+reads and writes both formats, and one rule (_is_number) decides what a
+JSON number is in either.  Machine-readable JSON goes to stdout, a one-line
+human summary to stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical refusal (the
 requested object cannot exist), 4 tolerance failure (the numerics missed
@@ -48,12 +50,13 @@ def note(msg):
 
 
 def load_json(path):
-    """(text, value) of the JSON file at path; a read error is an InputError
+    """(value, whether the text holds a u or an f) of the JSON file at path;
+    the text itself is freed on return.  A read error is an InputError
     naming path."""
     try:
         with open(path) as fh:
             text = fh.read()
-        return text, json.loads(text)
+        return json.loads(text), "u" in text or "f" in text
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
@@ -284,16 +287,22 @@ def matrix_from_dict(obj, where, walk=False):
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
+def _is_number(v):
+    """Whether v is a JSON number: an int or a float that float() converts,
+    so not "1", not true and not an int past the float range."""
+    if type(v) not in (int, float):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def _misfit(data, shape, name):
     """What the first entry of data breaking the nested-list shape must be."""
-    if not shape:
-        if data is None:  # null reads as NaN, refused as not finite
-            return None
-        try:
-            float(data)  # an int past the float range overflows
-        except (TypeError, ValueError, OverflowError):
-            return f"{name} must be a number"
-        return None if type(data) in (int, float) else f"{name} must be a number"  # not "1" or true
+    if not shape:  # null reads as NaN, refused as not finite
+        return None if data is None or _is_number(data) else f"{name} must be a number"
     if not isinstance(data, list) or len(data) != shape[0]:
         if len(shape) == 1:
             return f"{name} must be a [re, im] pair"
@@ -316,12 +325,18 @@ def matrix_to_dict(M):
     }
 
 
+def measure_to_dict(mu):
+    """JSON form of an atomic measure, one {"theta", "weight"} object per atom."""
+    return {"atoms": [{"theta": float(t), "weight": float(w)}
+                      for t, w in zip(mu.thetas, mu.weights)]}
+
+
 def load_matrix(path):
     """The matrix in the file at path.  numpy reads a boolean among floats as
     a float, so a file whose text holds a u or an f (true, false, null, an
     escape or Infinity; no accepted key or number has one) is walked."""
-    text, obj = load_json(path)
-    return matrix_from_dict(obj, path, walk="u" in text or "f" in text)
+    obj, walk = load_json(path)
+    return matrix_from_dict(obj, path, walk)
 
 
 def load_matrices(first, second):
@@ -360,7 +375,22 @@ def _matrix_bytes(path):
 
 
 def load_measure(path):
-    return measures.AtomicMeasure.from_dict(load_json(path)[1], path)
+    """The atomic measure in the file at path; theta and weight are JSON numbers."""
+    obj = load_json(path)[0]
+    if not isinstance(obj, dict) or "atoms" not in obj:
+        raise InputError(f"{path}: expected an object with an 'atoms' list")
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list):
+        raise InputError(f"{path}: atoms must be a list")
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict) or "theta" not in atom or "weight" not in atom:
+            raise InputError(f"{path}: atoms[{i}] must carry 'theta' and 'weight'")
+        if not (_is_number(atom["theta"]) and _is_number(atom["weight"])):
+            raise InputError(f"{path}: atoms[{i}] has non-numeric fields")
+    try:
+        return measures.AtomicMeasure([a["theta"] for a in atoms], [a["weight"] for a in atoms])
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _mismatch_entries(mismatches):
@@ -500,7 +530,7 @@ def cmd_measure(args):
         raise InputError(f"measure {args.action} needs {files}")
     if args.action == "reflect":
         mu = load_measure(args.files[0])
-        emit(measures.reflect(mu).to_dict())
+        emit(measure_to_dict(measures.reflect(mu)))
     elif args.action == "rn":
         mu = load_measure(args.files[0])
         try:
@@ -511,7 +541,7 @@ def cmd_measure(args):
     else:
         mu, nu = load_measure(args.files[0]), load_measure(args.files[1])
         op = measures.lattice_meet if args.action == "meet" else measures.lattice_join
-        emit(op(mu, nu).to_dict())
+        emit(measure_to_dict(op(mu, nu)))
     note(f"measure {args.action}: ok")
     return EXIT_OK
 

@@ -11,7 +11,8 @@ a conjugation exactly when the field is reflection symmetric.
 Elements keep their weights explicit in the inner product; nothing is
 rescaled into flat coordinates, so the sqrt(h) factor stays visible in the
 operator data.  Only the defect report moves to the weighted orthonormal
-coordinates, where each defect is one matrix norm.
+coordinates, where each defect is one matrix norm.  A measure here is its
+arrays of angles and weights; the CLI reads and writes its JSON form.
 """
 
 from dataclasses import astuple, dataclass
@@ -110,39 +111,6 @@ class AtomicMeasure:
     @property
     def points(self):
         return np.exp(1j * self.thetas)
-
-    def to_dict(self):
-        return {
-            "atoms": [
-                {"theta": float(t), "weight": float(w)}
-                for t, w in zip(self.thetas, self.weights)
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, obj, where="measure"):
-        if not isinstance(obj, dict) or "atoms" not in obj:
-            raise InputError(f"{where}: expected an object with an 'atoms' list")
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list):
-            raise InputError(f"{where}: atoms must be a list")
-        thetas, weights = [], []
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, dict) or "theta" not in atom or "weight" not in atom:
-                raise InputError(f"{where}: atoms[{i}] must carry 'theta' and 'weight'")
-            theta, weight = atom["theta"], atom["weight"]
-            # JSON numbers only: float() would also take "0.5" and true
-            if not all(type(v) in (int, float) for v in (theta, weight)):
-                raise InputError(f"{where}: atoms[{i}] has non-numeric fields")
-            try:
-                thetas.append(float(theta))
-                weights.append(float(weight))
-            except OverflowError:
-                raise InputError(f"{where}: atoms[{i}] has non-numeric fields") from None
-        try:
-            return cls(np.array(thetas), np.array(weights))
-        except InputError as e:
-            raise InputError(f"{where}: {e}") from None
 
 
 def reflect(mu):

@@ -7,6 +7,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,8 +21,10 @@ from conjugations.cli import (
     EXIT_TOLERANCE,
     emit,
     load_matrix,
+    load_measure,
     matrix_from_dict,
     matrix_to_dict,
+    measure_to_dict,
     run,
     save_json,
 )
@@ -120,8 +123,14 @@ def test_non_mutual_partner_is_refused(tmp_path, command):
      "atoms[0] has non-numeric fields"),
     (["measure", "reflect"], b'{"atoms": [{"theta": 1, "weight": 1}, {"theta": -1, "weight": "1"}]}',
      "atoms[1] has non-numeric fields"),
+    (["check"], b"[1, 2]", "expected a JSON object"),
+    (["check"], b'{"rows": 1, "cols": 1}', "missing field 'data'"),
+    (["measure", "reflect"], b"[1]", "expected an object with an 'atoms' list"),
+    (["measure", "reflect"], b'{"atoms": 3}', "atoms must be a list"),
+    (["measure", "reflect"], b'{"atoms": [{"theta": 1}]}', "atoms[0] must carry 'theta' and 'weight'"),
 ], ids=["not_utf8", "deep_nesting", "huge_rows", "huge_theta", "string_theta", "boolean_weight",
-        "numeric_string_weight"])
+        "numeric_string_weight", "matrix_not_object", "matrix_without_data", "measure_not_object",
+        "atoms_not_list", "atom_without_weight"])
 def test_malformed_file_is_input_error(tmp_path, command, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
@@ -285,10 +294,23 @@ def test_verify_accepts_zero_tol():
     (["shift-demo", "--order", "0"], "grid order must be at least 1"),
     (["shift-demo", "--order", "-2"], "grid order must be at least 1"),
     (["shift-demo", "--order", "-2", "--degree", "1"], "grid order must be at least 1"),
+    (["shift-demo", "--order", "8", "--degree", "1", "--preset", "lambda"],
+     "degree 1 supports the 'sincos' preset only"),
+    (["shift-demo", "--order", "7", "--degree", "2"], "--order must be even for degree 2"),
+    (["shift-demo", "--order", "8", "--degree", "3"], "--degree must be 1 or 2"),
 ])
 def test_bad_flag_values_are_input_errors(argv, message):
     code, out, _ = run_captured(argv)
     assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+
+
+def test_verify_dimension_mismatch_is_input_error(tmp_path):
+    c = tmp_path / "c3.json"
+    save_json(c, matrix_to_dict(np.eye(3)))
+    code, out, _ = run_captured(["verify", str(INPUTS / "u_pair.json"), str(c)])
+    assert code == EXIT_INPUT
+    message = "operator dimensions do not match"
     assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
 
 
@@ -448,9 +470,11 @@ def test_matrix_schema_round_trip(rng):
     assert np.array_equal(back, M)
 
 
-def test_measure_schema_round_trip(rng):
+def test_measure_schema_round_trip(tmp_path):
     mu = AtomicMeasure([0.3, -0.3], [1.0, 2.0])
-    back = AtomicMeasure.from_dict(mu.to_dict())
+    path = tmp_path / "mu.json"
+    save_json(path, measure_to_dict(mu))
+    back = load_measure(str(path))
     assert np.array_equal(back.thetas, mu.thetas)
     assert np.array_equal(back.weights, mu.weights)
 
@@ -641,6 +665,27 @@ def test_matrix_entries_must_be_json_numbers(monkeypatch, tmp_path, kind):
     answers = _spy_forks(monkeypatch)
     code, out, _ = run_captured(["verify", str(INPUTS / "u_pair.json"), str(path)])
     assert (code, json.loads(out)) == refusal and answers == [False]
+
+
+def _traced_peak(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_matrix_frees_the_text_before_the_parse(tmp_path):
+    # the file's text (1.2 MB at n = 128) is gone once load_json returns, so
+    # loading peaks where reading, decoding, dropping the text and parsing
+    # does; a text kept through the parse adds 22 % to that peak
+    path = tmp_path / "u.json"
+    save_json(path, matrix_to_dict(haar_unitary(128, np.random.default_rng(128))))
+    dropped = _traced_peak(lambda: matrix_from_dict(json.loads(path.read_text()), str(path)))
+    assert _traced_peak(lambda: load_matrix(str(path))) <= 1.02 * dropped
 
 
 def _src_env():

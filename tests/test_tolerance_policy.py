@@ -40,7 +40,7 @@ def _public_callables():
 def test_no_callable_takes_a_tolerance():
     walked = dict(_public_callables())
     assert "conjugations.family.decompose" in walked
-    assert "conjugations.measures.AtomicMeasure.from_dict" in walked
+    assert "conjugations.measures.AtomicMeasure.from_points" in walked
     knobs = {
         f"{name}({param})"
         for name, obj in walked.items()
