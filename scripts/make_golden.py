@@ -27,6 +27,12 @@ def write_inputs():
     u_mixed = np.diag([np.exp(0.5j), np.exp(-0.5j), 1.0, -1.0])
     save_json(INPUTS / "u_mixed.json", matrix_to_dict(u_mixed))
     save_json(INPUTS / "c_mixed.json", matrix_to_dict(sample(u_mixed, 7).matrix))
+    # two pairs, one of multiplicity 2, and +-1 blocks of size 2: the COE
+    # draws and decompose's symmetrization act on blocks larger than 1 x 1
+    u_blocks = np.diag(np.exp(1j * np.array([0.5, 0.5, -0.5, -0.5, 2.0, -2.0])).tolist()
+                       + [1.0, 1.0, -1.0, -1.0])
+    save_json(INPUTS / "u_blocks.json", matrix_to_dict(u_blocks))
+    save_json(INPUTS / "c_blocks.json", matrix_to_dict(sample(u_blocks, 7).matrix))
     save_json(INPUTS / "c_swap.json", matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]])))
     save_json(INPUTS / "c_plain.json", matrix_to_dict(np.eye(2)))
     save_json(
@@ -60,6 +66,9 @@ CASES = [
     ("canonical_pair", ["canonical", "{IN}/u_pair.json"], 0),
     ("canonical_refused", ["canonical", "{IN}/u_bad.json"], 3),
     ("sample_mixed", ["sample", "{IN}/u_mixed.json", "--seed", "7"], 0),
+    ("sample_blocks", ["sample", "{IN}/u_blocks.json", "--seed", "7"], 0),
+    ("canonical_blocks", ["canonical", "{IN}/u_blocks.json"], 0),
+    ("decompose_blocks", ["decompose", "{IN}/u_blocks.json", "{IN}/c_blocks.json"], 0),
     ("verify_pass", ["verify", "{IN}/u_pair.json", "{IN}/c_swap.json"], 0),
     ("verify_fail", ["verify", "{IN}/u_pair.json", "{IN}/c_plain.json"], 4),
     ("verify_mixed", ["verify", "{IN}/u_mixed.json", "{IN}/c_mixed.json"], 0),
