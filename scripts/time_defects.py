@@ -9,6 +9,11 @@ prebuilt inputs, output included:
   with n/2 distinct conjugate pairs, one class per eigenvalue;
 - fourier_512, hilbert_512, hilbert_1024: the transform model checks, as
   the benchmark's models workload runs them at N = 512;
+- fourier_512_build: fourier_conjugation at N = 512 from prebuilt blocks;
+- family_256.{identity_params,layout_conjugation,decompose}: the family
+  engine's walk over the blocks of a Haar-rotated n = 256 unitary with 126
+  simple conjugate pairs and +-1 blocks of size 2, the shape of the
+  benchmark's cli-roundtrip input; decompose reads a seeded sample;
 - hilbert_512_off: the N = 512 Hilbert member with one entry of 1e-3 off
   its blocks, which verify_membership checks on the dense path;
 - shift_1024: the order-1024 squared-shift model built from random
@@ -27,10 +32,11 @@ import tracemalloc
 import numpy as np
 
 from conjugations.antilinear import AntilinearOperator
-from conjugations.family import identity_params, layout_conjugation, verify_membership
+from conjugations.family import decompose, identity_params, layout_conjugation, sample
+from conjugations.family import verify_membership
 from conjugations.linalg import haar_unitary
 from conjugations.shifts import SymbolParams, squared_shift_conjugation
-from conjugations.spectral import BlockLayout, layout_diagonal
+from conjugations.spectral import BlockLayout, canonical_form, layout_diagonal
 from conjugations.transforms import FourBlockModel, TwoBlockModel, fourier_conjugation
 from conjugations.transforms import hilbert_conjugation, real_symmetric_orthogonal
 
@@ -73,6 +79,26 @@ def fourier_case(N, rng):
     return lambda: verify_membership(F, fourier)
 
 
+def fourier_build_case(N, rng):
+    m = N // 4
+    O1, O2 = real_symmetric_orthogonal(m, rng), real_symmetric_orthogonal(m, rng)
+    Ui = haar_unitary(m, rng)
+    return lambda: fourier_conjugation(N, O1, O2, Ui)
+
+
+def family_cases(rng):
+    thetas = np.linspace(0.1, 3.0, 126)
+    angles = np.concatenate([thetas, -thetas, [0.0, 0.0, np.pi, np.pi]])
+    W = haar_unitary(256, rng)
+    U = (W * np.exp(1j * angles)) @ W.conj().T
+    C = sample(U, 1)
+    layout = canonical_form(U)[1]
+    params = identity_params(layout)
+    return {"family_256.identity_params": lambda: identity_params(layout),
+            "family_256.layout_conjugation": lambda: layout_conjugation(layout, params),
+            "family_256.decompose": lambda: decompose(U, C)}
+
+
 def hilbert_case(N, rng, off=False):
     A = hilbert_conjugation(N, haar_unitary(N // 2, rng)).matrix.copy()
     if off:
@@ -97,7 +123,9 @@ def main():
     cases = {f"verify_n{n}": pairs_case(n) for n in (16, 64, 512)}
     cases.update(fourier_512=fourier_case(512, rng), hilbert_512=hilbert_case(512, rng),
                  shift_1024=shift_case(1024, rng), hilbert_1024=hilbert_case(1024, rng),
-                 hilbert_512_off=hilbert_case(512, rng, off=True))
+                 hilbert_512_off=hilbert_case(512, rng, off=True),
+                 fourier_512_build=fourier_build_case(512, rng))
+    cases.update(family_cases(rng))
     line = {"numpy": np.__version__, "cpus": os.cpu_count()}
     line.update({name: [best_ms(fn), peak_mib(fn)] for name, fn in cases.items()})
     print(json.dumps(line))

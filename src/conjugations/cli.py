@@ -558,6 +558,13 @@ def _grid_demo_report(kind, order, degree, preset, conj):
     }
 
 
+def _require_describable(flag, value, entries):
+    """Refuse, before allocating, a flag value whose largest array of complex
+    entries has more bytes than numpy's intp: numpy raises ValueError there."""
+    if 16 * entries > np.iinfo(np.intp).max:
+        raise InputError(f"{flag} {value} is too large")
+
+
 def cmd_shift_demo(args):
     from . import shifts  # the demos alone need it: other commands skip its import
 
@@ -567,11 +574,13 @@ def cmd_shift_demo(args):
     if args.degree == 1:
         if args.preset != "sincos":
             raise InputError("degree 1 supports the 'sincos' preset only")
+        _require_describable("--order", M, M)
         t = shifts.grid_arguments(M)
         conj = shifts.UMultiplierConjugation(np.exp(1j * np.cos(t)))
     elif args.degree == 2:
         if M % 2 != 0:
             raise InputError("--order must be even for degree 2")
+        _require_describable("--order", M, M * M)  # the dense action matrix() builds
         tau = shifts.grid_arguments(M // 2)
         zero = np.zeros(M // 2)
         if args.preset == "sincos":
@@ -592,6 +601,7 @@ def _transform_demo(args, kind):
 
     N = args.size
     model = (transforms.FourBlockModel if kind == "fourier" else transforms.TwoBlockModel)(N)
+    _require_describable("--size", N, N * N)
     rng = np.random.default_rng(_seed(args))
     if kind == "fourier":
         m = N // 4
@@ -687,9 +697,10 @@ def run(argv):
         return EXIT_INPUT if e.code else EXIT_OK
     try:
         return args.func(args)
-    except InputError as e:
-        emit({"error": {"code": EXIT_INPUT, "message": str(e)}})
-        note(f"error: {e}")
+    except (InputError, MemoryError) as e:  # MemoryError: a size numpy cannot allocate
+        message = str(e) or "out of memory"
+        emit({"error": {"code": EXIT_INPUT, "message": message}})
+        note(f"error: {message}")
         return EXIT_INPUT
     except (NotSelfDualError, AbsoluteContinuityError, MembershipError) as e:
         emit({"error": {"code": EXIT_REFUSED, "message": str(e)}})

@@ -4,8 +4,10 @@ A unitary U has a commuting conjugation exactly when every eigenvalue and its
 conjugate carry the same multiplicity.  In the conjugate-pair basis the whole
 family is parametrized by one unitary block per conjugate pair and one
 symmetric unitary block per real eigenvalue, applied in front of entrywise
-conjugation.  Construction, sampling, verification, and parameter recovery
-all round-trip through that normal form.  One rule decides membership:
+conjugation.  A real eigenspace is its own conjugate, so both kinds are one
+object, a block from the conj(lam) coordinates to the lam ones, partnered
+with itself when lam = +-1: construction, sampling and parameter recovery
+walk the one list BlockLayout.blocks.  One rule decides membership:
 verify_membership's verdict, which decompose takes before it projects a
 member onto its parameters.
 
@@ -38,71 +40,60 @@ class ConjugationParams:
     q_minus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "v_blocks", tuple(np.asarray(v, dtype=complex) for v in self.v_blocks)
-        )
+        object.__setattr__(self, "v_blocks", tuple(np.asarray(v, dtype=complex) for v in self.v_blocks))
         object.__setattr__(self, "q_plus", np.asarray(self.q_plus, dtype=complex))
         object.__setattr__(self, "q_minus", np.asarray(self.q_minus, dtype=complex))
 
 
-def _empty_block():
-    return np.zeros((0, 0), dtype=complex)
-
-
 def identity_params(layout):
-    return ConjugationParams(
-        v_blocks=tuple(np.eye(m, dtype=complex) for _, m in layout.pairs),
-        q_plus=np.eye(layout.ell, dtype=complex),
-        q_minus=np.eye(layout.kay, dtype=complex),
-    )
+    return ConjugationParams(tuple(np.eye(m, dtype=complex) for _, m in layout.pairs),
+                             np.eye(layout.ell, dtype=complex), np.eye(layout.kay, dtype=complex))
 
 
-def _validate_params(layout, params):
-    """Raise InputError at the first fault of the named blocks, in the order
-    pair blocks, q_plus, q_minus: a wrong shape, a non-finite entry, a
-    defect from unitarity above threshold(sqrt(m)), or for q_plus and
-    q_minus an asymmetry above it.  The square blocks of one size m are
-    checked in one stacked product; a lone block is stacked as a view."""
-    if len(params.v_blocks) != len(layout.pairs):
-        raise InputError(
-            f"expected {len(layout.pairs)} pair blocks, got {len(params.v_blocks)}"
-        )
-    named = [(f"pair block {j}", v, m)
-             for j, ((_, m), v) in enumerate(zip(layout.pairs, params.v_blocks))]
-    named += [("q_plus", params.q_plus, layout.ell), ("q_minus", params.q_minus, layout.kay)]
-    sizes = np.array([m if q.shape == (m, m) else 0 for _, q, m in named], dtype=int)
-    defects = np.zeros(len(named))
+def _per_size(fn, blocks):
+    """fn(S)[k] per block, S the stack of the square blocks of its size and the
+    block S[k]: one call per size, a lone block as a view; None if not square."""
+    sizes = np.array([q.shape[0] if q.ndim == 2 and q.shape[0] == q.shape[1] else -1 for q in blocks])
+    out = [None] * len(blocks)
     for idx in _label_groups(sizes):
-        if sizes[idx[0]]:
-            S = named[idx[0]][1][None] if len(idx) == 1 else np.stack([named[j][1] for j in idx])
-            defects[idx] = np.linalg.norm(_gram_residual(S), axis=(1, 2))
-    for j, (name, q, m) in enumerate(named):
+        if sizes[idx[0]] >= 0:
+            S = blocks[idx[0]][None] if len(idx) == 1 else np.stack([blocks[j] for j in idx])
+            for j, result in zip(idx, fn(S)):
+                out[j] = result
+    return out
+
+
+def _place(dim, slots, params):
+    """The member with params' blocks at the slots of a dim x dim matrix, one
+    (rows, cols) per block in ConjugationParams order: q at A[rows, cols] and
+    q^t at A[cols, rows], or q alone on rows == cols.  Raises InputError at the
+    first fault, block by block: a wrong count or shape, a non-finite entry, or
+    above threshold(sqrt(m)) a unitarity defect or, on rows == cols, asymmetry."""
+    npairs = len(slots) - 2
+    if len(params.v_blocks) != npairs:
+        raise InputError(f"expected {npairs} pair blocks, got {len(params.v_blocks)}")
+    blocks = (*params.v_blocks, params.q_plus, params.q_minus)
+    defects = _per_size(lambda S: np.linalg.norm(_gram_residual(S), axis=(1, 2)), blocks)
+    A = np.zeros((dim, dim), dtype=complex)
+    for j, ((rows, cols), q) in enumerate(zip(slots, blocks)):
+        name = f"pair block {j}" if j < npairs else ("q_plus", "q_minus")[j - npairs]
+        m = len(range(dim)[rows])
         if q.shape != (m, m):
             raise InputError(f"{name} must be {m}x{m}, got {q.shape}")
         if not defects[j] <= threshold(np.sqrt(m)):
             raise InputError("matrix contains non-finite entries" if not np.isfinite(q).all()
                              else f"{name} is not unitary")
-        if j >= len(layout.pairs) and np.linalg.norm(q - q.T) > threshold(np.sqrt(m)):
+        A[rows, cols] = q
+        if rows != cols:
+            A[cols, rows] = q.T
+        elif np.linalg.norm(q - q.T) > threshold(np.sqrt(m)):
             raise InputError(f"{name} is not symmetric")
+    return AntilinearOperator(A)
 
 
 def layout_conjugation(layout, params):
-    """The member with the given block parameters, in the layout's own basis.
-
-    Validates the parameters against the layout, then places them: the pair
-    blocks enter as the off-diagonal pair (V_j, V_j^t), which makes the
-    matrix symmetric for any unitary V_j; the real blocks must be symmetric
-    unitaries themselves.
-    """
-    _validate_params(layout, params)
-    V = np.zeros((layout.dim, layout.dim), dtype=complex)
-    s = [block for block, _ in layout.blocks]
-    for j, v in enumerate(params.v_blocks):
-        V[s[2 * j], s[2 * j + 1]] = v
-        V[s[2 * j + 1], s[2 * j]] = v.T
-    V[s[-2], s[-2]] = params.q_plus
-    V[s[-1], s[-1]] = params.q_minus
-    return AntilinearOperator(V)
+    """The member with the given block parameters in the layout's own basis."""
+    return _place(layout.dim, [(rows, cols) for rows, cols, _ in layout.blocks], params)
 
 
 def from_params(layout, W, params):
@@ -112,10 +103,7 @@ def from_params(layout, W, params):
 
 
 def canonical_conjugation(U):
-    """The all-identity member of the family.
-
-    Raises NotSelfDualError when the family is empty.
-    """
+    """The all-identity member of the family; NotSelfDualError when it is empty."""
     W, layout = canonical_form(U)
     return from_params(layout, W, identity_params(layout))
 
@@ -129,10 +117,12 @@ def sample(U, seed):
     """
     W, layout = canonical_form(U)
     rng = np.random.default_rng(seed)
-    v_blocks = tuple(haar_unitary(m, rng) for _, m in layout.pairs)
-    q_plus = symmetric_unitary(layout.ell, rng) if layout.ell else _empty_block()
-    q_minus = symmetric_unitary(layout.kay, rng) if layout.kay else _empty_block()
-    return from_params(layout, W, ConjugationParams(v_blocks, q_plus, q_minus))
+    drawn = []
+    for rows, cols, _ in layout.blocks:
+        m, draw = rows.stop - rows.start, symmetric_unitary if rows == cols else haar_unitary
+        drawn.append(draw(m, rng) if m else np.zeros((0, 0)))
+    *v_blocks, q_plus, q_minus = drawn
+    return from_params(layout, W, ConjugationParams(tuple(v_blocks), q_plus, q_minus))
 
 
 def verify_membership(U, C, threshold=None):
@@ -173,12 +163,13 @@ def decompose(U, C):
     membership_threshold(n): an isometry or involution defect above it is an
     InputError (C is not a conjugation), a commutation defect above it a
     MembershipError.  A member's V = W* A conj(W) in the canonical basis is
-    projected onto the parameters: each pair's is the unitary polar factor
-    of (B + B'^t)/2, B and B' its upper and lower blocks, and each real
-    block's the polar factor of its symmetric part, symmetrized exactly.
-    The polar factors come from one stacked SVD per block size.  The
-    parameters are relative to the basis canonical_form returns, so
-    from_params with that basis rebuilds a member near C.
+    projected onto the parameters: each block's is the unitary polar factor
+    of (B + B'^t)/2, B = V[rows, cols] and B' = V[cols, rows].  A +-1 block
+    is the pair block partnered with itself, B' = B, so (B + B^t)/2 is its
+    symmetric part; its polar factor is symmetrized exactly.  The polar
+    factors come from one stacked SVD per block size.  The parameters are
+    relative to the basis canonical_form returns, so from_params with that
+    basis rebuilds a member near C.
     """
     U = as_square_matrix(U, "U")  # canonical_form checks its unitarity
     if U.shape[0] != C.dim:
@@ -189,20 +180,12 @@ def decompose(U, C):
     if not passed:
         if not (report.isometry_defect <= thr and report.involution_defect <= thr):
             raise InputError("C is not a conjugation")
-        raise MembershipError(
-            f"C does not commute with U: commutation defect {report.commutation_defect:.3e} "
-            f"exceeds {thr:.3e}"
-        )
+        raise MembershipError(f"C does not commute with U: commutation defect "
+                              f"{report.commutation_defect:.3e} exceeds {thr:.3e}")
     V = W.conj().T @ C.matrix @ np.conj(W)
-    s = [block for block, _ in layout.blocks]
-    npairs = len(layout.pairs)
-    blocks = [(V[s[2 * j], s[2 * j + 1]] + V[s[2 * j + 1], s[2 * j]].T) / 2 for j in range(npairs)]
-    blocks += [(V[b, b] + V[b, b].T) / 2 for b in s[-2:]]
-    sizes = np.array([len(q) for q in blocks], dtype=int)
-    for idx in _label_groups(sizes):
-        if sizes[idx[0]]:
-            X, _, Yh = np.linalg.svd(np.stack([blocks[j] for j in idx]))
-            for j, polar in zip(idx, X @ Yh):
-                blocks[j] = polar
-    q_plus, q_minus = ((q + q.T) / 2 for q in blocks[npairs:])
-    return ConjugationParams(tuple(blocks[:npairs]), q_plus, q_minus)
+    walk = layout.blocks
+    polar = _per_size(lambda S: np.matmul(*np.linalg.svd(S)[::2]),
+                      [(V[rows, cols] + V[cols, rows].T) / 2 for rows, cols, _ in walk])
+    *v_blocks, q_plus, q_minus = [(q + q.T) / 2 if rows == cols else q
+                                  for (rows, cols, _), q in zip(walk, polar)]
+    return ConjugationParams(tuple(v_blocks), q_plus, q_minus)

@@ -66,12 +66,15 @@ class BlockLayout:
 
     @property
     def blocks(self):
-        """(slice, eigenvalue) of each diagonal block in coordinate order: xi_j
-        then conj(xi_j) per pair, then 1.0 and -1.0 (empty slices if absent)."""
-        sizes = [(lam, m) for xi, m in self.pairs for lam in (xi, np.conj(xi))]
-        sizes += [(1.0, self.ell), (-1.0, self.kay)]
-        ends = np.cumsum([m for _, m in sizes]).tolist()
-        return [(slice(end - m, end), lam) for end, (lam, m) in zip(ends, sizes)]
+        """The one walk over the coordinates: (rows, cols, eigenvalue) per parameter
+        block in ConjugationParams order.  Pair j maps its conj(xi_j) coordinates,
+        cols, to its xi_j ones, rows; the +-1 blocks have rows == cols."""
+        slots = [(xi, m, m) for xi, m in self.pairs] + [(1.0, self.ell, 0), (-1.0, self.kay, 0)]
+        out, end = [], 0
+        for lam, m, gap in slots:
+            out.append((slice(end, end + m), slice(end + gap, end + gap + m), lam))
+            end += m + gap
+        return out
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,8 @@ def canonical_form(U):
 def layout_diagonal(layout):
     """The diagonal of the block diagonal matrix a BlockLayout describes."""
     diag = np.empty(layout.dim, dtype=complex)
-    for block, lam in layout.blocks:
-        diag[block] = lam
+    for rows, cols, lam in layout.blocks:
+        diag[rows], diag[cols] = lam, np.conj(lam)
     return diag
 
 

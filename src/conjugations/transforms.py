@@ -3,13 +3,13 @@ commuting conjugation families, plus a sampled-grid Hermite cross-check.
 
 The transform models live in eigencoordinates, where both operators are
 diagonal with four (respectively two) eigenvalue classes.  Their families are
-the general family of family.layout_conjugation on a fixed BlockLayout, one
+the general family of the family engine on a fixed BlockLayout, one
 conjugate pair (i, -i) plus the real classes:
 
 - Fourier, spectrum (1, -i, -1, i): BlockLayout(((1j, m),), m, m) with
   m = N/4; Ui fills the pair block (it maps the -i class to the i class),
-  O1 and O2 fill the +1 and -1 blocks, each written straight to the strided
-  positions of its classes.
+  O1 and O2 the +1 and -1 blocks, and the family engine places all three at
+  the classes' strided slots k::4.
 - Hilbert, spectrum (i, -i): BlockLayout(((1j, N/2),), 0, 0), already in
   class order; the pair block is Ui^t, since Ui maps the i half to the -i
   half.
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearOperator
 from .errors import InputError
-from .family import ConjugationParams, _validate_params, layout_conjugation
+from .family import ConjugationParams, _place, layout_conjugation
 from .linalg import DECAY_RATIO, GRID_TOL, threshold
 from .spectral import BlockLayout
 
@@ -89,21 +88,15 @@ def fourier_conjugation(N, O1, O2, Ui):
     with O1, O2 real symmetric orthogonal on the real eigenvalue classes (the
     explicit sub-family kept here) and Ui an arbitrary unitary mapping the -i
     class to the i class.  The parameters are those of the family engine on
-    BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui, checked by its
-    _validate_params; class k holds the indices k::4, where the four nonzero
-    blocks are written directly.
+    BlockLayout(((1j, N/4),), N/4, N/4) with pair block Ui; class k holds the
+    indices k::4, and the engine's placement step checks the blocks and
+    writes them at the class slots (3::4, 1::4), (0::4, 0::4), (2::4, 2::4).
     """
     FourBlockModel(N)
     m = N // 4
     params = ConjugationParams((Ui,), _require_real(O1, m, "O1"), _require_real(O2, m, "O2"))
-    _validate_params(BlockLayout(pairs=((1j, m),), ell=m, kay=m), params)
-    (Ui,) = params.v_blocks
-    A = np.zeros((N, N), dtype=complex)
-    A[0::4, 0::4] = params.q_plus
-    A[1::4, 3::4] = Ui.T
-    A[2::4, 2::4] = params.q_minus
-    A[3::4, 1::4] = Ui
-    return AntilinearOperator(A)
+    return _place(N, [(slice(r, None, 4), slice(c, None, 4)) for r, c in ((3, 1), (0, 0), (2, 2))],
+                  params)
 
 
 def hilbert_conjugation(N, Ui):

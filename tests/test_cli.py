@@ -298,11 +298,30 @@ def test_verify_accepts_zero_tol():
      "degree 1 supports the 'sincos' preset only"),
     (["shift-demo", "--order", "7", "--degree", "2"], "--order must be even for degree 2"),
     (["shift-demo", "--order", "8", "--degree", "3"], "--degree must be 1 or 2"),
+    # refused before allocating: the dense N x N (M x M) arrays exceed numpy's byte limit
+    (["fourier-demo", "--size", "4000000000"], "--size 4000000000 is too large"),
+    (["hilbert-demo", "--size", "20000000000"], "--size 20000000000 is too large"),
+    (["shift-demo", "--order", "2000000000000", "--degree", "2"], "--order 2000000000000 is too large"),
 ])
 def test_bad_flag_values_are_input_errors(argv, message):
     code, out, _ = run_captured(argv)
     assert code == EXIT_INPUT
     assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_errors_are_input_errors(monkeypatch, error, message):
+    # a size numpy can describe but not allocate exits 2 with numpy's message
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_fourier_demo", fail)
+    code, out, err = run_captured(["fourier-demo", "--size", "8"])
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"error": {"code": EXIT_INPUT, "message": message}}
+    assert err == f"error: {message}\n"
 
 
 def test_verify_dimension_mismatch_is_input_error(tmp_path):

@@ -32,7 +32,7 @@ from conjugations.family import (
     verify_membership,
 )
 from conjugations.linalg import haar_unitary, membership_threshold, symmetric_unitary
-from conjugations.spectral import BlockLayout, canonical_form
+from conjugations.spectral import BlockLayout, canonical_form, layout_diagonal
 from conjugations.transforms import TwoBlockModel, hilbert_conjugation
 
 from random_inputs import planted_selfdual
@@ -104,6 +104,9 @@ def test_from_params_rejects_bad_blocks():
         from_params(layout, W, bad)  # antisymmetric q_plus
     with pytest.raises(InputError):
         from_params(layout, W, ConjugationParams((), 2 * np.eye(2), np.zeros((0, 0))))
+    with pytest.raises(InputError, match=r"^q_plus must be 2x2, got \(2,\)$"):
+        layout_conjugation(BlockLayout(((1j, 1),), 2, 0),
+                           ConjugationParams((np.eye(1),), np.ones(2), np.zeros((0, 0))))
 
 
 @pytest.mark.parametrize("change,message", [
@@ -113,6 +116,9 @@ def test_from_params_rejects_bad_blocks():
     ({2: np.eye(3)}, r"pair block 2 must be 2x2, got \(3, 3\)"),
     ({1: np.nan, 2: 2}, "matrix contains non-finite entries"),
     ({1: 2, 2: np.inf}, "pair block 1 is not unitary"),
+    # blocks are sized by their shape, so a 0-d or 1-d block gets the shape refusal
+    ({1: np.array(1j)}, r"pair block 1 must be 1x1, got \(\)"),
+    ({0: np.ones(2)}, r"pair block 0 must be 2x2, got \(2,\)"),
 ])
 def test_pair_block_errors_name_the_first_failing_block(change, message):
     # blocks 0 and 2 share a size and are checked in one stacked product; the
@@ -251,7 +257,7 @@ def _conjugate_gap(layout):
     """g = min |lam_i - conj(lam_j)| over the layout's eigenvalues, zero
     distances left out: the entries of V = W* A conj(W) where a member is
     zero are those whose lam_i - conj(lam_j) is nonzero."""
-    lam = np.concatenate([np.full(b.stop - b.start, x) for b, x in layout.blocks])
+    lam = layout_diagonal(layout)
     gaps = np.abs(lam[:, None] - np.conj(lam))
     return gaps[gaps > 0].min(initial=2.0)
 

@@ -90,6 +90,8 @@ def test_fourier_conjugation_validation(rng):
         fourier_conjugation(8, np.eye(m) * 1j, np.eye(m), np.eye(m))
     with pytest.raises(InputError):
         fourier_conjugation(8, np.eye(m), np.eye(m), 2 * np.eye(m))
+    with pytest.raises(InputError, match=r"^pair block 0 must be 2x2, got \(\)$"):
+        fourier_conjugation(8, np.eye(m), np.eye(m), np.array(1.0))
 
 
 def test_fourier_real_blocks_are_checked_once():
