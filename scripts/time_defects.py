@@ -17,7 +17,11 @@ prebuilt inputs, output included:
 - hilbert_512_off: the N = 512 Hilbert member with one entry of 1e-3 off
   its blocks, which verify_membership checks on the dense path;
 - shift_1024: the order-1024 squared-shift model built from random
-  parameters, then its three defects.
+  parameters, then its three defects;
+- measure_report_{32,130}x4: field_conjugation_report of a Haar unitary
+  field composed with the weighted reflection conjugation, over 32 and 130
+  atoms (conjugate pairs only, weights in [0.1, 10]) with fiber 4; the
+  benchmark's models workload reports on 32 atoms with fiber 4.
 
 The line also carries the numpy version and the CPU count, so numbers from
 two checkouts compare only when both lines come from the same host.
@@ -35,6 +39,8 @@ from conjugations.antilinear import AntilinearOperator
 from conjugations.family import decompose, identity_params, layout_conjugation, sample
 from conjugations.family import verify_membership
 from conjugations.linalg import haar_unitary
+from conjugations.measures import AtomicMeasure, FieldOperator, compose_fields
+from conjugations.measures import field_conjugation_report, reflection_conjugation
 from conjugations.shifts import SymbolParams, squared_shift_conjugation
 from conjugations.spectral import BlockLayout, canonical_form, layout_diagonal
 from conjugations.transforms import FourBlockModel, TwoBlockModel, fourier_conjugation
@@ -118,6 +124,14 @@ def shift_case(M, rng):
     return run
 
 
+def measure_report_case(n_atoms, r, rng):
+    angles = np.linspace(0.1, 3.0, n_atoms // 2)
+    mu = AtomicMeasure(np.concatenate([angles, -angles]), rng.uniform(0.1, 10.0, n_atoms))
+    haar = FieldOperator(mu, np.stack([haar_unitary(r, rng) for _ in range(n_atoms)]))
+    field = compose_fields(haar, reflection_conjugation(mu, r))
+    return lambda: field_conjugation_report(field)
+
+
 def main():
     rng = np.random.default_rng(20261019)
     cases = {f"verify_n{n}": pairs_case(n) for n in (16, 64, 512)}
@@ -126,6 +140,7 @@ def main():
                  hilbert_512_off=hilbert_case(512, rng, off=True),
                  fourier_512_build=fourier_build_case(512, rng))
     cases.update(family_cases(rng))
+    cases.update({f"measure_report_{n}x4": measure_report_case(n, 4, rng) for n in (32, 130)})
     line = {"numpy": np.__version__, "cpus": os.cpu_count()}
     line.update({name: [best_ms(fn), peak_mib(fn)] for name, fn in cases.items()})
     print(json.dumps(line))

@@ -10,9 +10,9 @@ a conjugation exactly when the field is reflection symmetric.
 
 Elements keep their weights explicit in the inner product; nothing is
 rescaled into flat coordinates, so the sqrt(h) factor stays visible in the
-operator data.  Only the defect report moves to the weighted orthonormal
-coordinates, where each defect is one matrix norm.  A measure here is its
-arrays of angles and weights; the CLI reads and writes its JSON form.
+operator data.  Only the defect report reads a field in the weighted
+orthonormal coordinates, as sums over its n atom blocks.  A measure here is
+its arrays of angles and weights; the CLI reads and writes its JSON form.
 """
 
 from dataclasses import astuple, dataclass
@@ -21,7 +21,7 @@ import numpy as np
 
 from .antilinear import ConjugationReport
 from .errors import AbsoluteContinuityError, InputError
-from .linalg import PAIR_TOL, UNIT_CIRCLE_TOL, _gram_residual, _unique_inverse, threshold, unitarity_defect
+from .linalg import PAIR_TOL, UNIT_CIRCLE_TOL, _gram_residual, _unique_inverse, threshold
 
 THETA_DECIMALS = 12  # canonical angle resolution
 _TINY = np.finfo(float).tiny  # smallest normal float: q and 1/q are normal for q in [_TINY, 1/_TINY]
@@ -159,7 +159,7 @@ def _reciprocal_ratios(mu, ratio):
     its reciprocal, nudged by _reciprocal_pair; atoms at +-1 get 1.  Raises
     AbsoluteContinuityError when a non-real atom lacks a partner, and
     InputError when the raw weight ratio leaves [_TINY, 1/_TINY]: the square
-    root of a subnormal ratio is normal, yet _orthonormal_matrix overflows.
+    root of a subnormal ratio is normal, yet the defect report's scale overflows.
     """
     sigma, unpaired = conjugate_pairing(mu)
     if unpaired:
@@ -235,7 +235,7 @@ class FieldOperator:
 
     Acts as (F f)(k) = M_k * f(p(k)) for linear fields and
     (F f)(k) = M_k * conj(f(p(k))) for antilinear ones, where p is the
-    point map (identity when None).
+    point map: None for the identity, else n integer indices in [0, n).
     """
 
     measure: AtomicMeasure
@@ -249,8 +249,9 @@ class FieldOperator:
             raise InputError("matrices must have shape (n_atoms, r, r)")
         object.__setattr__(self, "matrices", mats)
         if self.point_map is not None:
-            pm = np.asarray(self.point_map, dtype=int)
-            if pm.shape != (self.measure.size,):
+            pm = np.asarray(self.point_map)
+            if (pm.shape != (self.measure.size,) or pm.dtype.kind not in "iu"
+                    or not np.all((0 <= pm) & (pm < self.measure.size))):
                 raise InputError("point_map must index the atoms")
             object.__setattr__(self, "point_map", pm)
 
@@ -327,42 +328,40 @@ def is_reflection_symmetric(field):
     return worst <= threshold(np.sqrt(r)), worst
 
 
-def _orthonormal_matrix(field):
-    """Matrix of a field in the weighted orthonormal basis (atom-major, fiber-minor).
-
-    In the coordinates c_k = sqrt(w_k) f_k the field acts as c -> A c, or
-    c -> A conj(c) when antilinear, where block (k, p(k)) of A is
-    sqrt(w_k / w_p(k)) M_k and every other block is zero.
-    """
-    w = field.measure.weights
-    n, r = field.measure.size, field.fiber_dim
-    p = field.point_map if field.point_map is not None else np.arange(n)
-    blocks = np.zeros((n, r, n, r), dtype=complex)
-    blocks[np.arange(n), :, p, :] = np.sqrt(w / w[p])[:, None, None] * field.matrices
-    return blocks.reshape(n * r, n * r)
-
-
 def field_conjugation_report(field):
     """Isometry, involution, and coordinate-commutation defects of a field.
 
-    All three are Frobenius norms of matrices in the weighted orthonormal
-    atom basis, so they vanish identically for genuine conjugations
-    regardless of the weights.  With A the field's matrix there (see
-    _orthonormal_matrix) and D the atom coordinate repeated over the fiber:
-    isometry ||A* A - I|| (linalg.unitarity_defect); commutation
-    ||A conj(D) - D A|| for antilinear fields and ||A D - D A|| for linear
-    ones; involution ||B - I|| with B the matrix of the field composed with
-    itself.  B is built from the composed field rather than as A conj(A), so
-    the exact reciprocal sqrt(h) pairs of a reflection conjugation give
-    exactly 0.
+    Frobenius norms in the weighted orthonormal coordinates c_k = sqrt(w_k) f_k,
+    zero for genuine conjugations whatever the weights.  There the field's
+    matrix A has one block per row, B_k = sqrt(w_k / w_p(k)) M_k at (k, p(k)),
+    and each defect sums over blocks, A never formed: A* A has block j = sum
+    of B_k* B_k over p(k) = j, p injective or not; A right - d A, d the atom
+    points and right = conj(d) if antilinear else d, has blocks
+    (right_p(k) - d_k) B_k; row k of A2 - I, A2 the field composed with
+    itself, is B2_k - I if p2(k) = k, else B2_k and -I.  A reflection's
+    sqrt(h) pairs compose to exactly I at scale sqrt(w_k / w_k) = 1, so its
+    involution defect is exactly 0.  antilinear._block_report is not used: it
+    multiplies two scaled blocks, and the product of their scales rounds off 1.
     """
-    A = _orthonormal_matrix(field)
-    iso = unitarity_defect(A)
-    inv = float(np.linalg.norm(_orthonormal_matrix(compose_fields(field, field)) - np.eye(len(A))))
-    d = np.repeat(field.measure.points, field.fiber_dim)
+    def blocks(f):
+        p = f.point_map if f.point_map is not None else np.arange(f.measure.size)
+        return p, np.sqrt(f.measure.weights / f.measure.weights[p])[:, None, None] * f.matrices
+
+    p, B = blocks(field)
+    if not np.all(np.isfinite(B)):
+        raise InputError("matrix contains non-finite entries")
+    eye = np.eye(field.fiber_dim)
+    gram = np.zeros_like(B)
+    np.add.at(gram, p, np.swapaxes(B.conj(), 1, 2) @ B)
+    p2, B2 = blocks(compose_fields(field, field))
+    moved = (p2 != np.arange(len(p2)))[:, None, None]
+    d = field.measure.points
     right = np.conj(d) if field.antilinear else d
-    comm = float(np.linalg.norm(A * right[None, :] - d[:, None] * A))
-    return ConjugationReport(isometry_defect=iso, involution_defect=inv, commutation_defect=comm)
+    return ConjugationReport(
+        isometry_defect=float(np.linalg.norm(gram - eye)),
+        involution_defect=float(np.linalg.norm([B2 - ~moved * eye, moved * eye])),
+        commutation_defect=float(np.linalg.norm((right[p] - d)[:, None, None] * B)),
+    )
 
 
 @dataclass(frozen=True)

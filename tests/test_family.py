@@ -483,6 +483,7 @@ def assert_dense_verdict(got, report, A, U, tol):
 @example([], 0, 1, 0, "random", 2)
 @example([], 0, 0, 1, "member", 3)
 @example([1], 0, 0, 0, "member", 4)
+@example([], 1, 1, 3, "noisy", 84981923)
 def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind, seed):
     U, A = planted_classes(pair_sizes, ell, kay, lone, kind, seed)
     n = len(U)
@@ -493,8 +494,11 @@ def test_class_path_matches_the_dense_products(pair_sizes, ell, kay, lone, kind,
     assert_dense_verdict(got, report, A, U, 1e-14 * max(n, 1))
     if kind == "member" and not lone:
         assert got
-    # one entry off the pairing blocks, however tiny, takes the dense path
-    off = np.argwhere(np.diagonal(U)[None, :] != np.conj(np.diagonal(U))[:, None])
+    # one entry off the pairing blocks, however tiny, takes the dense path.
+    # It sits off the diagonal: unitarity_defect reads a diagonal A's
+    # isometry defect from the diagonal alone, which rounds differently
+    d = np.diagonal(U)
+    off = np.argwhere((d[None, :] != np.conj(d)[:, None]) & ~np.eye(n, dtype=bool))
     if len(off):
         i, j = off[seed % len(off)]
         A[i, j] = 1e-300

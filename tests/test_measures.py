@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,16 +399,58 @@ def _loop_field_report(field):
 
 def test_field_report_matches_loop_oracle(rng):
     # reflection conjugations (defects at roundoff), their compositions with
-    # non-symmetric unitary fields (defects of order 1), and plain linear fields
+    # non-symmetric unitary fields (defects of order 1), plain linear fields,
+    # and antilinear fields whose point map sends the last atom where the
+    # first goes, with blocks unitary in the weighted orthonormal coordinates
     for _ in range(6):
         mu = random_paired_measure(rng, max_pairs=5, weight_span=(0.1, 10.0))
         r = int(rng.integers(1, 4))
         jsh = reflection_conjugation(mu, r)
         field = FieldOperator(mu, np.stack([haar_unitary(r, rng) for _ in range(mu.size)]))
-        for op in (jsh, compose_fields(field, jsh), compose_fields(jsh, field), field):
+        merge = rng.integers(0, mu.size, mu.size)
+        merge[-1] = merge[0]
+        merged = FieldOperator(mu, np.sqrt(mu.weights[merge] / mu.weights)[:, None, None] * field.matrices,
+                               antilinear=True, point_map=merge)
+        for op in (jsh, compose_fields(field, jsh), compose_fields(jsh, field), field, merged):
             rep = field_conjugation_report(op)
             got = (rep.isometry_defect, rep.involution_defect, rep.commutation_defect)
             assert np.max(np.abs(np.subtract(got, _loop_field_report(op)))) <= 1e-14
+
+
+def test_field_report_allocates_no_dense_matrix(rng):
+    # 130 atoms with fiber 4: the (n r)^2 complex matrix alone is 4.1 MiB
+    angles = np.linspace(0.1, 3.0, 65)
+    mu = AtomicMeasure(np.concatenate([angles, -angles]), rng.uniform(0.1, 10.0, 130))
+    haar = FieldOperator(mu, np.stack([haar_unitary(4, rng) for _ in range(130)]))
+    field = compose_fields(haar, reflection_conjugation(mu, 4))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field_conjugation_report(field)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("point_map", [[1, 0, -1], [0.5, 1.2, 2.9], [1, 0, 7], [1, 0], [True, False, True]])
+def test_field_operator_refuses_a_point_map_off_the_atoms(point_map):
+    # -1 would wrap to the last atom, floats would truncate, and 7 would
+    # escape apply and the report as an IndexError
+    mu = AtomicMeasure([0.5, -0.5, 0.0], np.ones(3))
+    with pytest.raises(InputError, match="^point_map must index the atoms$"):
+        FieldOperator(mu, np.ones((3, 1, 1)), antilinear=True, point_map=point_map)
+
+
+@pytest.mark.parametrize("weights, entry", [([1.0, 2.0], np.nan), ([1e300, 1e-300], 1.0)])
+def test_field_report_refuses_non_finite_blocks(weights, entry):
+    # a non-finite matrix entry, or a weight ratio across the point map
+    # whose scale sqrt(w_k / w_p(k)) overflows (numpy warns on the way)
+    mu = AtomicMeasure([0.5, -0.5], weights)
+    field = FieldOperator(mu, np.array([1.0, entry])[:, None, None], antilinear=True, point_map=[1, 0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InputError, match="^matrix contains non-finite entries$"):
+        field_conjugation_report(field)
 
 
 def test_reflection_conjugation_involution_exactly_zero(rng):
